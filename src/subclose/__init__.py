@@ -31,6 +31,7 @@ from .families import (
     k_lambda,
     k_r,
     k_r_closed,
+    k_r_exhaustive,
     k_r_oracle,
     k_r_sweep,
     k_r_value,
@@ -57,6 +58,7 @@ from .graphs import (
     sigma,
     sigma_exhaustive,
     sigma_from_k,
+    sigma_max_closed,
     sigma_maximizers,
     trivial_bound_check,
 )

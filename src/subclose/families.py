@@ -9,8 +9,8 @@ the low and high ranges of r and by exhaustive search in between; a family
 attaining the maximum is called subclose.
 
 All subsets are bitmasks on {1..m} (bit i-1 is element i).  Searches are
-sequential and deterministic; functions are pure and safe to call from
-several threads.
+sequential and deterministic.  The module is single-threaded; full-lattice
+sweep results are cached per process.
 """
 
 from __future__ import annotations
@@ -309,8 +309,17 @@ def _closed_record(ell: int, m: int, r: int) -> KrRecord | None:
         else:
             maximizer = None
     if maximizer is not None:
-        assert k_lambda(maximizer) == value, "closed form disagrees with witness"
+        _check_witness(maximizer, value)
     return KrRecord(ell, m, r, value, method, maximizer)
+
+
+def _check_witness(fam: SubsetFamily, value: int) -> None:
+    got = k_lambda(fam)
+    if got != value:
+        raise ArithmeticError(
+            f"witness for (ell={fam.ell}, m={fam.m}, r={fam.size}) has "
+            f"K={got}, not the claimed maximum {value}"
+        )
 
 
 def _member_bits(masks) -> list[tuple[int, ...]]:
@@ -447,7 +456,7 @@ def k_r_oracle(
         count = None
         first = _collect_attainers(bits, k, m, ell, r, value, limit=1)[0]
     maximizer = SubsetFamily(ell, m, tuple(masks[i] for i in first))
-    assert k_lambda(maximizer) == value
+    _check_witness(maximizer, value)
     return KrRecord(ell, m, r, value, "brute_force", maximizer, count)
 
 
@@ -484,12 +493,10 @@ def k_r_sweep(
 
     Incremental K via per-element membership counts (adding A raises K by
     the number of chosen members through each point of A).  Results agree
-    with k_r_oracle and are cached per (ell, m); index the result by r.
+    with k_r_oracle and are cached per (ell, m); index the result by r.  The
+    budget is checked before the cache, so a warm call refuses what a cold
+    one would.
     """
-    key = (ell, m)
-    hit = _sweep_cache.get(key)
-    if hit is not None:
-        return hit
     idx = SubsetIndexer(ell, m)
     k = idx.size
     total = 1 << k
@@ -497,6 +504,10 @@ def k_r_sweep(
         raise BudgetError(
             f"{total} subfamilies for (ell={ell}, m={m}) exceed budget {budget}"
         )
+    key = (ell, m)
+    hit = _sweep_cache.get(key)
+    if hit is not None:
+        return hit
     masks = idx.masks
     bits = _member_bits(masks)
     best = [-1] * (k + 1)
@@ -527,14 +538,27 @@ def k_r_sweep(
     records = []
     for r in range(k + 1):
         fam = SubsetFamily(ell, m, tuple(masks[i] for i in first[r]))
-        assert k_lambda(fam) == best[r]
+        _check_witness(fam, best[r])
         records.append(KrRecord(ell, m, r, best[r], "brute_force", fam, counts[r]))
     result = tuple(records)
     _sweep_cache[key] = result
     return result
 
 
-_record_cache: dict[tuple[int, int, int], KrRecord] = {}
+def k_r_exhaustive(
+    ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
+) -> KrRecord:
+    """Exhaustive K_r with the colex-least maximizer, never a closed form.
+
+    Small lattices take the cached full sweep, larger ones the per-r
+    branch and bound; both find the same value and colex-least maximizer.
+    """
+    k = math.comb(m, ell)
+    if not 0 <= r <= k:
+        raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
+    if 1 << k <= min(_SWEEP_CAP, budget):
+        return k_r_sweep(ell, m, budget=budget)[r]
+    return k_r_oracle(ell, m, r, budget=budget)
 
 
 def k_r(
@@ -557,18 +581,9 @@ def k_r(
         return _closed_record(ell, m, r)
     if mode == "oracle":
         return k_r_oracle(ell, m, r, budget=budget)
-    key = (ell, m, r)
-    hit = _record_cache.get(key)
-    if hit is not None:
-        return hit
     rec = _closed_record(ell, m, r)
     if rec is None:
-        k = math.comb(m, ell)
-        if 1 << k <= min(_SWEEP_CAP, budget):
-            rec = k_r_sweep(ell, m, budget=budget)[r]
-        else:
-            rec = k_r_oracle(ell, m, r, budget=budget)
-    _record_cache[key] = rec
+        rec = k_r_exhaustive(ell, m, r, budget=budget)
     return rec
 
 

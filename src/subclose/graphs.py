@@ -3,9 +3,10 @@
 The degree square sum Sigma(G) = sum of deg(v)^2 links straight back to the
 intersection machinery: Sigma = 2*K + 2r for a graph with r edges, where K
 is the pairwise intersection sum of the edge family.  Maximizing Sigma over
-r-edge graphs is therefore the ell = 2 case of the K_r problem, and this
-module keeps an independent, degree-based exhaustion to cross-check that
-route.  Exhaustion is over labeled edge subsets, never isomorphism classes.
+r-edge graphs is therefore the ell = 2 case of the K_r problem: the maximum
+and its witnesses come from the one exhaustive search in ``families``, and
+the Ahlswede-Katona closed form checks every maximum.  Exhaustion is over
+labeled edge subsets, never isomorphism classes.
 """
 
 from __future__ import annotations
@@ -13,18 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import nlargest
 
 from .combinat import SubsetIndexer
 from .families import (
-    BudgetError,
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
     k_lambda,
-    k_r_value,
+    k_r_exhaustive,
+    maximizer_families,
 )
-
-_SWEEP_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -159,203 +157,46 @@ def de_caen_bound(m: int, r: int) -> Fraction:
     return Fraction(2 * r * r, m - 1) + r * (m - 2)
 
 
-def _edge_ends(masks) -> list[tuple[int, int]]:
-    return [((a & -a).bit_length() - 1, a.bit_length() - 1) for a in masks]
-
-
-def _sigma_prefix(ends, r: int, m: int) -> int:
-    deg = [0] * m
-    total = 0
-    for u, v in ends[:r]:
-        total += 2 * (deg[u] + deg[v]) + 2
-        deg[u] += 1
-        deg[v] += 1
-    return total
-
-
-def _sigma_search_best(ends, k: int, m: int, r: int, prune: bool) -> int:
-    """Exact max Sigma over r-edge graphs, branch and bound on degrees.
-
-    Bound: a candidate edge tied to the chosen part gains exactly
-    2*(deg(u)+deg(v)) + 2 now; two undecided edges share at most one
-    endpoint.  Summing the top s exact gains plus 2*C(s,2) + 2s never
-    underestimates a completion.
-    """
-    deg = [0] * m
-    best = _sigma_prefix(ends, r, m)
-
-    def go(start: int, t: int, cur: int) -> None:
-        nonlocal best
-        s = r - t
-        if s == 0:
-            if cur > best:
-                best = cur
-            return
-        gains = [2 * (deg[u] + deg[v]) + 2 for u, v in ends[start:]]
-        if prune:
-            ub = cur + sum(nlargest(s, gains)) + 2 * s * (s - 1) // 2
-            if ub <= best:
-                return
-        if s == 1:
-            top = cur + max(gains)
-            if top > best:
-                best = top
-            return
-        for off in range(k - s + 1 - start):
-            u, v = ends[start + off]
-            deg[u] += 1
-            deg[v] += 1
-            go(start + off + 1, t + 1, cur + gains[off])
-            deg[u] -= 1
-            deg[v] -= 1
-
-    if r == 0:
-        return 0
-    go(0, 0, 0)
-    return best
-
-
-def _sigma_collect(ends, k: int, m: int, r: int, target: int, limit=None):
-    """Edge index tuples of all r-edge graphs attaining target, colex order."""
-    deg = [0] * m
-    chosen: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def go(start: int, cur: int) -> bool:
-        s = r - len(chosen)
-        if s == 0:
-            if cur == target:
-                out.append(tuple(chosen))
-                return limit is not None and len(out) >= limit
-            return False
-        gains = [2 * (deg[u] + deg[v]) + 2 for u, v in ends[start:]]
-        if cur + sum(nlargest(s, gains)) + 2 * s * (s - 1) // 2 < target:
-            return False
-        for off in range(k - s + 1 - start):
-            u, v = ends[start + off]
-            chosen.append(start + off)
-            deg[u] += 1
-            deg[v] += 1
-            stop = go(start + off + 1, cur + gains[off])
-            deg[u] -= 1
-            deg[v] -= 1
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    if r == 0:
-        return [()]
-    go(0, 0)
-    return out
-
-
-class _SigmaSweep:
-    """Per-r maxima of Sigma from one walk over all edge subsets."""
-
-    def __init__(self, m: int, budget: int):
-        idx = SubsetIndexer(2, m)
-        k = idx.size
-        if 1 << k > budget:
-            raise BudgetError(
-                f"{1 << k} edge subsets for m={m} exceed budget {budget}"
-            )
-        masks = idx.masks
-        ends = _edge_ends(masks)
-        best = [-1] * (k + 1)
-        attainers: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
-        deg = [0] * m
-        chosen: list[int] = []
-
-        def go(start: int, cur: int) -> None:
-            t = len(chosen)
-            if cur > best[t]:
-                best[t] = cur
-                attainers[t] = [tuple(chosen)]
-            elif cur == best[t]:
-                attainers[t].append(tuple(chosen))
-            for j in range(start, k):
-                u, v = ends[j]
-                gain = 2 * (deg[u] + deg[v]) + 2
-                chosen.append(j)
-                deg[u] += 1
-                deg[v] += 1
-                go(j + 1, cur + gain)
-                deg[u] -= 1
-                deg[v] -= 1
-                chosen.pop()
-
-        go(0, 0)
-        self.m = m
-        self.masks = masks
-        self.best = best
-        self.attainers = attainers
-
-    def graph(self, r: int, which: int = 0) -> Graph:
-        idxs = self.attainers[r][which]
-        fam = SubsetFamily(2, self.m, tuple(self.masks[i] for i in idxs))
-        return Graph(self.m, fam)
-
-
-_sigma_sweep_cache: dict[int, _SigmaSweep] = {}
-
-
-def _sigma_sweep(m: int, budget: int) -> _SigmaSweep:
-    hit = _sigma_sweep_cache.get(m)
-    if hit is None:
-        hit = _SigmaSweep(m, budget)
-        _sigma_sweep_cache[m] = hit
-    return hit
-
-
 def sigma_exhaustive(
     m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> tuple[int, Graph]:
     """Max Sigma over all r-edge graphs on {1..m} plus the colex-least
-    maximizer, by direct enumeration of edge subsets."""
-    idx = SubsetIndexer(2, m)
-    k = idx.size
-    if not 0 <= r <= k:
-        raise ValueError(f"r={r} outside 0..{k} for m={m}")
-    if 1 << k <= min(_SWEEP_CAP, budget):
-        sweep = _sigma_sweep(m, budget)
-        return sweep.best[r], sweep.graph(r)
-    if math.comb(k, r) > budget:
-        raise BudgetError(
-            f"{math.comb(k, r)} candidate graphs for (m={m}, r={r}) "
-            f"exceed budget {budget}"
-        )
-    masks = idx.masks
-    ends = _edge_ends(masks)
-    value = _sigma_search_best(ends, k, m, r, True)
-    first = _sigma_collect(ends, k, m, r, value, limit=1)[0]
-    fam = SubsetFamily(2, m, tuple(masks[i] for i in first))
-    return value, Graph(m, fam)
+    maximizer, from the exhaustive K_r search on edge families."""
+    rec = k_r_exhaustive(2, m, r, budget=budget)
+    return 2 * rec.value + 2 * r, Graph(m, rec.maximizer)
 
 
 def sigma_maximizers(
     m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> tuple[Graph, ...]:
     """Every r-edge graph attaining the Sigma maximum, in colex order."""
-    idx = SubsetIndexer(2, m)
-    k = idx.size
+    return tuple(
+        Graph(m, fam) for fam in maximizer_families(2, m, r, budget=budget)
+    )
+
+
+def _quasi_complete_k(r: int) -> int:
+    # K_a plus one vertex joined to b of its vertices, r = C(a,2) + b, b < a
+    a = (1 + math.isqrt(1 + 8 * r)) // 2
+    b = r - math.comb(a, 2)
+    return b * math.comb(a, 2) + (a - b) * math.comb(a - 1, 2) + math.comb(b, 2)
+
+
+def sigma_max_closed(m: int, r: int) -> int:
+    """Max Sigma over r-edge graphs on {1..m} by Ahlswede-Katona.
+
+    The maximum of K (adjacent edge pairs) is attained by the quasi-complete
+    graph or by the quasi-star, the complement of the quasi-complete graph
+    with C(m,2) - r edges; Sigma = 2*K + 2r, and complementing maps Sigma to
+    m*(m-1)^2 - 4*c*(m-1) + Sigma for a graph with c edges.
+    """
+    k = math.comb(m, 2)
     if not 0 <= r <= k:
         raise ValueError(f"r={r} outside 0..{k} for m={m}")
-    if 1 << k <= min(_SWEEP_CAP, budget):
-        sweep = _sigma_sweep(m, budget)
-        return tuple(sweep.graph(r, i) for i in range(len(sweep.attainers[r])))
-    if math.comb(k, r) > budget:
-        raise BudgetError(
-            f"{math.comb(k, r)} candidate graphs for (m={m}, r={r}) "
-            f"exceed budget {budget}"
-        )
-    masks = idx.masks
-    ends = _edge_ends(masks)
-    value = _sigma_search_best(ends, k, m, r, True)
-    return tuple(
-        Graph(m, SubsetFamily(2, m, tuple(masks[i] for i in chosen)))
-        for chosen in _sigma_collect(ends, k, m, r, value)
-    )
+    c = k - r
+    quasi_complete = 2 * _quasi_complete_k(r) + 2 * r
+    quasi_star = m * (m - 1) ** 2 - 4 * c * (m - 1) + 2 * _quasi_complete_k(c) + 2 * c
+    return max(quasi_complete, quasi_star)
 
 
 @dataclass(frozen=True)
@@ -385,18 +226,19 @@ def optimal_graphs(
 ) -> SigmaRecord:
     """Maximum Sigma computed two independent ways, which must agree.
 
-    Direct route: exhaustive max over edge subsets on the degree side.
-    Family route: 2*K_r(2, m) + 2r through the intersection machinery.
+    Search route: 2*K_r(2, m) + 2r from the exhaustive family search, which
+    also gives the colex-least witness graph.
+    Closed route: the Ahlswede-Katona maximum, sigma_max_closed.
     Disagreement means a bug in one of them and raises ArithmeticError.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got m={m}")
     direct, maximizer = sigma_exhaustive(m, r, budget=budget)
-    via_k = 2 * k_r_value(2, m, r, budget=budget) + 2 * r
-    if direct != via_k:
+    closed = sigma_max_closed(m, r)
+    if direct != closed:
         raise ArithmeticError(
-            f"degree-side exhaustion gives {direct} but the intersection-sum "
-            f"route gives {via_k} for (m={m}, r={r})"
+            f"exhaustive search gives {direct} but the Ahlswede-Katona closed "
+            f"form gives {closed} for (m={m}, r={r})"
         )
     trivial = r * (r + 1) if (m >= 4 and r <= m - 1) else None
     k = math.comb(m, 2)

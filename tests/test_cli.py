@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import subclose.cli as cli
-from subclose import families
+from subclose import families, graphs
 from subclose.families import KrRecord
 from subclose.serialize import validate_doc
 
@@ -141,6 +141,16 @@ def test_out_writes_identical_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == stdout_text == GOLDEN_TABLE_2_5
 
 
+def test_out_unwritable_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, "kr-table", "--ell", "2", "--m", "4", "--out", str(target)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
 # ----------------------------------------------------------------- optimal
 
 def test_optimal_golden_line(capsys):
@@ -159,6 +169,15 @@ def test_optimal_range_and_empty_graph(capsys):
     assert len(lines) == 7
     assert lines[0].startswith("m=4 r=0 sigma_max=0 edges=- ")
     assert "dual=36 (tight)" in lines[6]
+
+
+def test_optimal_routes_disagreeing_exits_1(capsys, monkeypatch):
+    sane = graphs.sigma_max_closed
+    monkeypatch.setattr(graphs, "sigma_max_closed", lambda m, r: sane(m, r) + 1)
+    code, out, err = run(capsys, "optimal", "--m", "5", "--r", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_optimal_json_validates(capsys):

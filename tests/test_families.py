@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from subclose import families
 from subclose.combinat import SubsetIndexer
 from subclose.families import (
     BudgetError,
@@ -20,6 +21,7 @@ from subclose.families import (
     k_lambda,
     k_r,
     k_r_closed,
+    k_r_exhaustive,
     k_r_oracle,
     k_r_sweep,
     k_r_value,
@@ -301,6 +303,30 @@ def test_sweep_matches_oracle_with_counts():
             assert sweep[r].method == "brute_force"
 
 
+def test_exhaustive_routes_agree():
+    # 2^10 subfamilies fit budget 1024 (sweep) but not 1023 (per-r search)
+    for r in range(11):
+        swept = k_r_exhaustive(2, 5, r, budget=1024)
+        searched = k_r_exhaustive(2, 5, r, budget=1023)
+        assert swept.maximizer_count is not None
+        assert searched.maximizer_count is None
+        assert swept.value == searched.value == GOLDEN_2_5[r]
+        assert swept.maximizer == searched.maximizer
+
+
+def test_witness_check_survives_optimization(monkeypatch):
+    # an ArithmeticError, not an assert that python -O would strip
+    sane = families.k_lambda
+    monkeypatch.setattr(families, "k_lambda", lambda fam: sane(fam) + 1)
+    monkeypatch.setattr(families, "_sweep_cache", {})
+    with pytest.raises(ArithmeticError, match="witness"):
+        k_r_oracle(2, 5, 4)
+    with pytest.raises(ArithmeticError):
+        k_r_sweep(2, 3)
+    with pytest.raises(ArithmeticError):
+        k_r(2, 5, 2, mode="closed")
+
+
 def test_maximizer_families_all_attain():
     fams = maximizer_families(2, 4, 2)
     assert len(fams) == 12  # pairs of intersecting edges on 4 points
@@ -397,8 +423,19 @@ def test_sweep_budget_error_names_count():
         k_r_sweep(3, 7, budget=10**6)
 
 
+def test_budget_is_checked_before_the_caches():
+    k_r(2, 6, 7)
+    with pytest.raises(BudgetError):
+        k_r(2, 6, 7, budget=1)
+    k_r_sweep(2, 5)
+    with pytest.raises(BudgetError):
+        k_r_sweep(2, 5, budget=1)
+
+
 def test_out_of_range_r():
     with pytest.raises(ValueError):
         k_r_oracle(2, 5, 11)
+    with pytest.raises(ValueError):
+        k_r_exhaustive(2, 5, 11)
     with pytest.raises(ValueError):
         maximizer_families(2, 5, -1)

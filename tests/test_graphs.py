@@ -22,6 +22,7 @@ from subclose.graphs import (
     sigma,
     sigma_exhaustive,
     sigma_from_k,
+    sigma_max_closed,
     sigma_maximizers,
     trivial_bound_check,
 )
@@ -211,11 +212,35 @@ def test_optimal_graphs_examples():
 
 
 def test_optimal_routes_agree_everywhere_m5():
-    # ArithmeticError would mean the two exhaustions disagree
-    for m in (2, 3, 4, 5):
+    # ArithmeticError would mean the search and the closed form disagree
+    for m in (2, 3, 4, 5, 6, 7):
         for r in range(math.comb(m, 2) + 1):
             rec = optimal_graphs(m, r)
             assert rec.sigma_max == 2 * k_r_value(2, m, r) + 2 * r
+            assert sigma_max_closed(m, r) == rec.sigma_max
+
+
+def test_sigma_max_closed_beyond_the_sweep():
+    # K_r(2, 8) for r = 9..12 from the exhaustive kr-table
+    for r, k in zip(range(9, 13), (26, 30, 35, 41)):
+        assert sigma_max_closed(8, r) == 2 * k + 2 * r
+    with pytest.raises(ValueError):
+        sigma_max_closed(5, 11)
+
+
+def test_degree_side_oracle_m5():
+    # independent of the family search: Sigma from degrees on every graph
+    for m in (2, 3, 4, 5):
+        best = {}
+        for g in all_graphs(m):
+            s = sigma(g)
+            if s > best.get(g.r, (-1, []))[0]:
+                best[g.r] = (s, [g])
+            elif s == best[g.r][0]:
+                best[g.r][1].append(g)
+        for r, (value, graphs) in best.items():
+            assert sigma_exhaustive(m, r) == (value, graphs[0])
+            assert sigma_maximizers(m, r) == tuple(graphs)
 
 
 def test_sigma_maximizer_counts():
