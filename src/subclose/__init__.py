@@ -33,7 +33,6 @@ from .families import (
     k_r_closed,
     k_r_exhaustive,
     k_r_oracle,
-    k_r_sweep,
     k_r_value,
     maximizer_families,
     second_duality_check,

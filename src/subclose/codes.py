@@ -72,7 +72,8 @@ def enumerate_grassmannian(
 
     Echelon representatives come out already normalized: the colex-least
     nonzero minor sits at the pivot column set and equals 1.  Both facts
-    are asserted, as is distinctness of the resulting points.
+    are checked, as are the count and distinctness of the resulting points;
+    a failed check raises ArithmeticError.
     """
     count = gaussian_binom(m, ell, F.q)
     if count > budget:
@@ -91,10 +92,13 @@ def enumerate_grassmannian(
             for cols in col_sets
         )
         first = next(i for i, c in enumerate(coords) if c)
-        assert coords[first] == 1, "echelon representative not normalized"
+        if coords[first] != 1:
+            raise ArithmeticError("echelon representative not normalized")
         points.append(PluckerPoint(coords, mat))
-    assert len(points) == count
-    assert len(set(points)) == count, "coordinate vectors collide"
+    if len(points) != count:
+        raise ArithmeticError(f"{len(points)} subspaces enumerated, expected {count}")
+    if len(set(points)) != count:
+        raise ArithmeticError("coordinate vectors collide")
     return tuple(points)
 
 
@@ -319,7 +323,8 @@ def weight_hierarchy(
     code: CodeSystem, *, budget: int = DEFAULT_SUBCODE_BUDGET
 ) -> tuple[int, ...]:
     """(d_1, ..., d_k).  Strict growth and d_k = n hold for any code built
-    here (no repeated zero positions), so both are asserted."""
+    here (no repeated zero positions), so both are checked; a failed check
+    raises ArithmeticError."""
     total = sum(
         gaussian_binom(code.kdim, r, code.F.q) for r in range(1, code.kdim + 1)
     )
@@ -330,9 +335,10 @@ def weight_hierarchy(
     weights = tuple(
         higher_weight(code, r, budget=budget) for r in range(1, code.kdim + 1)
     )
-    for a, b in zip(weights, weights[1:]):
-        assert a < b, f"hierarchy not strictly increasing: {weights}"
-    assert weights[-1] == code.n, f"hierarchy must end at n={code.n}: {weights}"
+    if any(a >= b for a, b in zip(weights, weights[1:])):
+        raise ArithmeticError(f"hierarchy not strictly increasing: {weights}")
+    if weights[-1] != code.n:
+        raise ArithmeticError(f"hierarchy must end at n={code.n}: {weights}")
     return weights
 
 

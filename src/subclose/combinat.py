@@ -105,7 +105,8 @@ def gaussian_binom(m: int, ell: int, q: int) -> int:
     for i in range(ell):
         num *= q**m - q**i
         den *= q**ell - q**i
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"{den} does not divide {num}")
     return num // den
 
 

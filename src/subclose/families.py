@@ -8,9 +8,10 @@ K_r = max(sum of |A_i cap A_j| over pairs) is produced by closed forms on
 the low and high ranges of r and by exhaustive search in between; a family
 attaining the maximum is called subclose.
 
-All subsets are bitmasks on {1..m} (bit i-1 is element i).  Searches are
-sequential and deterministic.  The module is single-threaded; full-lattice
-sweep results are cached per process.
+All subsets are bitmasks on {1..m} (bit i-1 is element i).  The search is
+one branch and bound per r, which gives the value, the colex-least
+maximizer and, on request, every maximizer.  It is sequential,
+deterministic and single-threaded, and nothing is cached.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ class BudgetError(RuntimeError):
 
 DEFAULT_FAMILY_BUDGET = 10**8
 
-# full-lattice sweeps are cached per (ell, m) up to this many subfamilies
-_SWEEP_CAP = 1 << 22
+# k_r_exhaustive counts maximizers only on lattices of at most this many
+# subfamilies: the counting walk cannot cut a branch whose bound merely ties
+# the best, so it is kept where that stays cheap, and the cap fixes which
+# K_r records carry a count
+_COUNT_CAP = 1 << 22
 
 
 class CloseKind(enum.Enum):
@@ -278,7 +282,9 @@ class KrRecord:
     witness maximizer is the colex-least maximizer for brute-force records
     and a canonical construction for closed-form ones; it is omitted only
     when the ground family is too large to enumerate.  maximizer_count is
-    filled in search modes that were asked to count.
+    filled only by k_r_exhaustive (and so by k_r in auto mode) when the
+    lattice has at most min(_COUNT_CAP, budget) subfamilies; it is None
+    otherwise.
     """
 
     ell: int
@@ -326,114 +332,66 @@ def _member_bits(masks) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in masks]
 
 
-def _search_best(bits, k: int, m: int, ell: int, r: int, prune: bool) -> int:
-    """Exact max of the pairwise intersection sum over r-member families.
+def _walk(bits, k: int, m: int, ell: int, r: int, ties: bool):
+    """Max pairwise intersection sum over r-member families, with attainers.
 
-    Branch and bound over index combinations in lexicographic order.  The
-    prune is admissible: a candidate's ties to the chosen part are counted
-    exactly (top s of them), and every pair of still-undecided members can
-    meet in at most ell-1 points, so the bound never underestimates a
-    completion.  prune=False audits the same enumeration with no cuts.
+    Branch and bound over index combinations in lexicographic order, which
+    is colex order on families.  The bound is admissible: a candidate's ties
+    to the chosen part are counted exactly (top s of them), and every pair
+    of still-undecided members can meet in at most ell-1 points, so it never
+    underestimates a completion.  With ties=False a bound equal to the best
+    so far is cut and only strict improvements are kept, so the one attainer
+    returned is the colex-least maximizer.  With ties=True only a bound
+    below the best is cut and every maximizer is returned, in colex order.
+    Returns (value, attainers) with attainers as index tuples.
     """
-    lm1 = ell - 1
-    elcount = [0] * m
-
-    # seed with a real family so pruning has something to beat
-    best = 0
-    for j in range(r):
-        best += sum(elcount[e] for e in bits[j])
-        for e in bits[j]:
-            elcount[e] += 1
-    for j in range(r):
-        for e in bits[j]:
-            elcount[e] -= 1
-
-    def go(start: int, t: int, cur: int) -> None:
-        nonlocal best
-        s = r - t
-        if s == 0:
-            if cur > best:
-                best = cur
-            return
-        contribs = [sum(elcount[e] for e in bits[j]) for j in range(start, k)]
-        if prune:
-            ub = cur + sum(nlargest(s, contribs)) + lm1 * s * (s - 1) // 2
-            if ub <= best:
-                return
-        if s == 1:
-            top = cur + max(contribs)
-            if top > best:
-                best = top
-            return
-        for off in range(k - s + 1 - start):
-            j = start + off
-            for e in bits[j]:
-                elcount[e] += 1
-            go(j + 1, t + 1, cur + contribs[off])
-            for e in bits[j]:
-                elcount[e] -= 1
-
     if r == 0:
-        return 0
-    go(0, 0, 0)
-    return best
-
-
-def _collect_attainers(bits, k, m, ell, r, target, limit=None):
-    """Index tuples of all r-families attaining ``target``, in colex order.
-
-    DFS with the strict version of the admissible bound, so ties survive.
-    ``limit`` stops the walk early once that many attainers are found.
-    """
+        return 0, [()]
     lm1 = ell - 1
     elcount = [0] * m
     chosen: list[int] = []
-    out: list[tuple[int, ...]] = []
+    best = -1
+    found: list[tuple[int, ...]] = []
 
-    def go(start: int, cur: int) -> bool:
-        t = len(chosen)
-        s = r - t
-        if s == 0:
-            if cur == target:
-                out.append(tuple(chosen))
-                return limit is not None and len(out) >= limit
-            return False
+    def go(start: int, cur: int) -> None:
+        nonlocal best, found
+        s = r - len(chosen)
         contribs = [sum(elcount[e] for e in bits[j]) for j in range(start, k)]
-        if cur + sum(nlargest(s, contribs)) + lm1 * s * (s - 1) // 2 < target:
-            return False
+        ub = cur + sum(nlargest(s, contribs)) + lm1 * s * (s - 1) // 2
+        if ub < best or (ub == best and not ties):
+            return
+        if s == 1:
+            # here ub is the best completion, cur + max(contribs)
+            if ub > best:
+                best, found = ub, []
+            if ties:
+                found += [
+                    (*chosen, start + off)
+                    for off, c in enumerate(contribs)
+                    if cur + c == best
+                ]
+            else:
+                found.append((*chosen, start + contribs.index(best - cur)))
+            return
         for off in range(k - s + 1 - start):
             j = start + off
             chosen.append(j)
             for e in bits[j]:
                 elcount[e] += 1
-            stop = go(j + 1, cur + contribs[off])
+            go(j + 1, cur + contribs[off])
             for e in bits[j]:
                 elcount[e] -= 1
             chosen.pop()
-            if stop:
-                return True
-        return False
 
-    if r == 0:
-        return [()]
     go(0, 0)
-    return out
+    return best, found
 
 
-def k_r_oracle(
-    ell: int,
-    m: int,
-    r: int,
-    *,
-    budget: int = DEFAULT_FAMILY_BUDGET,
-    prune: bool = True,
-    count_maximizers: bool = False,
-) -> KrRecord:
-    """Exhaustive K_r over all C(k, r) families of r distinct ell-subsets.
+def _search(ell: int, m: int, r: int, budget: int, ties: bool):
+    """Range and budget checks, then the walk.
 
-    Never consults the closed forms.  Returns the colex-least maximizer
-    (family compared as its sorted tuple of colex member indices) and, on
-    request, the number of maximizers.
+    Returns the value, the colex-least maximizer (its witness checked) and
+    every attainer the walk kept, as index tuples into the colex masks.
     """
     idx = SubsetIndexer(ell, m)
     k = idx.size
@@ -446,103 +404,34 @@ def k_r_oracle(
             f"exceed budget {budget}"
         )
     masks = idx.masks
-    bits = _member_bits(masks)
-    value = _search_best(bits, k, m, ell, r, prune)
-    if count_maximizers:
-        attainers = _collect_attainers(bits, k, m, ell, r, value)
-        count = len(attainers)
-        first = attainers[0]
-    else:
-        count = None
-        first = _collect_attainers(bits, k, m, ell, r, value, limit=1)[0]
-    maximizer = SubsetFamily(ell, m, tuple(masks[i] for i in first))
-    _check_witness(maximizer, value)
-    return KrRecord(ell, m, r, value, "brute_force", maximizer, count)
+    value, attainers = _walk(_member_bits(masks), k, m, ell, r, ties)
+    first = SubsetFamily(ell, m, tuple(masks[i] for i in attainers[0]))
+    _check_witness(first, value)
+    return value, first, attainers
+
+
+def k_r_oracle(
+    ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
+) -> KrRecord:
+    """Exhaustive K_r over all C(k, r) families of r distinct ell-subsets.
+
+    Never consults the closed forms and never counts.  Returns the
+    colex-least maximizer (family compared as its sorted tuple of colex
+    member indices).
+    """
+    value, first, _ = _search(ell, m, r, budget, ties=False)
+    return KrRecord(ell, m, r, value, "brute_force", first)
 
 
 def maximizer_families(
     ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> tuple[SubsetFamily, ...]:
     """Every family attaining K_r, in colex order."""
-    idx = SubsetIndexer(ell, m)
-    k = idx.size
-    if not 0 <= r <= k:
-        raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
-    candidates = math.comb(k, r)
-    if candidates > budget:
-        raise BudgetError(
-            f"{candidates} candidate families for (ell={ell}, m={m}, r={r}) "
-            f"exceed budget {budget}"
-        )
-    masks = idx.masks
-    bits = _member_bits(masks)
-    value = _search_best(bits, k, m, ell, r, True)
+    _, _, attainers = _search(ell, m, r, budget, ties=True)
+    masks = SubsetIndexer(ell, m).masks
     return tuple(
-        SubsetFamily(ell, m, tuple(masks[i] for i in chosen))
-        for chosen in _collect_attainers(bits, k, m, ell, r, value)
+        SubsetFamily(ell, m, tuple(masks[i] for i in chosen)) for chosen in attainers
     )
-
-
-_sweep_cache: dict[tuple[int, int], tuple[KrRecord, ...]] = {}
-
-
-def k_r_sweep(
-    ell: int, m: int, *, budget: int = DEFAULT_FAMILY_BUDGET
-) -> tuple[KrRecord, ...]:
-    """K_r for every r at once: one walk over all 2^k subfamilies.
-
-    Incremental K via per-element membership counts (adding A raises K by
-    the number of chosen members through each point of A).  Results agree
-    with k_r_oracle and are cached per (ell, m); index the result by r.  The
-    budget is checked before the cache, so a warm call refuses what a cold
-    one would.
-    """
-    idx = SubsetIndexer(ell, m)
-    k = idx.size
-    total = 1 << k
-    if total > budget:
-        raise BudgetError(
-            f"{total} subfamilies for (ell={ell}, m={m}) exceed budget {budget}"
-        )
-    key = (ell, m)
-    hit = _sweep_cache.get(key)
-    if hit is not None:
-        return hit
-    masks = idx.masks
-    bits = _member_bits(masks)
-    best = [-1] * (k + 1)
-    first: list[tuple[int, ...] | None] = [None] * (k + 1)
-    counts = [0] * (k + 1)
-    elcount = [0] * m
-    chosen: list[int] = []
-
-    def go(start: int, cur: int) -> None:
-        t = len(chosen)
-        if cur > best[t]:
-            best[t] = cur
-            first[t] = tuple(chosen)
-            counts[t] = 1
-        elif cur == best[t]:
-            counts[t] += 1
-        for j in range(start, k):
-            gain = sum(elcount[e] for e in bits[j])
-            chosen.append(j)
-            for e in bits[j]:
-                elcount[e] += 1
-            go(j + 1, cur + gain)
-            for e in bits[j]:
-                elcount[e] -= 1
-            chosen.pop()
-
-    go(0, 0)
-    records = []
-    for r in range(k + 1):
-        fam = SubsetFamily(ell, m, tuple(masks[i] for i in first[r]))
-        _check_witness(fam, best[r])
-        records.append(KrRecord(ell, m, r, best[r], "brute_force", fam, counts[r]))
-    result = tuple(records)
-    _sweep_cache[key] = result
-    return result
 
 
 def k_r_exhaustive(
@@ -550,14 +439,13 @@ def k_r_exhaustive(
 ) -> KrRecord:
     """Exhaustive K_r with the colex-least maximizer, never a closed form.
 
-    Small lattices take the cached full sweep, larger ones the per-r
-    branch and bound; both find the same value and colex-least maximizer.
+    When the lattice has at most min(_COUNT_CAP, budget) subfamilies the
+    search keeps every tie and the record carries the maximizer count;
+    otherwise this is k_r_oracle.  Both give the same value and maximizer.
     """
-    k = math.comb(m, ell)
-    if not 0 <= r <= k:
-        raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
-    if 1 << k <= min(_SWEEP_CAP, budget):
-        return k_r_sweep(ell, m, budget=budget)[r]
+    if 1 << math.comb(m, ell) <= min(_COUNT_CAP, budget):
+        value, first, attainers = _search(ell, m, r, budget, ties=True)
+        return KrRecord(ell, m, r, value, "brute_force", first, len(attainers))
     return k_r_oracle(ell, m, r, budget=budget)
 
 
@@ -572,8 +460,8 @@ def k_r(
     """K_r dispatch: closed form when one applies, exhaustion otherwise.
 
     mode "closed" returns None in the open middle range; mode "oracle"
-    forces the per-r search; mode "auto" prefers closed forms, then the
-    cached full sweep when the lattice is small, then the per-r search.
+    forces the per-r search; mode "auto" prefers closed forms, then
+    k_r_exhaustive, which also counts maximizers on small lattices.
     """
     if mode not in ("auto", "closed", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -42,11 +42,6 @@ class FieldTable:
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by the field zero")
-        return self.mul[a][self.inv[b]]
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             if a == 0:

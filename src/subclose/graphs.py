@@ -20,7 +20,7 @@ from .families import (
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
     k_lambda,
-    k_r_exhaustive,
+    k_r_oracle,
     maximizer_families,
 )
 
@@ -162,7 +162,7 @@ def sigma_exhaustive(
 ) -> tuple[int, Graph]:
     """Max Sigma over all r-edge graphs on {1..m} plus the colex-least
     maximizer, from the exhaustive K_r search on edge families."""
-    rec = k_r_exhaustive(2, m, r, budget=budget)
+    rec = k_r_oracle(2, m, r, budget=budget)
     return 2 * rec.value + 2 * r, Graph(m, rec.maximizer)
 
 

@@ -147,10 +147,6 @@ def kr_table_csv(records) -> str:
     return buf.getvalue()
 
 
-def matrix_text(rows) -> str:
-    return "".join(" ".join(str(x) for x in row) + "\n" for row in rows)
-
-
 def load_schema() -> dict:
     text = (files("subclose") / "schema" / "output.schema.json").read_text()
     return json.loads(text)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from subclose import codes
 from subclose.combinat import SubsetIndexer, gaussian_binom
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r_value
 from subclose.gf import field_from_order
@@ -75,6 +76,14 @@ def test_normalize_projective():
     assert normalize_projective(F2, (0, 1, 1)) == (0, 1, 1)
     with pytest.raises(ValueError):
         normalize_projective(F3, (0, 0, 0))
+
+
+def test_enumeration_checks_survive_optimization(monkeypatch):
+    # an ArithmeticError, not an assert that python -O would strip
+    sane = codes.det
+    monkeypatch.setattr(codes, "det", lambda F, mat: F.mul[sane(F, mat)][2])
+    with pytest.raises(ArithmeticError, match="not normalized"):
+        enumerate_grassmannian(F3, 1, 2)
 
 
 def test_budget_error_on_enumeration():
@@ -232,6 +241,13 @@ def test_higher_weight_validation_and_budget():
         higher_weight(code, 2, budget=100)
     with pytest.raises(BudgetError):
         weight_hierarchy(code, budget=100)
+
+
+def test_hierarchy_checks_survive_optimization(monkeypatch):
+    code = grassmann_code(F2, 2, 3)
+    monkeypatch.setattr(codes, "higher_weight", lambda code, r, budget: 5)
+    with pytest.raises(ArithmeticError, match="not strictly increasing"):
+        weight_hierarchy(code)
 
 
 def test_section_count_edges():

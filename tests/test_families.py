@@ -23,7 +23,6 @@ from subclose.families import (
     k_r_closed,
     k_r_exhaustive,
     k_r_oracle,
-    k_r_sweep,
     k_r_value,
     maximizer_families,
     second_duality_check,
@@ -35,6 +34,17 @@ from subclose.families import (
 # r=0 entries prepended to the published r>=1 rows
 GOLDEN_2_5 = (0, 0, 1, 3, 6, 8, 12, 15, 19, 24, 30)
 GOLDEN_2_6 = (0, 0, 1, 3, 6, 10, 12, 15, 19, 24, 30, 34, 39, 45, 52, 60)
+
+# maximizer counts for r = 0..k from a walk over every subfamily, on
+# lattices the reference below is too slow to reach
+COUNTS_3_6 = (
+    1, 20, 90, 120, 30, 540, 30, 360, 360, 120, 12,
+    120, 360, 360, 30, 540, 30, 120, 90, 20, 1,
+)
+COUNTS_2_7 = (
+    1, 21, 105, 175, 105, 42, 7, 105, 420, 875, 21,
+    21, 875, 420, 105, 7, 42, 105, 175, 105, 21, 1,
+)
 
 
 def fam(ell, m, *sets):
@@ -268,43 +278,48 @@ def test_golden_3_5_via_first_duality():
 
 # ------------------------------------------------------------------ oracle
 
-def test_oracle_prune_audit():
-    # branch-and-bound must agree with the unpruned walk
-    for ell, m in ((2, 5), (3, 5)):
-        k = math.comb(m, ell)
-        for r in range(k + 1):
-            assert (
-                k_r_oracle(ell, m, r, prune=False).value
-                == k_r_oracle(ell, m, r, prune=True).value
-            )
+def reference_maximizers(ell, m, r):
+    # every r-family in colex order, with no bound and no shortcut
+    fams = list(all_families(ell, m, r))
+    value = max(k_lambda(f) for f in fams)
+    return value, [f for f in fams if k_lambda(f) == value]
+
+
+def test_search_matches_unpruned_reference():
+    for ell, m in ((1, 4), (2, 4), (3, 4), (2, 5), (3, 5), (2, 6)):
+        for r in range(math.comb(m, ell) + 1):
+            value, attainers = reference_maximizers(ell, m, r)
+            rec = k_r_oracle(ell, m, r)
+            assert (rec.value, rec.maximizer) == (value, attainers[0])
+            assert rec.maximizer_count is None
+            rec = k_r_exhaustive(ell, m, r)
+            assert (rec.value, rec.maximizer) == (value, attainers[0])
+            assert rec.maximizer_count == len(attainers)
+            assert rec.method == "brute_force"
+            assert list(maximizer_families(ell, m, r)) == attainers
+
+
+@pytest.mark.parametrize("ell, m, counts", [(3, 6, COUNTS_3_6), (2, 7, COUNTS_2_7)])
+def test_maximizer_counts_pinned(ell, m, counts):
+    assert tuple(
+        k_r_exhaustive(ell, m, r).maximizer_count for r in range(len(counts))
+    ) == counts
 
 
 def test_oracle_record_fields():
-    rec = k_r_oracle(2, 5, 4, count_maximizers=True)
+    rec = k_r_oracle(2, 5, 4)
     assert rec.value == 6
     assert rec.method == "brute_force"
     assert k_lambda(rec.maximizer) == 6
-    assert rec.maximizer_count >= 1
+    assert rec.maximizer_count is None
+    assert len(maximizer_families(2, 5, 4)) >= 1
     # colex-least maximizer is the star at point 1... which is also the
     # canonical close family
     assert rec.maximizer == canonical_close_family(2, 5, 4)
 
 
-def test_sweep_matches_oracle_with_counts():
-    for ell, m in ((2, 4), (3, 4), (2, 5)):
-        sweep = k_r_sweep(ell, m)
-        k = math.comb(m, ell)
-        assert len(sweep) == k + 1
-        for r in range(k + 1):
-            rec = k_r_oracle(ell, m, r, count_maximizers=True)
-            assert sweep[r].value == rec.value
-            assert sweep[r].maximizer == rec.maximizer
-            assert sweep[r].maximizer_count == rec.maximizer_count
-            assert sweep[r].method == "brute_force"
-
-
 def test_exhaustive_routes_agree():
-    # 2^10 subfamilies fit budget 1024 (sweep) but not 1023 (per-r search)
+    # 2^10 subfamilies fit budget 1024 (counted) but not 1023 (per-r search)
     for r in range(11):
         swept = k_r_exhaustive(2, 5, r, budget=1024)
         searched = k_r_exhaustive(2, 5, r, budget=1023)
@@ -318,11 +333,10 @@ def test_witness_check_survives_optimization(monkeypatch):
     # an ArithmeticError, not an assert that python -O would strip
     sane = families.k_lambda
     monkeypatch.setattr(families, "k_lambda", lambda fam: sane(fam) + 1)
-    monkeypatch.setattr(families, "_sweep_cache", {})
     with pytest.raises(ArithmeticError, match="witness"):
         k_r_oracle(2, 5, 4)
     with pytest.raises(ArithmeticError):
-        k_r_sweep(2, 3)
+        k_r_exhaustive(2, 3, 2)
     with pytest.raises(ArithmeticError):
         k_r(2, 5, 2, mode="closed")
 
@@ -418,18 +432,10 @@ def test_oracle_budget_error_names_count():
         k_r_oracle(2, 6, 7, budget=100)
 
 
-def test_sweep_budget_error_names_count():
-    with pytest.raises(BudgetError, match=str(1 << 35)):
-        k_r_sweep(3, 7, budget=10**6)
-
-
 def test_budget_is_checked_before_the_caches():
     k_r(2, 6, 7)
     with pytest.raises(BudgetError):
         k_r(2, 6, 7, budget=1)
-    k_r_sweep(2, 5)
-    with pytest.raises(BudgetError):
-        k_r_sweep(2, 5, budget=1)
 
 
 def test_out_of_range_r():

@@ -21,7 +21,6 @@ from subclose.serialize import (
     kr_table_csv,
     kr_table_text,
     load_schema,
-    matrix_text,
     selftest_report_doc,
     sigma_record_doc,
     to_jsonl,
@@ -156,10 +155,6 @@ def test_kr_table_csv():
         "2,5,4,6,closed_form_low\n"
         "2,5,5,8,brute_force\n"
     )
-
-
-def test_matrix_text():
-    assert matrix_text(((1, 0), (0, 1))) == "1 0\n0 1\n"
 
 
 def test_serialization_is_deterministic():
