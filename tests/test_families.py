@@ -1,5 +1,6 @@
 """Tests for intersection sums, close families, and the K_r machinery."""
 
+import functools
 import math
 import random
 from itertools import combinations
@@ -278,25 +279,37 @@ def test_golden_3_5_via_first_duality():
 
 # ------------------------------------------------------------------ oracle
 
+LATTICES = ((1, 4), (2, 4), (3, 4), (2, 5), (3, 5), (2, 6))
+
+
+@functools.cache
 def reference_maximizers(ell, m, r):
     # every r-family in colex order, with no bound and no shortcut
     fams = list(all_families(ell, m, r))
     value = max(k_lambda(f) for f in fams)
-    return value, [f for f in fams if k_lambda(f) == value]
+    return value, tuple(f for f in fams if k_lambda(f) == value)
 
 
-def test_search_matches_unpruned_reference():
-    for ell, m in ((1, 4), (2, 4), (3, 4), (2, 5), (3, 5), (2, 6)):
+def test_oracle_prune_audit():
+    # the pruned per-r search must agree with the unpruned reference
+    for ell, m in LATTICES:
         for r in range(math.comb(m, ell) + 1):
             value, attainers = reference_maximizers(ell, m, r)
             rec = k_r_oracle(ell, m, r)
             assert (rec.value, rec.maximizer) == (value, attainers[0])
             assert rec.maximizer_count is None
+
+
+def test_sweep_matches_oracle_with_counts():
+    # value, colex-least witness and maximizer count of the counted search
+    for ell, m in LATTICES:
+        for r in range(math.comb(m, ell) + 1):
+            value, attainers = reference_maximizers(ell, m, r)
             rec = k_r_exhaustive(ell, m, r)
             assert (rec.value, rec.maximizer) == (value, attainers[0])
             assert rec.maximizer_count == len(attainers)
             assert rec.method == "brute_force"
-            assert list(maximizer_families(ell, m, r)) == attainers
+            assert tuple(maximizer_families(ell, m, r)) == attainers
 
 
 @pytest.mark.parametrize("ell, m, counts", [(3, 6, COUNTS_3_6), (2, 7, COUNTS_2_7)])
