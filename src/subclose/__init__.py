@@ -56,13 +56,12 @@ from .graphs import (
     optimal_graphs,
     sigma,
     sigma_exhaustive,
-    sigma_from_k,
     sigma_max_closed,
     sigma_maximizers,
     trivial_bound_check,
 )
 from .gf import FieldTable, build_field, field_from_order
-from .linalg import det, mat_rank, rref, rref_span_matrices, row_space_basis, vec_mat
+from .linalg import det, mat_rank, rref, rref_span_matrices, vec_mat
 from .codes import (
     CodeSystem,
     ConjectureReport,

@@ -330,16 +330,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as e:
+    except (CLIError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ArithmeticError as e:
+    except (BudgetError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -55,16 +55,6 @@ class PluckerPoint:
         object.__setattr__(self, "support_mask", mask)
 
 
-def normalize_projective(F: FieldTable, vec) -> tuple[int, ...]:
-    """Scale a nonzero vector so its first nonzero entry is 1."""
-    vec = tuple(vec)
-    first = next((x for x in vec if x), None)
-    if first is None:
-        raise ValueError("cannot normalize the zero vector")
-    scale = F.inv[first]
-    return tuple(F.mul[x][scale] for x in vec)
-
-
 def enumerate_grassmannian(
     F: FieldTable, ell: int, m: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> tuple[PluckerPoint, ...]:
@@ -244,10 +234,10 @@ def build_code(
     )
     for j in range(len(points)):
         if all(row[j] == 0 for row in generator):
-            raise AssertionError(f"point {j} vanishes on every chosen row")
+            raise ArithmeticError(f"point {j} vanishes on every chosen row")
     rank = mat_rank(F, generator)
     if rank != len(generator):
-        raise AssertionError(
+        raise ArithmeticError(
             f"generator rank {rank} below row count {len(generator)}"
         )
     return CodeSystem(F, generator, tuple(row_labels), tuple(row_positions), points)

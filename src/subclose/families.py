@@ -128,7 +128,7 @@ def classify_close(fam: SubsetFamily) -> CloseFamilyWitness:
     Tries to build each witness from scratch and verifies it reproduces the
     family, so the certificate never relies on the structure result it
     illustrates.  A close family that fit neither shape would be a
-    counterexample to that result; it trips the final assert.
+    counterexample to that result; it raises ArithmeticError.
     """
     ell, m = fam.ell, fam.m
     if ell < 1:
@@ -148,7 +148,7 @@ def classify_close(fam: SubsetFamily) -> CloseFamilyWitness:
         return CloseFamilyWitness(CloseKind.TYPE_I, *type1)
     if type2:
         return CloseFamilyWitness(CloseKind.TYPE_II, *type2)
-    raise AssertionError(f"close family with no certificate: {fam.sets}")
+    raise ArithmeticError(f"close family with no certificate: {fam.sets}")
 
 
 def _type1_witness(fam):

@@ -102,26 +102,26 @@ def _verify_axioms(t: FieldTable) -> None:
     els = range(q)
     for a in els:
         if add[0][a] != a or mul[1][a] != a or mul[0][a] != 0:
-            raise AssertionError(f"identity axioms fail at {a} in GF({q})")
+            raise ArithmeticError(f"identity axioms fail at {a} in GF({q})")
         if add[a][t.neg[a]] != 0:
-            raise AssertionError(f"negation fails at {a} in GF({q})")
+            raise ArithmeticError(f"negation fails at {a} in GF({q})")
         if a and mul[a][t.inv[a]] != 1:
-            raise AssertionError(f"inversion fails at {a} in GF({q})")
+            raise ArithmeticError(f"inversion fails at {a} in GF({q})")
     for a in els:
         for b in els:
             if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                raise AssertionError(f"commutativity fails at ({a},{b}) in GF({q})")
+                raise ArithmeticError(f"commutativity fails at ({a},{b}) in GF({q})")
             if a and b and mul[a][b] == 0:
-                raise AssertionError(f"zero divisors at ({a},{b}) in GF({q})")
+                raise ArithmeticError(f"zero divisors at ({a},{b}) in GF({q})")
     for a in els:
         for b in els:
             for c in els:
                 if add[add[a][b]][c] != add[a][add[b][c]]:
-                    raise AssertionError(f"+ not associative in GF({q})")
+                    raise ArithmeticError(f"+ not associative in GF({q})")
                 if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    raise AssertionError(f"* not associative in GF({q})")
+                    raise ArithmeticError(f"* not associative in GF({q})")
                 if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    raise AssertionError(f"distributivity fails in GF({q})")
+                    raise ArithmeticError(f"distributivity fails in GF({q})")
 
 
 def build_field(p: int, e: int) -> FieldTable:

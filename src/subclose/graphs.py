@@ -19,7 +19,6 @@ from .combinat import SubsetIndexer
 from .families import (
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
-    k_lambda,
     k_r_oracle,
     maximizer_families,
 )
@@ -69,13 +68,6 @@ class Graph:
 def sigma(g: Graph) -> int:
     """Sum of squared vertex degrees."""
     return sum(d * d for d in g.degrees)
-
-
-def sigma_from_k(fam: SubsetFamily) -> int:
-    """Sigma computed from the edge family alone: 2*K + 2r."""
-    if fam.ell != 2:
-        raise ValueError(f"needs an edge family (ell=2), got ell={fam.ell}")
-    return 2 * k_lambda(fam) + 2 * fam.size
 
 
 def is_star(g: Graph) -> bool:
@@ -318,7 +310,7 @@ def dual_bound_check(
     bound = dual_bound_value(m, r)
     sigma_max, _ = sigma_exhaustive(m, r, budget=budget)
     if sigma_max > bound:
-        raise AssertionError(
+        raise ArithmeticError(
             f"dense-range bound violated at (m={m}, r={r}): {sigma_max} > {bound}"
         )
     return DualBoundReport(m, r, bound, sigma_max, sigma_max == bound)

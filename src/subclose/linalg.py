@@ -46,12 +46,6 @@ def mat_rank(F: FieldTable, rows) -> int:
     return len(rref(F, rows)[1])
 
 
-def row_space_basis(F: FieldTable, rows) -> Matrix:
-    """Canonical basis of the row space: the nonzero rows of the RREF."""
-    reduced, pivots = rref(F, rows)
-    return reduced[: len(pivots)]
-
-
 def vec_mat(F: FieldTable, vec, rows) -> tuple[int, ...]:
     """Row vector times matrix."""
     ncols = len(rows[0]) if rows else 0

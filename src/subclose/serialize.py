@@ -2,9 +2,9 @@
 
 Every JSON document carries schema_version and a type discriminator and is
 emitted in canonical form (sorted keys, compact separators), so identical
-inputs serialize to identical bytes.  The bundled JSON Schema describing
-all document types ships as package data; validate_doc performs the same
-structural checks without external dependencies.
+inputs serialize to identical bytes.  The bundled JSON Schema, shipped as
+package data, is the one description of every document type: validate_doc
+interprets it directly, without external dependencies.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from importlib.resources import files
 
-from .codes import CodeSystem, ConjectureReport
+from .codes import ConjectureReport
 from .families import KrRecord, SubsetFamily
 from .graphs import Graph, SigmaRecord, is_threshold
 
@@ -116,18 +116,6 @@ def selftest_report_doc(mode: str, checks: list[tuple[str, bool]]) -> dict:
     }
 
 
-def generator_matrix_doc(code: CodeSystem) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "generator_matrix",
-        "q": code.F.q,
-        "n": code.n,
-        "dimension": code.kdim,
-        "rows": [list(row) for row in code.generator],
-        "row_labels": [list(lab) for lab in code.row_labels],
-    }
-
-
 def kr_table_text(records) -> str:
     """Two aligned rows, r values over K_r values."""
     records = list(records)
@@ -152,97 +140,82 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def _is_family(v) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(s, list) and all(isinstance(x, int) for x in s) for s in v
-    )
+_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    # JSON Schema integers: true is not one, 6.0 is
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
 
 
-def _fail(msg: str):
-    raise ValueError(f"document does not conform: {msg}")
+def _json_equal(a, b) -> bool:
+    # booleans are not numbers in JSON, so true != 1
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _mismatch(v, node: dict, defs: dict, path: str):
+    """The first way v fails the schema node, or None.
+
+    A mismatch is (weight, path, reason).  When no oneOf alternative
+    matches, the heaviest mismatch is reported: a failed const says the
+    value is another alternative, a failed type that it is the wrong kind,
+    anything else that it is this alternative with a fault in it.  Deeper
+    paths weigh more within each class.
+    """
+    depth = path.count(".") + path.count("[")
+    if "$ref" in node:
+        found = _mismatch(v, defs[node["$ref"].removeprefix("#/$defs/")], defs, path)
+        if found:
+            return found
+    if "oneOf" in node:
+        found = [_mismatch(v, alt, defs, path) for alt in node["oneOf"]]
+        matched = found.count(None)
+        if matched == 0:
+            return max(found, key=lambda f: f[0])
+        if matched > 1:
+            return (2, depth), path, f"{v!r} matches {matched} oneOf alternatives"
+    if "type" in node and not _TYPES[node["type"]](v):
+        return (1, depth), path, f"{v!r} is not of type {node['type']}"
+    if "const" in node and not _json_equal(v, node["const"]):
+        return (0, depth), path, f"{v!r} is not {node['const']!r}"
+    if "enum" in node and not any(_json_equal(v, e) for e in node["enum"]):
+        return (2, depth), path, f"{v!r} is not one of {node['enum']}"
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if "minimum" in node and number and v < node["minimum"]:
+        return (2, depth), path, f"{v!r} is below {node['minimum']}"
+    if isinstance(v, dict):
+        props = node.get("properties", {})
+        for key, sub in props.items():
+            found = key in v and _mismatch(v[key], sub, defs, f"{path}.{key}")
+            if found:
+                return found
+        for key in node.get("required", ()):
+            if key not in v:
+                return (2, depth), path, f"missing required property {key!r}"
+        if node.get("additionalProperties") is False:
+            for key in v:
+                if key not in props:
+                    return (2, depth), path, f"unexpected property {key!r}"
+    if isinstance(v, list) and "items" in node:
+        for i, x in enumerate(v):
+            found = _mismatch(x, node["items"], defs, f"{path}[{i}]")
+            if found:
+                return found
+    return None
 
 
 def validate_doc(doc: dict) -> None:
-    """Structural validation mirroring the bundled schema.  Raises
-    ValueError on the first problem found."""
-    if not isinstance(doc, dict):
-        _fail("not an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        _fail(f"schema_version must be {SCHEMA_VERSION!r}")
-    kind = doc.get("type")
-    specs: dict[str, dict] = {
-        "kr_record": {
-            "ell": lambda v: isinstance(v, int),
-            "m": lambda v: isinstance(v, int),
-            "r": lambda v: isinstance(v, int),
-            "value": lambda v: isinstance(v, int),
-            "method": lambda v: v
-            in ("closed_form_low", "closed_form_high", "brute_force"),
-            "maximizer": lambda v: v is None or _is_family(v),
-            "maximizer_count": lambda v: v is None or isinstance(v, int),
-        },
-        "sigma_record": {
-            "m": lambda v: isinstance(v, int),
-            "r": lambda v: isinstance(v, int),
-            "sigma_max": lambda v: isinstance(v, int),
-            "maximizer": lambda v: isinstance(v, dict)
-            and isinstance(v.get("m"), int)
-            and _is_family(v.get("edges")),
-            "maximizer_is_threshold": lambda v: isinstance(v, bool),
-            "de_caen_bound": lambda v: isinstance(v, dict)
-            and isinstance(v.get("num"), int)
-            and isinstance(v.get("den"), int),
-            "de_caen_tight": lambda v: isinstance(v, bool),
-            "trivial_bound": lambda v: v is None or isinstance(v, int),
-            "trivial_tight": lambda v: v is None or isinstance(v, bool),
-            "dual_bound": lambda v: v is None or isinstance(v, int),
-            "dual_tight": lambda v: v is None or isinstance(v, bool),
-        },
-        "conjecture_report": {
-            "ell": lambda v: isinstance(v, int),
-            "m": lambda v: isinstance(v, int),
-            "q": lambda v: isinstance(v, int),
-            "alpha": lambda v: v is None
-            or (isinstance(v, list) and all(isinstance(x, int) for x in v)),
-            "r": lambda v: isinstance(v, int),
-            "n": lambda v: isinstance(v, int),
-            "code_dimension": lambda v: isinstance(v, int),
-            "d_r": lambda v: isinstance(v, int),
-            "k_r_target": lambda v: isinstance(v, int),
-            "rhs_subclose": lambda v: v is None or isinstance(v, int),
-            "rhs_all_coordinate": lambda v: isinstance(v, int),
-            "verdict": lambda v: v
-            in ("equal", "lhs_less", "lhs_greater", "no_subclose"),
-            "witness_lambda": lambda v: v is None or _is_family(v),
-            "proven": lambda v: isinstance(v, bool),
-        },
-        "selftest_report": {
-            "mode": lambda v: v in ("fast", "full"),
-            "ok": lambda v: isinstance(v, bool),
-            "checks": lambda v: isinstance(v, list)
-            and all(
-                isinstance(c, dict)
-                and isinstance(c.get("name"), str)
-                and isinstance(c.get("ok"), bool)
-                for c in v
-            ),
-        },
-        "generator_matrix": {
-            "q": lambda v: isinstance(v, int),
-            "n": lambda v: isinstance(v, int),
-            "dimension": lambda v: isinstance(v, int),
-            "rows": lambda v: _is_family(v),
-            "row_labels": lambda v: _is_family(v),
-        },
-    }
-    if kind not in specs:
-        _fail(f"unknown type {kind!r}")
-    spec = specs[kind]
-    for key, check in spec.items():
-        if key not in doc:
-            _fail(f"{kind} missing field {key!r}")
-        if not check(doc[key]):
-            _fail(f"{kind} field {key!r} has invalid value {doc[key]!r}")
-    extra = set(doc) - set(spec) - {"schema_version", "type"}
-    if extra:
-        _fail(f"{kind} has unexpected fields {sorted(extra)}")
+    """Check a document against the bundled schema, read on each call.
+
+    Raises ValueError naming the first mismatch and its JSON path, for
+    example ``$.maximizer[0][0]: 0 is below 1``.
+    """
+    schema = load_schema()
+    found = _mismatch(doc, schema, schema.get("$defs", {}), "$")
+    if found:
+        _, path, reason = found
+        raise ValueError(f"document does not conform: {path}: {reason}")

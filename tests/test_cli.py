@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import subclose.cli as cli
-from subclose import families, graphs
+from subclose import codes, families, graphs
 from subclose.families import KrRecord
 from subclose.serialize import validate_doc
 
@@ -299,6 +299,16 @@ def test_verify_budget_exits_1(capsys):
     )
     assert code == 1
     assert "budget 100" in err
+
+
+def test_verify_internal_check_failure_exits_1(capsys, monkeypatch):
+    # a failed internal check is an error line and exit 1, not a traceback
+    monkeypatch.setattr(codes, "mat_rank", lambda F, rows: 0)
+    code, out, err = run(
+        capsys, "verify", "--ell", "2", "--m", "4", "--q", "2", "--r", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: generator rank 0 below row count 6\n"
 
 
 # ---------------------------------------------------------------- selftest

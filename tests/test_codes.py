@@ -18,7 +18,6 @@ from subclose.codes import (
     enumerate_schubert,
     grassmann_code,
     higher_weight,
-    normalize_projective,
     schubert_code,
     schubert_coordinate_count,
     schubert_membership_flag,
@@ -69,13 +68,6 @@ def test_point_equality_ignores_matrix():
     b = PluckerPoint((1, 0, 1), ((2, 1),))
     assert a == b
     assert a.support_mask == 0b101
-
-
-def test_normalize_projective():
-    assert normalize_projective(F3, (2, 1, 0)) == (1, 2, 0)
-    assert normalize_projective(F2, (0, 1, 1)) == (0, 1, 1)
-    with pytest.raises(ValueError):
-        normalize_projective(F3, (0, 0, 0))
 
 
 def test_enumeration_checks_survive_optimization(monkeypatch):
@@ -184,14 +176,18 @@ def test_schubert_code_shape():
 
 def test_build_code_rejects_zero_position():
     pts = enumerate_grassmannian(F2, 2, 4)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError, match="vanishes on every chosen row"):
         build_code(F2, pts, (5,), ((3, 4),))
 
 
 def test_build_code_rejects_rank_deficiency():
     pts = enumerate_grassmannian(F2, 2, 4)
-    with pytest.raises(AssertionError):
-        build_code(F2, pts, (0, 0), ((1, 2), (1, 2)))
+    # every minor position once, then position 0 again: no point vanishes
+    # on every row, so the rank check is the one that fires
+    positions = (0, 1, 2, 3, 4, 5, 0)
+    labels = [SubsetIndexer(2, 4).subset_at(p) for p in positions]
+    with pytest.raises(ArithmeticError, match="generator rank 6 below row count 7"):
+        build_code(F2, pts, positions, labels)
 
 
 def test_build_code_rejects_empty():

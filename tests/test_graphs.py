@@ -21,7 +21,6 @@ from subclose.graphs import (
     optimal_graphs,
     sigma,
     sigma_exhaustive,
-    sigma_from_k,
     sigma_max_closed,
     sigma_maximizers,
     trivial_bound_check,
@@ -65,7 +64,7 @@ def test_degrees_and_complement():
 def test_sigma_from_k_exhaustive_m4():
     # degree route vs intersection route on every graph
     for g in all_graphs(4):
-        assert sigma(g) == sigma_from_k(g.edges) == 2 * k_lambda(g.edges) + 2 * g.r
+        assert sigma(g) == 2 * k_lambda(g.edges) + 2 * g.r
 
 
 def test_sigma_from_k_random_m12():
@@ -75,12 +74,7 @@ def test_sigma_from_k_random_m12():
         size = rng.randint(0, 20)
         chosen = rng.sample(range(idx.size), size)
         f = SubsetFamily(2, 12, tuple(idx.mask_at(i) for i in chosen))
-        assert sigma_from_k(f) == sigma(Graph(12, f))
-
-
-def test_sigma_from_k_rejects_non_edges():
-    with pytest.raises(ValueError):
-        sigma_from_k(SubsetFamily.from_sets(3, 5, [(1, 2, 3)]))
+        assert 2 * k_lambda(f) + 2 * f.size == sigma(Graph(12, f))
 
 
 # ------------------------------------------------------------------ shapes

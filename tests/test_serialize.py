@@ -15,7 +15,6 @@ from subclose.serialize import (
     conjecture_report_doc,
     family_json,
     fraction_json,
-    generator_matrix_doc,
     graph_json,
     kr_record_doc,
     kr_table_csv,
@@ -40,7 +39,6 @@ def all_example_docs():
         conjecture_report_doc(verify_conjecture(F2, 2, 4, 2, code=code)),
         conjecture_report_doc(verify_conjecture(F2, 2, 4, 1, alpha=(2, 4))),
         selftest_report_doc("fast", [("a", True), ("b", False)]),
-        generator_matrix_doc(code),
     ]
 
 
@@ -92,11 +90,78 @@ def test_all_documents_validate():
         validate_doc(doc)
 
 
+# values each top-level field of each example document is set to
+MUTATIONS = (
+    None, True, 0, 1, -1, 6.0, 6.5, "x", "1", "kr_record", [], [[0, 1]],
+    [[1, 2]], {}, {"num": 1, "den": 0}, {"num": 1, "den": 1},
+    {"m": 4, "edges": [[1, 2]]}, {"m": 4, "edges": [[1, 2]], "x": 1},
+    [{"name": "a", "ok": True}],
+)
+
+
+def mutated_docs():
+    for doc in all_example_docs():
+        yield doc
+        yield doc | {"extra_field": 1}
+        for key in doc:
+            yield {k: v for k, v in doc.items() if k != key}
+            for value in MUTATIONS:
+                yield doc | {key: value}
+
+
+def conforms(doc) -> bool:
+    try:
+        validate_doc(doc)
+    except ValueError:
+        return False
+    return True
+
+
 def test_documents_validate_against_bundled_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = load_schema()
     for doc in all_example_docs():
         jsonschema.validate(doc, schema)
+    # the interpreter and a full JSON Schema implementation agree
+    reference = jsonschema.Draft202012Validator(schema)
+    disagree = [
+        doc for doc in mutated_docs() if conforms(doc) != reference.is_valid(doc)
+    ]
+    assert not disagree, f"{len(disagree)} disagreements, e.g. {disagree[0]}"
+
+
+# the keywords validate_doc interprets, and those it reads as annotations
+INTERPRETED = {
+    "$ref", "oneOf", "type", "const", "enum", "minimum",
+    "required", "properties", "additionalProperties", "items",
+}
+ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
+TYPES = {"null", "boolean", "integer", "string", "array", "object"}
+
+
+def test_schema_uses_only_interpreted_keywords():
+    schema = load_schema()
+    found = []
+
+    def walk(node, path):
+        for key in sorted(set(node) - INTERPRETED - ANNOTATIONS):
+            found.append(f"{path}: keyword {key!r}")
+        if node.get("type", "null") not in TYPES:
+            found.append(f"{path}: type {node['type']!r}")
+        if node.get("additionalProperties", False) is not False:
+            found.append(f"{path}: additionalProperties other than false")
+        ref = node.get("$ref", "#/$defs/family")
+        if ref.removeprefix("#/$defs/") not in schema["$defs"]:
+            found.append(f"{path}: $ref {ref!r}")
+        for name, sub in {**node.get("$defs", {}), **node.get("properties", {})}.items():
+            walk(sub, f"{path}.{name}")
+        for i, sub in enumerate(node.get("oneOf", ())):
+            walk(sub, f"{path}.oneOf[{i}]")
+        if "items" in node:
+            walk(node["items"], f"{path}.items")
+
+    walk(schema, "$")
+    assert not found, "; ".join(found)
 
 
 def test_validate_doc_rejects_bad_documents():
@@ -107,6 +172,10 @@ def test_validate_doc_rejects_bad_documents():
         {"value": "six"},
         {"method": "guesswork"},
         {"extra_field": 1},
+        {"value": True},
+        {"maximizer_count": 0},
+        {"maximizer": [[0, 1]]},
+        {"ell": -1},
     ):
         doc = dict(good) | breakage
         with pytest.raises(ValueError, match="does not conform"):
@@ -116,6 +185,13 @@ def test_validate_doc_rejects_bad_documents():
     rep = conjecture_report_doc(verify_conjecture(F2, 2, 4, 1))
     with pytest.raises(ValueError):
         validate_doc(dict(rep) | {"verdict": "maybe"})
+    sig = sigma_record_doc(optimal_graphs(5, 4))
+    for breakage in (
+        {"de_caen_bound": {"num": 1, "den": 0}},
+        {"maximizer": sig["maximizer"] | {"extra": 1}},
+    ):
+        with pytest.raises(ValueError, match="does not conform"):
+            validate_doc(sig | breakage)
 
 
 def test_schema_lists_all_document_types():
@@ -128,7 +204,6 @@ def test_schema_lists_all_document_types():
         "sigma_record",
         "conjecture_report",
         "selftest_report",
-        "generator_matrix",
     }
 
 
