@@ -18,7 +18,6 @@ from .codes import (
     DEFAULT_SUBCODE_BUDGET,
     grassmann_code,
     schubert_code,
-    validate_alpha,
     verify_conjecture,
 )
 from .families import BudgetError
@@ -74,35 +73,15 @@ def _cmd_kr_table(args) -> int:
     rs = _parse_r_spec(args.r, k) if args.r else list(range(1, k + 1))
     records = []
     for r in rs:
-        if args.mode == "both":
-            closed = families.k_r(args.ell, args.m, r, mode="closed")
-            direct = families.k_r_oracle(
-                args.ell, args.m, r, budget=args.budget_families
+        rec = families.k_r(
+            args.ell, args.m, r, args.mode, budget=args.budget_families
+        )
+        if rec is None:
+            raise CLIError(
+                f"no closed form applies at (ell={args.ell}, m={args.m}, "
+                f"r={r}); use --mode oracle"
             )
-            if closed is not None and closed.value != direct.value:
-                print(
-                    f"closed form {closed.value} disagrees with exhaustive "
-                    f"search {direct.value} at (ell={args.ell}, m={args.m}, r={r})",
-                    file=sys.stderr,
-                )
-                return 1
-            records.append(closed if closed is not None else direct)
-        elif args.mode == "closed":
-            rec = families.k_r(args.ell, args.m, r, mode="closed")
-            if rec is None:
-                raise CLIError(
-                    f"no closed form applies at (ell={args.ell}, m={args.m}, "
-                    f"r={r}); use --mode oracle"
-                )
-            records.append(rec)
-        elif args.mode == "oracle":
-            records.append(
-                families.k_r_oracle(args.ell, args.m, r, budget=args.budget_families)
-            )
-        else:
-            records.append(
-                families.k_r(args.ell, args.m, r, budget=args.budget_families)
-            )
+        records.append(rec)
     if args.format == "table":
         text = serialize.kr_table_text(records)
     elif args.format == "csv":
@@ -157,9 +136,8 @@ def _cmd_optimal(args) -> int:
 
 def _cmd_verify(args) -> int:
     F = gf.field_from_order(args.q)
-    alpha = _parse_alpha(args.alpha) if args.alpha else None
-    if alpha is not None:
-        validate_alpha(alpha, args.ell, args.m)
+    if args.alpha:
+        alpha = _parse_alpha(args.alpha)
         code = schubert_code(F, alpha, args.ell, args.m, budget=args.budget_subspaces)
     else:
         code = grassmann_code(F, args.ell, args.m, budget=args.budget_subspaces)
@@ -170,15 +148,10 @@ def _cmd_verify(args) -> int:
     )
     reports = [
         verify_conjecture(
-            F,
-            args.ell,
-            args.m,
+            code,
             r,
-            alpha,
             family_budget=args.budget_families,
-            subspace_budget=args.budget_subspaces,
             subcode_budget=args.budget_subspaces,
-            code=code,
         )
         for r in rs
     ]

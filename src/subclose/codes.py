@@ -201,12 +201,16 @@ class CodeSystem:
     """A linear code presented by a generator matrix whose columns are the
     points of a projective system.
 
-    row_labels names each generator row by the column subset (1-based) whose
-    minor it reads off; row_positions gives the same rows as coordinate
-    indices into the full minor vector.
+    The system is G(ell, m) over F, or its Schubert subvariety for alpha
+    when alpha is not None.  row_labels names each generator row by the
+    column subset (1-based) whose minor it reads off; row_positions gives
+    the same rows as coordinate indices into the full minor vector.
     """
 
     F: FieldTable = field(compare=False)
+    ell: int
+    m: int
+    alpha: tuple[int, ...] | None
     generator: Matrix
     row_labels: tuple[tuple[int, ...], ...]
     row_positions: tuple[int, ...]
@@ -222,7 +226,7 @@ class CodeSystem:
 
 
 def build_code(
-    F: FieldTable, points, row_positions, row_labels
+    F: FieldTable, ell: int, m: int, alpha, points, row_positions
 ) -> CodeSystem:
     """Assemble the generator matrix and insist it is full rank with no
     identically-zero position."""
@@ -240,7 +244,11 @@ def build_code(
         raise ArithmeticError(
             f"generator rank {rank} below row count {len(generator)}"
         )
-    return CodeSystem(F, generator, tuple(row_labels), tuple(row_positions), points)
+    idx = SubsetIndexer(ell, m)
+    labels = tuple(idx.subset_at(pos) for pos in row_positions)
+    return CodeSystem(
+        F, ell, m, alpha, generator, labels, tuple(row_positions), points
+    )
 
 
 def grassmann_code(
@@ -249,9 +257,7 @@ def grassmann_code(
     """Code of the full subspace system: n = number of subspaces, one row
     per minor coordinate."""
     points = enumerate_grassmannian(F, ell, m, budget=budget)
-    idx = SubsetIndexer(ell, m)
-    labels = tuple(idx.subset_at(i) for i in range(idx.size))
-    return build_code(F, points, tuple(range(idx.size)), labels)
+    return build_code(F, ell, m, None, points, tuple(range(math.comb(m, ell))))
 
 
 def schubert_code(
@@ -267,9 +273,7 @@ def schubert_code(
     alpha = validate_alpha(alpha, ell, m)
     points = enumerate_schubert(F, alpha, ell, m, budget=budget)
     positions = schubert_support(alpha, ell, m)
-    idx = SubsetIndexer(ell, m)
-    labels = tuple(idx.subset_at(i) for i in positions)
-    return build_code(F, points, positions, labels)
+    return build_code(F, ell, m, alpha, points, positions)
 
 
 def _word_support_mask(F, message, generator, cache) -> int:
@@ -369,31 +373,18 @@ class ConjectureReport:
 
 
 def verify_conjecture(
-    F: FieldTable,
-    ell: int,
-    m: int,
+    code: CodeSystem,
     r: int,
-    alpha=None,
     *,
     family_budget: int = DEFAULT_FAMILY_BUDGET,
-    subspace_budget: int = DEFAULT_SUBSPACE_BUDGET,
     subcode_budget: int = DEFAULT_SUBCODE_BUDGET,
-    code: CodeSystem | None = None,
 ) -> ConjectureReport:
     """Compare d_r with n minus the largest section over intersection-maximal
-    row families.  Pass code to reuse an already-built system."""
-    if code is None:
-        if alpha is None:
-            code = grassmann_code(F, ell, m, budget=subspace_budget)
-        else:
-            code = schubert_code(F, alpha, ell, m, budget=subspace_budget)
-    if alpha is not None:
-        alpha = validate_alpha(alpha, ell, m)
+    row families; the system's parameters come from the code."""
+    ell, m, alpha = code.ell, code.m, code.alpha
     d_r = higher_weight(code, r, budget=subcode_budget)
     labels = code.row_labels
     n_rows = len(labels)
-    if not 1 <= r <= n_rows:
-        raise ValueError(f"r={r} outside 1..{n_rows}")
     if math.comb(n_rows, r) > family_budget:
         raise BudgetError(
             f"{math.comb(n_rows, r)} candidate families of {r} rows "
@@ -437,7 +428,7 @@ def verify_conjecture(
     return ConjectureReport(
         ell,
         m,
-        F.q,
+        code.F.q,
         alpha,
         r,
         code.n,

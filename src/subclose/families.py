@@ -457,22 +457,30 @@ def k_r(
     *,
     budget: int = DEFAULT_FAMILY_BUDGET,
 ) -> KrRecord | None:
-    """K_r dispatch: closed form when one applies, exhaustion otherwise.
+    """K_r in one of four modes.
 
-    mode "closed" returns None in the open middle range; mode "oracle"
-    forces the per-r search; mode "auto" prefers closed forms, then
-    k_r_exhaustive, which also counts maximizers on small lattices.
+    "closed" returns the closed-form record, or None in the open middle
+    range; "auto" prefers it, then k_r_exhaustive, which also counts
+    maximizers on small lattices; "oracle" forces the per-r search; "both"
+    runs the search, raises ArithmeticError when a closed form disagrees
+    with it, and returns the closed-form record where one applies.
     """
-    if mode not in ("auto", "closed", "oracle"):
+    if mode not in ("auto", "closed", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "closed":
-        return _closed_record(ell, m, r)
-    if mode == "oracle":
-        return k_r_oracle(ell, m, r, budget=budget)
-    rec = _closed_record(ell, m, r)
-    if rec is None:
-        rec = k_r_exhaustive(ell, m, r, budget=budget)
-    return rec
+    closed = None if mode == "oracle" else _closed_record(ell, m, r)
+    if mode == "closed" or (mode == "auto" and closed is not None):
+        return closed
+    if mode == "auto":
+        return k_r_exhaustive(ell, m, r, budget=budget)
+    direct = k_r_oracle(ell, m, r, budget=budget)
+    if closed is None:
+        return direct
+    if closed.value != direct.value:
+        raise ArithmeticError(
+            f"closed form {closed.value} disagrees with exhaustive search "
+            f"{direct.value} at (ell={ell}, m={m}, r={r})"
+        )
+    return closed
 
 
 def k_r_value(ell: int, m: int, r: int, **kw) -> int:

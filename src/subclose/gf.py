@@ -42,27 +42,9 @@ class FieldTable:
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
 
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            if a == 0:
-                raise ZeroDivisionError("negative power of the field zero")
-            return self.pow(self.inv[a], -n)
-        out = 1
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul[out][base]
-            base = self.mul[base][base]
-            n >>= 1
-        return out
-
     @property
     def elements(self) -> range:
         return range(self.q)
-
-    @property
-    def nonzero(self) -> range:
-        return range(1, self.q)
 
 
 def _vec(a: int, p: int, e: int) -> list[int]:

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import SubsetIndexer
 from .families import (
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
+    complement_family,
     k_r_oracle,
     maximizer_families,
 )
@@ -56,9 +56,7 @@ class Graph:
         return tuple(deg)
 
     def complement(self) -> "Graph":
-        have = set(self.edges.members)
-        rest = tuple(a for a in SubsetIndexer(2, self.m).masks if a not in have)
-        return Graph(self.m, SubsetFamily(2, self.m, rest))
+        return Graph(self.m, complement_family(self.edges))
 
     @property
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:

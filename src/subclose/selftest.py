@@ -29,14 +29,9 @@ def _binomial_identities() -> bool:
 
 
 def _golden_kr_2_5() -> bool:
-    values = tuple(families.k_r_oracle(2, 5, r).value for r in range(11))
-    if values != GOLDEN_KR_2_5:
-        return False
-    for r in range(len(GOLDEN_KR_2_5)):
-        closed = families.k_r_closed(2, 5, r)
-        if closed is not None and closed != GOLDEN_KR_2_5[r]:
-            return False
-    return True
+    # mode "both" also checks every closed form against the search
+    values = tuple(families.k_r(2, 5, r, "both").value for r in range(11))
+    return values == GOLDEN_KR_2_5
 
 
 def _golden_kr_2_6() -> bool:
@@ -47,9 +42,7 @@ def _golden_kr_2_6() -> bool:
 def _closed_vs_search() -> bool:
     for ell, m in ((2, 4), (3, 5)):
         for r in range(math.comb(m, ell) + 1):
-            closed = families.k_r_closed(ell, m, r)
-            if closed is not None and closed != families.k_r_oracle(ell, m, r).value:
-                return False
+            families.k_r(ell, m, r, "both")  # raises on a disagreement
     return True
 
 
@@ -170,11 +163,10 @@ def _conjecture_proven_cases() -> bool:
     F = gf.field_from_order(2)
     code = codes.grassmann_code(F, 2, 4)
     for r in (1, 2, 3):
-        rep = codes.verify_conjecture(F, 2, 4, r, code=code)
+        rep = codes.verify_conjecture(code, r)
         if not (rep.proven and rep.verdict == "equal"):
             return False
-    sub = codes.schubert_code(F, (2, 4), 2, 4)
-    rep = codes.verify_conjecture(F, 2, 4, 1, alpha=(2, 4), code=sub)
+    rep = codes.verify_conjecture(codes.schubert_code(F, (2, 4), 2, 4), 1)
     return rep.proven and rep.verdict == "equal"
 
 

@@ -291,7 +291,7 @@ def test_criterion_11_weight_hierarchy_2_4():
          "hierarchy not strictly increasing")
     note(problems, weights[-1] == 35, f"d_6 = {weights[-1]} != 35")
     for r in (1, 2, 3):  # the regime where the section formula is settled
-        rep = verify_conjecture(F2, 2, 4, r, code=code)
+        rep = verify_conjecture(code, r)
         note(problems, rep.proven, f"r={r} unexpectedly outside the settled regime")
         note(problems, rep.verdict == "equal" and rep.d_r == weights[r - 1],
              f"r={r}: d_r={rep.d_r} but sections give {rep.rhs_subclose}")
@@ -314,7 +314,7 @@ def test_criterion_12_schubert_instances():
             all(row[j] == 0 for row in code.generator) for j in range(code.n)
         )
         note(problems, not degenerate, f"alpha={alpha}: zero position")
-        rep = verify_conjecture(F2, 2, 4, 1, alpha, code=code)
+        rep = verify_conjecture(code, 1)
         note(problems, rep.proven and rep.verdict == "equal",
              f"alpha={alpha}: r=1 verdict {rep.verdict}")
     finish(12, "schubert-instances", t0, problems, limit=60.0)

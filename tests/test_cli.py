@@ -10,7 +10,6 @@ import pytest
 
 import subclose.cli as cli
 from subclose import codes, families, graphs
-from subclose.families import KrRecord
 from subclose.serialize import validate_doc
 
 
@@ -98,20 +97,24 @@ def test_kr_table_both_mode_cross_checks(capsys):
 
 
 def test_kr_table_both_mode_detects_disagreement(capsys, monkeypatch):
-    sane = families.k_r
+    sane = families._closed_record
 
-    def doctored(ell, m, r, mode="auto", **kw):
-        rec = sane(ell, m, r, mode=mode, **kw)
-        if mode == "closed" and rec is not None and r == 3:
+    def doctored(ell, m, r):
+        rec = sane(ell, m, r)
+        if rec is not None and r == 3:
             return dataclasses.replace(rec, value=rec.value + 1, maximizer=None)
         return rec
 
-    monkeypatch.setattr(families, "k_r", doctored)
+    monkeypatch.setattr(families, "_closed_record", doctored)
     code, out, err = run(
         capsys, "kr-table", "--ell", "2", "--m", "5", "--mode", "both"
     )
     assert code == 1
-    assert "disagrees" in err
+    assert out == ""
+    assert err == (
+        "error: closed form 4 disagrees with exhaustive search 3 "
+        "at (ell=2, m=5, r=3)\n"
+    )
 
 
 def test_kr_table_budget_exceeded_exits_1(capsys):

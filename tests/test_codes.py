@@ -1,16 +1,13 @@
 """Tests for subspace enumeration, the codes it spans, and their weights."""
 
-import math
-
 import pytest
 
 from subclose import codes
-from subclose.combinat import SubsetIndexer, gaussian_binom
+from subclose.combinat import gaussian_binom
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r_value
 from subclose.gf import field_from_order
 from subclose.linalg import mat_rank
 from subclose.codes import (
-    CodeSystem,
     PluckerPoint,
     build_code,
     check_plucker_relations,
@@ -177,7 +174,7 @@ def test_schubert_code_shape():
 def test_build_code_rejects_zero_position():
     pts = enumerate_grassmannian(F2, 2, 4)
     with pytest.raises(ArithmeticError, match="vanishes on every chosen row"):
-        build_code(F2, pts, (5,), ((3, 4),))
+        build_code(F2, 2, 4, None, pts, (5,))
 
 
 def test_build_code_rejects_rank_deficiency():
@@ -185,14 +182,13 @@ def test_build_code_rejects_rank_deficiency():
     # every minor position once, then position 0 again: no point vanishes
     # on every row, so the rank check is the one that fires
     positions = (0, 1, 2, 3, 4, 5, 0)
-    labels = [SubsetIndexer(2, 4).subset_at(p) for p in positions]
     with pytest.raises(ArithmeticError, match="generator rank 6 below row count 7"):
-        build_code(F2, pts, positions, labels)
+        build_code(F2, 2, 4, None, pts, positions)
 
 
 def test_build_code_rejects_empty():
     with pytest.raises(ValueError):
-        build_code(F2, (), (0,), ((1, 2),))
+        build_code(F2, 2, 4, None, (), (0,))
 
 
 # ----------------------------------------------------------------- weights
@@ -256,8 +252,9 @@ def test_section_count_edges():
 # ------------------------------------------------------------- conjecture
 
 def test_conjecture_grassmann_2_4():
+    code = grassmann_code(F2, 2, 4)
     for r in range(1, 7):
-        rep = verify_conjecture(F2, 2, 4, r)
+        rep = verify_conjecture(code, r)
         assert (rep.n, rep.code_dimension) == (35, 6)
         assert rep.d_r == HIERARCHY_G24_F2[r - 1]
         assert rep.k_r_target == k_r_value(2, 4, r)
@@ -270,33 +267,39 @@ def test_conjecture_grassmann_2_4():
 
 
 def test_conjecture_schubert_2_4():
-    rep = verify_conjecture(F2, 2, 4, 1, alpha=(2, 4))
+    code = schubert_code(F2, (2, 4), 2, 4)
+    rep = verify_conjecture(code, 1)
     assert rep.alpha == (2, 4)
     assert (rep.n, rep.code_dimension) == (19, 5)
     assert rep.d_r == 8
     assert rep.verdict == "equal" and rep.proven
-    rep2 = verify_conjecture(F2, 2, 4, 2, alpha=(2, 4))
+    rep2 = verify_conjecture(code, 2)
     assert not rep2.proven
     assert rep2.verdict == "equal"
 
 
 def test_conjecture_reuses_prebuilt_code():
-    code = grassmann_code(F3, 2, 4)
-    rep = verify_conjecture(F3, 2, 4, 1, code=code)
-    assert rep.q == 3 and rep.n == 130
+    # the report names the system of the code it measured
+    rep = verify_conjecture(grassmann_code(F3, 2, 4), 1)
+    assert (rep.q, rep.ell, rep.m, rep.alpha) == (3, 2, 4, None)
+    assert rep.n == 130
     assert rep.verdict == "equal" and rep.proven
+    rep = verify_conjecture(schubert_code(F2, [2, 4], 2, 4), 1)
+    assert (rep.q, rep.ell, rep.m, rep.alpha) == (2, 2, 4, (2, 4))
+    assert rep.n == 19
 
 
 def test_conjecture_no_subclose_verdict():
-    # a hand-built system whose two row labels are disjoint: no pair of
-    # rows can attain K_2(2,4) = 1
+    # a hand-built system on the rows (1,2) and (3,4), whose labels are
+    # disjoint: no pair of rows can attain K_2(2,4) = 1
     pts = (
-        PluckerPoint((1, 0), ()),
-        PluckerPoint((0, 1), ()),
-        PluckerPoint((1, 1), ()),
+        PluckerPoint((1, 0, 0, 0, 0, 0), ()),
+        PluckerPoint((0, 0, 0, 0, 0, 1), ()),
+        PluckerPoint((1, 0, 0, 0, 0, 1), ()),
     )
-    code = build_code(F2, pts, (0, 1), ((1, 2), (3, 4)))
-    rep = verify_conjecture(F2, 2, 4, 2, code=code)
+    code = build_code(F2, 2, 4, None, pts, (0, 5))
+    assert code.row_labels == ((1, 2), (3, 4))
+    rep = verify_conjecture(code, 2)
     assert rep.verdict == "no_subclose"
     assert rep.rhs_subclose is None and rep.witness_lambda is None
     assert rep.d_r == 3
@@ -306,8 +309,8 @@ def test_conjecture_no_subclose_verdict():
 def test_conjecture_validation_and_budget():
     code = grassmann_code(F2, 2, 4)
     with pytest.raises(ValueError):
-        verify_conjecture(F2, 2, 4, 0, code=code)
-    with pytest.raises(ValueError):
-        verify_conjecture(F2, 2, 4, 7, code=code)
+        verify_conjecture(code, 0)
+    with pytest.raises(ValueError, match="outside 1..6"):
+        verify_conjecture(code, 7)
     with pytest.raises(BudgetError):
-        verify_conjecture(F2, 2, 4, 3, code=code, family_budget=10)
+        verify_conjecture(code, 3, family_budget=10)

@@ -1,5 +1,6 @@
 """Tests for intersection sums, close families, and the K_r machinery."""
 
+import dataclasses
 import functools
 import math
 import random
@@ -387,6 +388,37 @@ def test_k_r_modes():
         k_r(2, 5, 3, mode="fast")
     with pytest.raises(ValueError):
         k_r(2, 5, 11)
+
+
+def test_both_mode_returns_closed_record_else_oracle():
+    for ell, m in ((2, 5), (3, 5)):
+        for r in range(math.comb(m, ell) + 1):
+            rec = k_r(ell, m, r, "both")
+            closed = k_r(ell, m, r, "closed")
+            if closed is not None:
+                assert rec == closed
+            else:
+                assert rec == k_r_oracle(ell, m, r)
+                assert rec.maximizer_count is None
+
+
+def test_both_mode_raises_on_disagreement(monkeypatch):
+    sane = families._closed_record
+
+    def doctored(ell, m, r):
+        rec = sane(ell, m, r)
+        if rec is not None and r == 9:
+            return dataclasses.replace(rec, value=rec.value - 1)
+        return rec
+
+    monkeypatch.setattr(families, "_closed_record", doctored)
+    assert k_r(2, 5, 8, "both").value == 19
+    with pytest.raises(
+        ArithmeticError,
+        match=r"closed form 23 disagrees with exhaustive search 24 "
+        r"at \(ell=2, m=5, r=9\)",
+    ):
+        k_r(2, 5, 9, "both")
 
 
 def test_closed_record_carries_witness():

@@ -41,3 +41,27 @@ def test_package_raises_no_assertion_error():
         if isinstance(node, ast.Raise) and raised_name(node) == "AssertionError"
     ]
     assert not found, f"raise AssertionError: {', '.join(found)}"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """file:line of each module-level imported name the module never uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in used:
+                    found.append(f"{path.name}:{stmt.lineno} {bound}")
+    return found
+
+
+def test_no_unused_imports():
+    # an import nothing uses keeps a deleted or renamed name looking alive
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    found = [entry for path in paths for entry in unused_imports(path)]
+    assert not found, f"unused imports: {', '.join(found)}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from subclose.codes import grassmann_code, verify_conjecture
+from subclose.codes import grassmann_code, schubert_code, verify_conjecture
 from subclose.families import SubsetFamily, k_r
 from subclose.gf import field_from_order
 from subclose.graphs import Graph, optimal_graphs
@@ -36,8 +36,10 @@ def all_example_docs():
         *(kr_record_doc(rec) for rec in recs),
         sigma_record_doc(optimal_graphs(5, 4)),
         sigma_record_doc(optimal_graphs(5, 8)),  # dual-range bound present
-        conjecture_report_doc(verify_conjecture(F2, 2, 4, 2, code=code)),
-        conjecture_report_doc(verify_conjecture(F2, 2, 4, 1, alpha=(2, 4))),
+        conjecture_report_doc(verify_conjecture(code, 2)),
+        conjecture_report_doc(
+            verify_conjecture(schubert_code(F2, (2, 4), 2, 4), 1)
+        ),
         selftest_report_doc("fast", [("a", True), ("b", False)]),
     ]
 
@@ -182,7 +184,7 @@ def test_validate_doc_rejects_bad_documents():
             validate_doc(doc)
     with pytest.raises(ValueError):
         validate_doc({k: v for k, v in good.items() if k != "value"})
-    rep = conjecture_report_doc(verify_conjecture(F2, 2, 4, 1))
+    rep = conjecture_report_doc(verify_conjecture(grassmann_code(F2, 2, 4), 1))
     with pytest.raises(ValueError):
         validate_doc(dict(rep) | {"verdict": "maybe"})
     sig = sigma_record_doc(optimal_graphs(5, 4))
