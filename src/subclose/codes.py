@@ -25,7 +25,9 @@ from itertools import combinations
 from .combinat import SubsetIndexer, gaussian_binom, mask_of
 from .families import (
     DEFAULT_FAMILY_BUDGET,
-    BudgetError,
+    SubsetFamily,
+    check_budget,
+    k_lambda,
     k_r_value,
 )
 from .gf import FieldTable
@@ -66,11 +68,7 @@ def enumerate_grassmannian(
     a failed check raises ArithmeticError.
     """
     count = gaussian_binom(m, ell, F.q)
-    if count > budget:
-        raise BudgetError(
-            f"{count} subspaces for (ell={ell}, m={m}, q={F.q}) "
-            f"exceed budget {budget}"
-        )
+    check_budget(count, f"subspaces for (ell={ell}, m={m}, q={F.q})", budget)
     idx = SubsetIndexer(ell, m)
     col_sets = [
         tuple(t for t in range(m) if mask >> t & 1) for mask in idx.masks
@@ -295,12 +293,11 @@ def higher_weight(
     over echelon representatives of the message-space subspaces."""
     if not 1 <= r <= code.kdim:
         raise ValueError(f"r={r} outside 1..{code.kdim}")
-    count = gaussian_binom(code.kdim, r, code.F.q)
-    if count > budget:
-        raise BudgetError(
-            f"{count} rank-{r} subcodes of a dimension-{code.kdim} code "
-            f"exceed budget {budget}"
-        )
+    check_budget(
+        gaussian_binom(code.kdim, r, code.F.q),
+        f"rank-{r} subcodes of a dimension-{code.kdim} code",
+        budget,
+    )
     cache: dict[tuple[int, ...], int] = {}
     best = None
     for basis in rref_span_matrices(code.F, r, code.kdim):
@@ -322,10 +319,7 @@ def weight_hierarchy(
     total = sum(
         gaussian_binom(code.kdim, r, code.F.q) for r in range(1, code.kdim + 1)
     )
-    if total > budget:
-        raise BudgetError(
-            f"{total} subcodes across all ranks exceed budget {budget}"
-        )
+    check_budget(total, "subcodes across all ranks", budget)
     weights = tuple(
         higher_weight(code, r, budget=budget) for r in range(1, code.kdim + 1)
     )
@@ -385,22 +379,16 @@ def verify_conjecture(
     d_r = higher_weight(code, r, budget=subcode_budget)
     labels = code.row_labels
     n_rows = len(labels)
-    if math.comb(n_rows, r) > family_budget:
-        raise BudgetError(
-            f"{math.comb(n_rows, r)} candidate families of {r} rows "
-            f"exceed budget {family_budget}"
-        )
+    check_budget(
+        math.comb(n_rows, r), f"candidate families of {r} rows", family_budget
+    )
     target = k_r_value(ell, m, r, budget=family_budget)
     masks = [mask_of(lab) for lab in labels]
     best_any = -1
     best_sub = -1
     witness = None
     for combo in combinations(range(n_rows), r):
-        k_val = 0
-        for a in range(r):
-            ma = masks[combo[a]]
-            for b in range(a + 1, r):
-                k_val += (ma & masks[combo[b]]).bit_count()
+        k_val = k_lambda(SubsetFamily(ell, m, tuple(masks[i] for i in combo)))
         sec = section_count(
             code.points, tuple(code.row_positions[i] for i in combo)
         )

@@ -28,12 +28,18 @@ class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed its candidate budget."""
 
 
+def check_budget(count: int, what: str, budget: int) -> None:
+    """The one budget wall: refuse count units of work above budget."""
+    if count > budget:
+        raise BudgetError(f"{count} {what} exceed budget {budget}")
+
+
 DEFAULT_FAMILY_BUDGET = 10**8
 
 # k_r_exhaustive counts maximizers only on lattices of at most this many
 # subfamilies: the counting walk cannot cut a branch whose bound merely ties
-# the best, so it is kept where that stays cheap, and the cap fixes which
-# K_r records carry a count
+# the best, so it is kept where that stays cheap, and the cap alone fixes
+# which K_r records carry a count
 _COUNT_CAP = 1 << 22
 
 
@@ -176,33 +182,14 @@ def _type1_witness(fam):
 
 
 def _type2_witness(fam):
-    # common union of size ell+1, members drop one tail point each
-    ell, m, mem = fam.ell, fam.m, fam.members
-    r = len(mem)
-    if r > ell + 1:
+    # common union of size ell+1, members drop one tail point each; the
+    # member complements then form a TypeI family with the same tail, whose
+    # core is the outside of the union
+    dual = fam.ell < fam.m and _type1_witness(dual_star(fam))
+    if not dual:
         return None
-    if r == 0:
-        if ell + 1 > m:
-            return None
-        return set_of((1 << (ell + 1)) - 1), ()
-    if r == 1:
-        outside = ((1 << m) - 1) & ~mem[0]
-        if not outside:
-            return None
-        t = outside & -outside
-        return set_of(mem[0]), set_of(t)
-    union = 0
-    for mask in mem:
-        union |= mask
-    if union.bit_count() != ell + 1:
-        return None
-    tail = 0
-    for mask in mem:
-        t = union & ~mask
-        if t.bit_count() != 1 or t & tail:
-            return None
-        tail |= t
-    return set_of(union & ~tail), set_of(tail)
+    outside, tail = dual
+    return set_of(((1 << fam.m) - 1) & ~mask_of(outside + tail)), tail
 
 
 def dual_star(fam: SubsetFamily) -> SubsetFamily:
@@ -229,6 +216,14 @@ def sum_intersections_fixed(ell: int, m: int, a) -> int:
     return sum((a_mask & b).bit_count() for b in idx.masks) - ell
 
 
+def complement_value(ell: int, m: int, r: int, value: int) -> int:
+    """K of the complement, within all ell-subsets of {1..m}, of an
+    r-member family whose K is value: m*C(nu,2) - r*ell*(nu-1) + value with
+    nu = C(m-1, ell-1).  An involution under r <-> C(m, ell) - r."""
+    nu = through_point_count(ell, m)
+    return m * math.comb(nu, 2) - r * ell * (nu - 1) + value
+
+
 def total_intersection_sum(ell: int, m: int) -> int:
     """sum over all ordered pairs (A, B) of |A cap B|, diagonal included.
 
@@ -243,6 +238,8 @@ def canonical_close_family(ell: int, m: int, r: int) -> SubsetFamily:
     k = math.comb(m, ell)
     if not 0 <= r <= min(close_size_cap(ell, m), k):
         raise ValueError(f"no close family of size {r} for (ell={ell}, m={m})")
+    if ell == 0:
+        return SubsetFamily(0, m, (0,) * r)  # the empty set, when r = 1
     if r <= m - ell + 1:
         core = (1 << (ell - 1)) - 1
         members = tuple(core | (1 << t) for t in range(ell - 1, ell - 1 + r))
@@ -258,8 +255,9 @@ def k_r_closed(ell: int, m: int, r: int) -> int | None:
     """Closed-form K_r where one applies, None in the open middle range.
 
     Low range r <= max(ell, m-ell)+1: (ell-1) * C(r, 2).
-    High range k-r <= max(ell, m-ell)+1, k = C(m, ell):
-    m*C(nu, 2) - ell*(nu-1)*(k-r) + (ell-1)*C(k-r, 2) with nu = C(m-1, ell-1).
+    High range k-r <= max(ell, m-ell)+1, k = C(m, ell): the complement
+    of a low-range maximizer for k-r, complement_value(ell, m, k-r,
+    (ell-1) * C(k-r, 2)).
     """
     k = math.comb(m, ell)
     if not 0 <= r <= k:
@@ -268,9 +266,7 @@ def k_r_closed(ell: int, m: int, r: int) -> int | None:
     if r <= mu:
         return (ell - 1) * math.comb(r, 2)
     if k - r <= mu:
-        nu = through_point_count(ell, m)
-        c = k - r
-        return m * math.comb(nu, 2) - ell * (nu - 1) * c + (ell - 1) * math.comb(c, 2)
+        return complement_value(ell, m, k - r, (ell - 1) * math.comb(k - r, 2))
     return None
 
 
@@ -283,8 +279,8 @@ class KrRecord:
     and a canonical construction for closed-form ones; it is omitted only
     when the ground family is too large to enumerate.  maximizer_count is
     filled only by k_r_exhaustive (and so by k_r in auto mode) when the
-    lattice has at most min(_COUNT_CAP, budget) subfamilies; it is None
-    otherwise.
+    lattice has at most _COUNT_CAP subfamilies; it is None otherwise, and
+    never depends on the budget.
     """
 
     ell: int
@@ -397,12 +393,9 @@ def _search(ell: int, m: int, r: int, budget: int, ties: bool):
     k = idx.size
     if not 0 <= r <= k:
         raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
-    candidates = math.comb(k, r)
-    if candidates > budget:
-        raise BudgetError(
-            f"{candidates} candidate families for (ell={ell}, m={m}, r={r}) "
-            f"exceed budget {budget}"
-        )
+    check_budget(
+        math.comb(k, r), f"candidate families for (ell={ell}, m={m}, r={r})", budget
+    )
     masks = idx.masks
     value, attainers = _walk(_member_bits(masks), k, m, ell, r, ties)
     first = SubsetFamily(ell, m, tuple(masks[i] for i in attainers[0]))
@@ -439,11 +432,12 @@ def k_r_exhaustive(
 ) -> KrRecord:
     """Exhaustive K_r with the colex-least maximizer, never a closed form.
 
-    When the lattice has at most min(_COUNT_CAP, budget) subfamilies the
-    search keeps every tie and the record carries the maximizer count;
-    otherwise this is k_r_oracle.  Both give the same value and maximizer.
+    When the lattice has at most _COUNT_CAP subfamilies the search keeps
+    every tie and the record carries the maximizer count; otherwise this is
+    k_r_oracle.  Both give the same value and maximizer, and both refuse
+    the same C(k, r) candidates above budget.
     """
-    if 1 << math.comb(m, ell) <= min(_COUNT_CAP, budget):
+    if 1 << math.comb(m, ell) <= _COUNT_CAP:
         value, first, attainers = _search(ell, m, r, budget, ties=True)
         return KrRecord(ell, m, r, value, "brute_force", first, len(attainers))
     return k_r_oracle(ell, m, r, budget=budget)
@@ -499,26 +493,24 @@ def first_duality_check(
     dual = k_r(m - ell, m, r, budget=budget)
     if rec.value != math.comb(r, 2) * (2 * ell - m) + dual.value:
         return False
-    if rec.maximizer is None or dual.maximizer is None:
-        raise BudgetError("maximizer witnesses unavailable at this size")
+    check_budget(
+        math.comb(m, ell), f"ell-subsets for (ell={ell}, m={m})", _MAXIMIZER_CAP
+    )
     return k_lambda(dual_star(rec.maximizer)) == dual.value
 
 
 def second_duality_check(
     ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> bool:
-    """K_{k-r} = m*C(nu,2) - r*ell*(nu-1) + K_r, complements included.
+    """K_{k-r} = complement_value(ell, m, r, K_r), complements included.
 
     Also checks that the complement (within all ell-subsets) of a maximizer
     for r is a maximizer for k-r.
     """
     k = math.comb(m, ell)
-    nu = through_point_count(ell, m)
     rec = k_r(ell, m, r, budget=budget)
     co = k_r(ell, m, k - r, budget=budget)
-    expected = m * math.comb(nu, 2) - r * ell * (nu - 1) + rec.value
-    if co.value != expected:
+    if co.value != complement_value(ell, m, r, rec.value):
         return False
-    if rec.maximizer is None:
-        raise BudgetError("maximizer witness unavailable at this size")
+    check_budget(k, f"ell-subsets for (ell={ell}, m={m})", _MAXIMIZER_CAP)
     return k_lambda(complement_family(rec.maximizer)) == co.value

@@ -62,7 +62,9 @@ def _pack(coeffs, p: int) -> int:
     return out
 
 
-def _poly_mul_mod(a: int, b: int, p: int, e: int, modulus: tuple[int, ...]) -> int:
+def _poly_mul_mod(
+    a: int, b: int, p: int, e: int, modulus: tuple[int, ...] | None
+) -> int:
     va, vb = _vec(a, p, e), _vec(b, p, e)
     prod = [0] * (2 * e - 1)
     for i, ca in enumerate(va):
@@ -115,25 +117,18 @@ def build_field(p: int, e: int) -> FieldTable:
     q = p**e
     if q > 16:
         raise ValueError(f"q={q} exceeds the supported maximum 16")
-    if e == 1:
-        modulus = None
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-    else:
-        modulus = _IRREDUCIBLE[(p, e)]
-        add = tuple(
-            tuple(
-                _pack(
-                    ((x + y) % p for x, y in zip(_vec(a, p, e), _vec(b, p, e))), p
-                )
-                for b in range(q)
-            )
-            for a in range(q)
+    # a prime field has no modulus: degree-0 polynomials never reduce
+    modulus = _IRREDUCIBLE.get((p, e))
+    add = tuple(
+        tuple(
+            _pack(((x + y) % p for x, y in zip(_vec(a, p, e), _vec(b, p, e))), p)
+            for b in range(q)
         )
-        mul = tuple(
-            tuple(_poly_mul_mod(a, b, p, e, modulus) for b in range(q))
-            for a in range(q)
-        )
+        for a in range(q)
+    )
+    mul = tuple(
+        tuple(_poly_mul_mod(a, b, p, e, modulus) for b in range(q)) for a in range(q)
+    )
     neg = tuple(next(b for b in range(q) if add[a][b] == 0) for a in range(q))
     inv = (0,) + tuple(
         next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)

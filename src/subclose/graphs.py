@@ -19,6 +19,7 @@ from .families import (
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
     complement_family,
+    complement_value,
     k_r_oracle,
     maximizer_families,
 )
@@ -177,16 +178,14 @@ def sigma_max_closed(m: int, r: int) -> int:
 
     The maximum of K (adjacent edge pairs) is attained by the quasi-complete
     graph or by the quasi-star, the complement of the quasi-complete graph
-    with C(m,2) - r edges; Sigma = 2*K + 2r, and complementing maps Sigma to
-    m*(m-1)^2 - 4*c*(m-1) + Sigma for a graph with c edges.
+    with C(m,2) - r edges, whose K is complement_value(2, m, C(m,2) - r, K
+    of that quasi-complete graph); Sigma = 2*K + 2r.
     """
     k = math.comb(m, 2)
     if not 0 <= r <= k:
         raise ValueError(f"r={r} outside 0..{k} for m={m}")
-    c = k - r
-    quasi_complete = 2 * _quasi_complete_k(r) + 2 * r
-    quasi_star = m * (m - 1) ** 2 - 4 * c * (m - 1) + 2 * _quasi_complete_k(c) + 2 * c
-    return max(quasi_complete, quasi_star)
+    quasi_star = complement_value(2, m, k - r, _quasi_complete_k(k - r))
+    return 2 * max(_quasi_complete_k(r), quasi_star) + 2 * r
 
 
 @dataclass(frozen=True)
@@ -203,12 +202,13 @@ class SigmaRecord:
 
 
 def dual_bound_value(m: int, r: int) -> int:
-    """Upper bound on Sigma for dense graphs, C(m-1,2) <= r <= C(m,2)."""
+    """Upper bound on Sigma for dense graphs, C(m-1,2) <= r <= C(m,2): the
+    trivial bound K <= C(c, 2) on the c = C(m,2) - r complement edges,
+    carried over by complement_value."""
     k = math.comb(m, 2)
     if not math.comb(m - 1, 2) <= r <= k:
         raise ValueError(f"r={r} outside the dense range for m={m}")
-    c = k - r
-    return m * (m - 1) * (m - 2) + c * (c - 1) - 4 * c * (m - 2) + 2 * r
+    return 2 * complement_value(2, m, k - r, math.comb(k - r, 2)) + 2 * r
 
 
 def optimal_graphs(
@@ -284,10 +284,11 @@ def trivial_bound_check(
 
 
 def complement_sigma_check(g: Graph) -> bool:
-    """Sigma of the complement from Sigma of the graph:
-    Sigma(comp) = m*(m-1)^2 - 4*r*(m-1) + Sigma(g)."""
+    """Sigma of the complement from Sigma = 2K + 2r of the graph, through
+    complement_value(2, m, r, K)."""
     m, r = g.m, g.r
-    return sigma(g.complement()) == m * (m - 1) ** 2 - 4 * r * (m - 1) + sigma(g)
+    co = 2 * complement_value(2, m, r, (sigma(g) - 2 * r) // 2)
+    return sigma(g.complement()) == co + 2 * (math.comb(m, 2) - r)
 
 
 @dataclass(frozen=True)

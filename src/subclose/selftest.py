@@ -46,6 +46,24 @@ def _closed_vs_search() -> bool:
     return True
 
 
+def _close_families() -> bool:
+    # up to the cap every maximizer is close, and its witness rebuilds it
+    for ell, m in ((2, 5), (3, 5)):
+        for r in range(2, families.close_size_cap(ell, m) + 1):
+            for fam in families.maximizer_families(ell, m, r):
+                w = families.classify_close(fam)
+                if w.kind is families.CloseKind.NOT_CLOSE:
+                    return False
+                # TypeI adds each tail point to the core, TypeII drops each
+                # one from core + tail
+                union = w.kind is families.CloseKind.TYPE_II
+                base = combinat.mask_of(w.core + (w.tail if union else ()))
+                rebuilt = sorted(base ^ (1 << (t - 1)) for t in w.tail)
+                if tuple(rebuilt) != fam.members:
+                    return False
+    return True
+
+
 def _dualities_small() -> bool:
     k = math.comb(5, 2)
     return all(
@@ -219,6 +237,7 @@ def full_checks(seed: int) -> list[Check]:
         ("weight-hierarchy-f2-2-4", _weight_hierarchy_f2),
         ("conjecture-proven-cases", _conjecture_proven_cases),
         ("random-second-duality", lambda: _random_second_duality(seed)),
+        ("close-families", _close_families),
     ]
 
 

@@ -126,6 +126,37 @@ def test_kr_table_budget_exceeded_exits_1(capsys):
     assert "6435" in err and "budget 100" in err
 
 
+def test_kr_table_count_does_not_depend_on_the_budget(capsys):
+    # both walks refuse the same C(10, 5) = 252 candidates, so a budget that
+    # admits them changes nothing, the maximizer count included
+    args = ("kr-table", "--ell", "2", "--m", "5", "--r", "5", "--format", "json")
+    default = run(capsys, *args)
+    capped = run(capsys, *args, "--budget-families", "1000")
+    assert capped == default
+    assert json.loads(default[1])["maximizer_count"] == 60
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_kr_table_ell_0_answers_in_every_mode(capsys, m):
+    for mode in ("auto", "closed", "oracle", "both"):
+        code, out, err = run(
+            capsys, "kr-table", "--ell", "0", "--m", str(m), "--mode", mode,
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        validate_doc(doc)
+        assert (doc["r"], doc["value"], doc["maximizer"]) == (1, 0, [[]])
+
+
+def test_verify_ell_0_exits_0(capsys):
+    code, out, err = run(capsys, "verify", "--ell", "0", "--m", "2", "--q", "2")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    validate_doc(doc)
+    assert (doc["d_r"], doc["verdict"], doc["witness_lambda"]) == (1, "equal", [[]])
+
+
 def test_kr_table_bad_params_exit_2(capsys):
     assert run(capsys, "kr-table", "--ell", "3", "--m", "2")[0] == 2
     assert run(capsys, "kr-table", "--ell", "2", "--m", "5", "--r", "x")[0] == 2

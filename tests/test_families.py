@@ -18,6 +18,7 @@ from subclose.families import (
     classify_close,
     close_size_cap,
     complement_family,
+    complement_value,
     dual_star,
     first_duality_check,
     k_lambda,
@@ -332,11 +333,14 @@ def test_oracle_record_fields():
     assert rec.maximizer == canonical_close_family(2, 5, 4)
 
 
-def test_exhaustive_routes_agree():
-    # 2^10 subfamilies fit budget 1024 (counted) but not 1023 (per-r search)
+def test_exhaustive_routes_agree(monkeypatch):
+    # 2^10 subfamilies fit a count cap of 1024 (counted) but not 1023
+    # (per-r search)
     for r in range(11):
-        swept = k_r_exhaustive(2, 5, r, budget=1024)
-        searched = k_r_exhaustive(2, 5, r, budget=1023)
+        monkeypatch.setattr(families, "_COUNT_CAP", 1024)
+        swept = k_r_exhaustive(2, 5, r)
+        monkeypatch.setattr(families, "_COUNT_CAP", 1023)
+        searched = k_r_exhaustive(2, 5, r)
         assert swept.maximizer_count is not None
         assert searched.maximizer_count is None
         assert swept.value == searched.value == GOLDEN_2_5[r]
@@ -461,6 +465,32 @@ def test_second_duality_pointwise_any_family():
             assert k_lambda(co) == (
                 m * math.comb(nu, 2) - size * ell * (nu - 1) + k_lambda(f)
             )
+
+
+def test_complement_value_is_the_family_identity():
+    # every family of at most 4 members, not just maximizers
+    for ell, m in ((1, 4), (2, 4), (2, 5), (3, 5)):
+        k = math.comb(m, ell)
+        for size in range(5):
+            for f in all_families(ell, m, size):
+                assert k_lambda(complement_family(f)) == complement_value(
+                    ell, m, f.size, k_lambda(f)
+                )
+        for r in range(k + 1):
+            for value in (0, 7, 100):
+                back = complement_value(ell, m, r, value)
+                assert complement_value(ell, m, k - r, back) == value
+
+
+def test_duality_checks_refuse_without_witnesses(monkeypatch):
+    # above the witness cap closed records carry no maximizer to check
+    monkeypatch.setattr(families, "_MAXIMIZER_CAP", 9)
+    for check in (first_duality_check, second_duality_check):
+        with pytest.raises(
+            BudgetError,
+            match=r"^10 ell-subsets for \(ell=2, m=5\) exceed budget 9$",
+        ):
+            check(2, 5, 1)
 
 
 def test_complement_family_edges():

@@ -43,6 +43,27 @@ def test_package_raises_no_assertion_error():
     assert not found, f"raise AssertionError: {', '.join(found)}"
 
 
+def test_budget_errors_come_from_one_gate():
+    # every wall goes through families.check_budget, so each one names the
+    # count it refused and the budget it exceeded
+    gate = [
+        range(node.lineno, node.end_lineno + 1)
+        for name, node in package_nodes()
+        if name == "families.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name == "check_budget"
+    ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in package_nodes()
+        if isinstance(node, ast.Raise)
+        and raised_name(node) == "BudgetError"
+        and not (name == "families.py" and any(node.lineno in g for g in gate))
+    ]
+    assert not found, f"raise BudgetError outside check_budget: {', '.join(found)}"
+    assert len(gate) == 1, "families.check_budget is missing"
+
+
 def unused_imports(path: Path) -> list[str]:
     """file:line of each module-level imported name the module never uses."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -3,7 +3,7 @@
 import dataclasses
 
 from subclose import families
-from subclose.selftest import run_selftest
+from subclose.selftest import full_checks, run_selftest
 
 
 def test_fast_suite_all_green():
@@ -38,3 +38,22 @@ def test_fast_suite_catches_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr(families, "_closed_record", doctored)
     failed = {name for name, ok in run_selftest("fast", 0) if not ok}
     assert {"golden-kr-2-5", "closed-vs-search"} <= failed
+
+
+def test_full_suite_catches_a_wrong_close_witness(monkeypatch):
+    sane = families.classify_close
+
+    def doctored(fam):
+        w = sane(fam)
+        return dataclasses.replace(w, tail=w.tail[:-1]) if fam.size == 3 else w
+
+    check = dict(full_checks(0))["close-families"]
+    assert check()
+    monkeypatch.setattr(families, "classify_close", doctored)
+    assert not check()
+    monkeypatch.setattr(
+        families,
+        "classify_close",
+        lambda fam: families.CloseFamilyWitness(families.CloseKind.NOT_CLOSE),
+    )
+    assert not check()
