@@ -61,7 +61,7 @@ from .graphs import (
     trivial_bound_check,
 )
 from .gf import FieldTable, build_field, field_from_order
-from .linalg import det, mat_rank, rref, rref_span_matrices, vec_mat
+from .linalg import det, mat_rank, rref, rref_span_matrices
 from .codes import (
     CodeSystem,
     ConjectureReport,

@@ -8,7 +8,8 @@ supported on a Schubert subvariety gives the subvariety's code.
 
 Higher weights d_r are computed by exhausting rank-r subcodes.  The support
 of a subcode is the union of the supports of any basis, so each subcode
-costs one OR of cached support bitmasks.
+costs one OR per basis row over a support table.  The table belongs to the
+code: it is built once, on first use, and every rank r shares it.
 
 The conjecture harness compares d_r against the section counts of
 coordinate subspaces cut out by size-r families of column subsets, with the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .combinat import SubsetIndexer, gaussian_binom, mask_of
@@ -31,10 +33,18 @@ from .families import (
     k_r_value,
 )
 from .gf import FieldTable
-from .linalg import Matrix, det, mat_rank, rref_span_matrices, vec_mat
+from .linalg import Matrix, det, mat_rank, rref_span_matrices
 
 DEFAULT_SUBSPACE_BUDGET = 10**6
 DEFAULT_SUBCODE_BUDGET = 10**7
+
+# bytes.translate table sending each field element to the digit "0" or "1"
+_NONZERO_DIGIT = b"0" + b"1" * 255
+
+
+def _support_mask(word) -> int:
+    """Bitmask of the nonzero positions of a word, bit j for position j."""
+    return int(bytes(reversed(word)).translate(_NONZERO_DIGIT), 2)
 
 
 @dataclass(frozen=True)
@@ -50,11 +60,7 @@ class PluckerPoint:
     support_mask: int = field(init=False, compare=False, default=0)
 
     def __post_init__(self):
-        mask = 0
-        for i, c in enumerate(self.coords):
-            if c:
-                mask |= 1 << i
-        object.__setattr__(self, "support_mask", mask)
+        object.__setattr__(self, "support_mask", _support_mask(self.coords))
 
 
 def enumerate_grassmannian(
@@ -75,10 +81,9 @@ def enumerate_grassmannian(
     ]
     points = []
     for mat in rref_span_matrices(F, ell, m):
-        coords = tuple(
-            det(F, [tuple(row[c] for c in cols) for row in mat])
-            for cols in col_sets
-        )
+        # a minor's columns, taken as rows, have the same determinant
+        columns = tuple(zip(*mat))
+        coords = tuple(det(F, [columns[c] for c in cols]) for cols in col_sets)
         first = next(i for i, c in enumerate(coords) if c)
         if coords[first] != 1:
             raise ArithmeticError("echelon representative not normalized")
@@ -222,6 +227,40 @@ class CodeSystem:
     def kdim(self) -> int:
         return len(self.generator)
 
+    @cached_property
+    def support_table(self) -> dict[tuple[int, ...], int]:
+        """Support bitmask, bit j for point j, of the codeword of every
+        normalized message (first nonzero entry 1).
+
+        The messages are walked depth first, one coordinate at a time, so
+        each codeword is its parent's plus one pre-scaled generator row.
+        """
+        F, k = self.F, self.kdim
+        add = F.add
+        scaled = [
+            [[F.mul[c][x] for x in row] for c in F.elements]
+            for row in self.generator
+        ]
+        table = {}
+
+        def walk(msg, word, j):
+            if j == k:
+                table[tuple(msg)] = _support_mask(word)
+                return
+            for c in F.elements:
+                msg[j] = c
+                if c:
+                    word_c = [add[x][y] for x, y in zip(word, scaled[j][c])]
+                    walk(msg, word_c, j + 1)
+                else:
+                    walk(msg, word, j + 1)
+
+        for i in range(k):
+            msg = [0] * k
+            msg[i] = 1
+            walk(msg, scaled[i][1], i + 1)
+        return table
+
 
 def build_code(
     F: FieldTable, ell: int, m: int, alpha, points, row_positions
@@ -274,18 +313,6 @@ def schubert_code(
     return build_code(F, ell, m, alpha, points, positions)
 
 
-def _word_support_mask(F, message, generator, cache) -> int:
-    hit = cache.get(message)
-    if hit is None:
-        word = vec_mat(F, message, generator)
-        hit = 0
-        for j, x in enumerate(word):
-            if x:
-                hit |= 1 << j
-        cache[message] = hit
-    return hit
-
-
 def higher_weight(
     code: CodeSystem, r: int, *, budget: int = DEFAULT_SUBCODE_BUDGET
 ) -> int:
@@ -298,12 +325,21 @@ def higher_weight(
         f"rank-{r} subcodes of a dimension-{code.kdim} code",
         budget,
     )
-    cache: dict[tuple[int, ...], int] = {}
+    if r < code.kdim:
+        # [k, r]_q >= [k, 1]_q here, so the table costs no more than the search
+        supports = code.support_table
+    else:
+        # the one rank-k subcode is spanned by the unit messages, whose
+        # codewords are the generator rows
+        supports = {
+            tuple(int(j == i) for j in range(code.kdim)): _support_mask(row)
+            for i, row in enumerate(code.generator)
+        }
     best = None
     for basis in rref_span_matrices(code.F, r, code.kdim):
         mask = 0
         for row in basis:
-            mask |= _word_support_mask(code.F, row, code.generator, cache)
+            mask |= supports[row]
         size = mask.bit_count()
         if best is None or size < best:
             best = size

@@ -1,7 +1,8 @@
 """Exact linear algebra over the small finite fields.
 
-Matrices are tuples of row tuples of field elements (ints).  Everything here
-is plain Gaussian elimination; the sizes in play never warrant more.
+Matrices are tuples of row tuples of field elements (ints).  Row reduction
+is plain Gaussian elimination.  Determinants up to 3 x 3 are cofactor
+expansions over the field tables; larger ones eliminate.
 """
 
 from __future__ import annotations
@@ -46,23 +47,27 @@ def mat_rank(F: FieldTable, rows) -> int:
     return len(rref(F, rows)[1])
 
 
-def vec_mat(F: FieldTable, vec, rows) -> tuple[int, ...]:
-    """Row vector times matrix."""
-    ncols = len(rows[0]) if rows else 0
-    out = [0] * ncols
-    for x, row in zip(vec, rows):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] = F.add[out[j]][F.mul[x][y]]
-    return tuple(out)
-
-
 def det(F: FieldTable, rows) -> int:
-    """Determinant of a square matrix by elimination."""
+    """Determinant of a square matrix: cofactor expansion up to 3 x 3,
+    elimination beyond."""
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("determinant needs a square matrix")
+    add, mul, neg = F.add, F.mul, F.neg
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return add[mul[a][d]][neg[mul[b][c]]]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        minor_a = add[mul[e][i]][neg[mul[f][h]]]
+        minor_b = add[mul[d][i]][neg[mul[f][g]]]
+        minor_c = add[mul[d][h]][neg[mul[e][g]]]
+        return add[add[mul[a][minor_a]][neg[mul[b][minor_b]]]][mul[c][minor_c]]
     mat = [list(row) for row in rows]
     result = 1
     swaps = 0
@@ -73,13 +78,13 @@ def det(F: FieldTable, rows) -> int:
         if pivot_row != col:
             mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
             swaps += 1
-        result = F.mul[result][mat[col][col]]
+        result = mul[result][mat[col][col]]
         scale = F.inv[mat[col][col]]
         for i in range(col + 1, n):
             if mat[i][col] != 0:
-                c = F.mul[mat[i][col]][scale]
-                mat[i] = [F.sub(x, F.mul[c][y]) for x, y in zip(mat[i], mat[col])]
-    return F.neg[result] if swaps % 2 else result
+                c = mul[mat[i][col]][scale]
+                mat[i] = [F.sub(x, mul[c][y]) for x, y in zip(mat[i], mat[col])]
+    return neg[result] if swaps % 2 else result
 
 
 def rref_span_matrices(F: FieldTable, r: int, n: int):
@@ -87,26 +92,21 @@ def rref_span_matrices(F: FieldTable, r: int, n: int):
 
     These are canonical representatives of the r-dimensional subspaces of
     F^n.  Pivot column sets run in colex order; for a fixed pivot set the
-    free entries run lexicographically.
+    free entries run lexicographically in row-major order, which is the
+    product order over each row's own options.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    if r == 0:
-        yield ()
-        return
     for mask in SubsetIndexer(r, n).masks:
-        pivots = [t for t in range(n) if mask >> t & 1]
-        free = [
-            (i, c)
-            for i in range(r)
-            for c in range(pivots[i] + 1, n)
-            if not mask >> c & 1
-        ]
-        base = [[0] * n for _ in range(r)]
-        for i, c in enumerate(pivots):
-            base[i][c] = 1
-        for vals in product(F.elements, repeat=len(free)):
-            mat = [row[:] for row in base]
-            for (i, c), v in zip(free, vals):
-                mat[i][c] = v
-            yield tuple(tuple(row) for row in mat)
+        options = []
+        for p in (t for t in range(n) if mask >> t & 1):
+            free = [c for c in range(p + 1, n) if not mask >> c & 1]
+            row_options = []
+            for vals in product(F.elements, repeat=len(free)):
+                row = [0] * n
+                row[p] = 1
+                for c, v in zip(free, vals):
+                    row[c] = v
+                row_options.append(tuple(row))
+            options.append(row_options)
+        yield from product(*options)

@@ -1,13 +1,18 @@
 """Tests for subspace enumeration, the codes it spans, and their weights."""
 
+import random
+from functools import cached_property
+from itertools import combinations
+
 import pytest
 
 from subclose import codes
 from subclose.combinat import gaussian_binom
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r_value
 from subclose.gf import field_from_order
-from subclose.linalg import mat_rank
+from subclose.linalg import mat_rank, rref_span_matrices
 from subclose.codes import (
+    CodeSystem,
     PluckerPoint,
     build_code,
     check_plucker_relations,
@@ -37,6 +42,53 @@ HIERARCHY_SCHUBERT_24_F2 = (8, 12, 16, 18, 19)
 def simplex_weights(q, k):
     # (q^k - q^(k-r)) / (q - 1) for r = 1..k
     return tuple((q**k - q ** (k - r)) // (q - 1) for r in range(1, k + 1))
+
+
+def word_support(F, message, generator):
+    mask = 0
+    for j, column in enumerate(zip(*generator)):
+        x = 0
+        for a, b in zip(message, column):
+            x = F.add[x][F.mul[a][b]]
+        if x:
+            mask |= 1 << j
+    return mask
+
+
+def higher_weight_reference(code, r, supports):
+    # exhaustive reference: every RREF basis, each row's support computed
+    # from the generator on first sight
+    best = None
+    for basis in rref_span_matrices(code.F, r, code.kdim):
+        mask = 0
+        for row in basis:
+            if row not in supports:
+                supports[row] = word_support(code.F, row, code.generator)
+            mask |= supports[row]
+        if best is None or mask.bit_count() < best:
+            best = mask.bit_count()
+    return best
+
+
+def assert_weights_match_reference(code, rs):
+    supports = {}
+    for r in rs:
+        assert higher_weight(code, r) == higher_weight_reference(
+            code, r, supports
+        ), (code.F.q, code.alpha, code.generator, r)
+
+
+def random_code(F, rng, k, n):
+    # build_code refuses a zero column or a rank below k; draw again
+    while True:
+        points = tuple(
+            PluckerPoint(tuple(rng.randrange(F.q) for _ in range(k)), ())
+            for _ in range(n)
+        )
+        try:
+            return build_code(F, 1, k, None, points, tuple(range(k)))
+        except ArithmeticError:
+            continue
 
 
 # ------------------------------------------------------------- enumeration
@@ -233,6 +285,69 @@ def test_higher_weight_validation_and_budget():
         higher_weight(code, 2, budget=100)
     with pytest.raises(BudgetError):
         weight_hierarchy(code, budget=100)
+
+
+def test_higher_weight_matches_reference_on_grassmann_2_4():
+    for q in (2, 3, 4):
+        code = grassmann_code(field_from_order(q), 2, 4)
+        assert_weights_match_reference(code, range(1, code.kdim + 1))
+
+
+def test_higher_weight_matches_reference_on_schubert_codes():
+    # every r whose search keeps the reference under about a second
+    for ell, m in ((2, 4), (3, 5)):
+        for q in (2, 3):
+            F = field_from_order(q)
+            for alpha in combinations(range(1, m + 1), ell):
+                code = schubert_code(F, alpha, ell, m)
+                k = code.kdim
+                rs = [
+                    r
+                    for r in range(1, k + 1)
+                    if gaussian_binom(k, r, q) * k * code.n <= 3 * 10**6
+                ]
+                assert rs
+                assert_weights_match_reference(code, rs)
+
+
+def test_higher_weight_matches_reference_on_random_codes():
+    rng = random.Random(31)
+    fields = [field_from_order(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    for _ in range(200):
+        F = rng.choice(fields)
+        k = rng.randint(1, 4 if F.q <= 5 else 3)
+        code = random_code(F, rng, k, rng.randint(k, 8))
+        assert_weights_match_reference(code, range(1, k + 1))
+
+
+def test_hierarchy_builds_one_support_table(monkeypatch):
+    builds = []
+    build = CodeSystem.support_table.func
+
+    def counted(code):
+        builds.append(code)
+        return build(code)
+
+    table = cached_property(counted)
+    table.__set_name__(CodeSystem, "support_table")
+    monkeypatch.setattr(CodeSystem, "support_table", table)
+    code = grassmann_code(F3, 2, 4)
+    weights = weight_hierarchy(code)
+    assert builds == [code]
+    assert tuple(higher_weight(code, r) for r in range(1, 7)) == weights
+    assert builds == [code]
+    other = grassmann_code(F2, 2, 4)
+    assert weight_hierarchy(other) == HIERARCHY_G24_F2
+    assert len(builds) == 2 and builds[1] is other
+
+
+def test_support_table_covers_every_normalized_message():
+    code = grassmann_code(F3, 2, 4)
+    table = code.support_table
+    assert len(table) == gaussian_binom(code.kdim, 1, 3)
+    for msg, mask in table.items():
+        assert next(x for x in msg if x) == 1
+        assert mask == word_support(F3, msg, code.generator)
 
 
 def test_hierarchy_checks_survive_optimization(monkeypatch):

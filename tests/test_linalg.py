@@ -5,15 +5,9 @@ from itertools import product
 
 import pytest
 
-from subclose.combinat import gaussian_binom
+from subclose.combinat import SubsetIndexer, gaussian_binom
 from subclose.gf import field_from_order
-from subclose.linalg import (
-    det,
-    mat_rank,
-    rref,
-    rref_span_matrices,
-    vec_mat,
-)
+from subclose.linalg import det, mat_rank, rref, rref_span_matrices
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -26,8 +20,60 @@ def random_matrix(F, rng, rows, cols):
     )
 
 
+def row_times(F, vec, rows):
+    out = [0] * len(rows[0])
+    for x, row in zip(vec, rows):
+        for j, y in enumerate(row):
+            out[j] = F.add[out[j]][F.mul[x][y]]
+    return tuple(out)
+
+
 def mat_mul(F, a, b):
-    return tuple(vec_mat(F, row, b) for row in a)
+    return tuple(row_times(F, row, b) for row in a)
+
+
+def det_by_elimination(F, rows):
+    # the elimination det uses for sizes above 3, applied at every size
+    mat = [list(row) for row in rows]
+    n = len(mat)
+    result, swaps = 1, 0
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if mat[i][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
+            swaps += 1
+        result = F.mul[result][mat[col][col]]
+        scale = F.inv[mat[col][col]]
+        for i in range(col + 1, n):
+            c = F.mul[mat[i][col]][scale]
+            mat[i] = [F.sub(x, F.mul[c][y]) for x, y in zip(mat[i], mat[col])]
+    return F.neg[result] if swaps % 2 else result
+
+
+def rref_span_reference(F, r, n):
+    # one product over all free entries in row-major order; the sequence
+    # rref_span_matrices must reproduce
+    if r == 0:
+        yield ()
+        return
+    for mask in SubsetIndexer(r, n).masks:
+        pivots = [t for t in range(n) if mask >> t & 1]
+        free = [
+            (i, c)
+            for i in range(r)
+            for c in range(pivots[i] + 1, n)
+            if not mask >> c & 1
+        ]
+        base = [[0] * n for _ in range(r)]
+        for i, c in enumerate(pivots):
+            base[i][c] = 1
+        for vals in product(F.elements, repeat=len(free)):
+            mat = [row[:] for row in base]
+            for (i, c), v in zip(free, vals):
+                mat[i][c] = v
+            yield tuple(tuple(row) for row in mat)
 
 
 def is_rref(F, mat, pivots):
@@ -90,12 +136,6 @@ def test_row_space_invariant_under_row_operations():
             assert rref(F, m) == rref(F, messed)
 
 
-def test_vec_mat_golden():
-    mat = ((1, 1, 0), (0, 1, 1))
-    assert vec_mat(F2, (1, 1), mat) == (1, 0, 1)
-    assert vec_mat(F3, (2, 1), ((1, 0, 0), (0, 1, 0))) == (2, 1, 0)
-
-
 def test_det_goldens():
     assert det(F2, ((1, 0), (0, 1))) == 1
     assert det(F3, ((1, 2), (2, 1))) == 0  # 1 - 4 = 0 mod 3
@@ -107,7 +147,7 @@ def test_det_multiplicative():
     rng = random.Random(19)
     for F in (F2, F3, F4):
         for _ in range(60):
-            n = rng.randint(1, 3)
+            n = rng.randint(1, 5)
             a = random_matrix(F, rng, n, n)
             b = random_matrix(F, rng, n, n)
             assert det(F, mat_mul(F, a, b)) == F.mul[det(F, a)][det(F, b)]
@@ -116,6 +156,29 @@ def test_det_multiplicative():
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det(F2, ((1, 0, 1), (0, 1, 0)))
+    for n in (1, 2, 3, 4):
+        square = [[1] * n for _ in range(n)]
+        for bad in ([[1] * (n + 1)] + square[1:], square[:-1] + [[1] * (n - 1)]):
+            with pytest.raises(ValueError, match="square"):
+                det(F2, bad)
+
+
+def test_det_closed_forms_match_elimination_exhaustively():
+    for F in (F2, F3):
+        for n in (0, 1, 2, 3):
+            for entries in product(F.elements, repeat=n * n):
+                rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+                assert det(F, rows) == det_by_elimination(F, rows), rows
+
+
+def test_det_closed_forms_match_elimination_random():
+    rng = random.Random(23)
+    for q in (4, 5, 8, 9, 16):
+        F = field_from_order(q)
+        for _ in range(2000):
+            n = rng.randint(1, 3)
+            rows = random_matrix(F, rng, n, n)
+            assert det(F, rows) == det_by_elimination(F, rows), (q, rows)
 
 
 def test_rref_span_enumeration_counts():
@@ -134,6 +197,18 @@ def test_rref_span_matrices_are_canonical_rank_r():
             red, pivots = rref(F, mat)
             assert red == mat
             assert len(pivots) == r
+
+
+def test_rref_span_order_matches_reference():
+    for F, top in ((F2, 5), (F3, 5), (F4, 4)):
+        for n in range(top + 1):
+            for r in range(n + 1):
+                got = list(rref_span_matrices(F, r, n))
+                assert got == list(rref_span_reference(F, r, n)), (F.q, r, n)
+                assert all(
+                    type(mat) is tuple and all(type(row) is tuple for row in mat)
+                    for mat in got
+                )
 
 
 def test_rref_span_zero_dimension():
