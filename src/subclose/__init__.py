@@ -31,7 +31,6 @@ from .families import (
     k_lambda,
     k_r,
     k_r_closed,
-    k_r_exhaustive,
     k_r_oracle,
     k_r_value,
     maximizer_families,

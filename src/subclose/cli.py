@@ -1,7 +1,7 @@
 """Batch command line front end.
 
-Every subcommand is deterministic given its parameters and seed: repeated
-runs produce identical bytes.  Exit status 0 means success (for verify:
+Every subcommand is deterministic given its parameters: repeated runs
+produce identical bytes.  Exit status 0 means success (for verify:
 every instance inside a proven regime checks out; open-regime verdicts are
 informational), 1 means a check failed or a budget was exceeded, 2 means
 the parameters were invalid.
@@ -70,7 +70,7 @@ def _cmd_kr_table(args) -> int:
     if not 0 <= args.ell <= args.m:
         raise CLIError(f"need 0 <= ell <= m, got ell={args.ell}, m={args.m}")
     k = math.comb(args.m, args.ell)
-    rs = _parse_r_spec(args.r, k) if args.r else list(range(1, k + 1))
+    rs = _parse_r_spec(args.r, k) if args.r is not None else list(range(1, k + 1))
     records = []
     for r in rs:
         rec = families.k_r(
@@ -136,14 +136,14 @@ def _cmd_optimal(args) -> int:
 
 def _cmd_verify(args) -> int:
     F = gf.field_from_order(args.q)
-    if args.alpha:
+    if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         code = schubert_code(F, alpha, args.ell, args.m, budget=args.budget_subspaces)
     else:
         code = grassmann_code(F, args.ell, args.m, budget=args.budget_subspaces)
     rs = (
         _parse_r_spec(args.r, code.kdim, lower=1)
-        if args.r
+        if args.r is not None
         else list(range(1, code.kdim + 1))
     )
     reports = [
@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_selftest(args) -> int:
     mode = "full" if args.full else "fast"
-    results = run_selftest(mode, args.seed)
+    results = run_selftest(mode)
     if args.format == "json":
         text = serialize.canonical_json(serialize.selftest_report_doc(mode, results))
         text += "\n"
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument(
         "--full", action="store_true", help="extended suite with heavier exhaustions"
     )
-    st.add_argument("--seed", type=int, default=0, metavar="N")
     st.add_argument("--format", choices=("table", "json"), default="table")
     st.add_argument("--out", metavar="FILE")
     st.set_defaults(func=_cmd_selftest)

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
-from .combinat import SubsetIndexer, gaussian_binom, mask_of
+from .combinat import SubsetIndexer, gaussian_binom, mask_of, set_of
 from .families import (
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
     check_budget,
+    close_size_cap,
     k_lambda,
     k_r_value,
 )
@@ -95,6 +96,12 @@ def enumerate_grassmannian(
     return tuple(points)
 
 
+@cache
+def _indexer(ell: int, m: int) -> SubsetIndexer:
+    # one indexer per lattice, so its mask lookup is built once, not per point
+    return SubsetIndexer(ell, m)
+
+
 def check_plucker_relations(
     F: FieldTable, point: PluckerPoint, ell: int, m: int
 ) -> bool:
@@ -105,7 +112,7 @@ def check_plucker_relations(
     ell = 2 this is the classical three-term relation; for ell = 1 it is
     vacuous.
     """
-    idx = SubsetIndexer(ell, m)
+    idx = _indexer(ell, m)
     coords = point.coords
 
     def signed(cols: tuple[int, ...]) -> int:
@@ -153,11 +160,10 @@ def schubert_support(alpha, ell: int, m: int) -> tuple[int, ...]:
     """Coordinate positions allowed to be nonzero on the subvariety: the
     colex indices of subsets dominated entrywise by alpha."""
     alpha = validate_alpha(alpha, ell, m)
-    idx = SubsetIndexer(ell, m)
     return tuple(
         i
-        for i in range(idx.size)
-        if all(b <= a for b, a in zip(idx.subset_at(i), alpha))
+        for i, mask in enumerate(SubsetIndexer(ell, m).masks)
+        if all(b <= a for b, a in zip(set_of(mask), alpha))
     )
 
 
@@ -189,14 +195,17 @@ def enumerate_schubert(
 ) -> tuple[PluckerPoint, ...]:
     """Points of the subvariety: exactly those whose coordinates vanish
     outside the allowed positions."""
+    alpha = validate_alpha(alpha, ell, m)
+    # the subspace budget refuses before any work per column subset
+    points = enumerate_grassmannian(F, ell, m, budget=budget)
+    return _points_within(points, schubert_support(alpha, ell, m))
+
+
+def _points_within(points, positions) -> tuple[PluckerPoint, ...]:
     allowed = 0
-    for pos in schubert_support(alpha, ell, m):
+    for pos in positions:
         allowed |= 1 << pos
-    return tuple(
-        pt
-        for pt in enumerate_grassmannian(F, ell, m, budget=budget)
-        if pt.support_mask & ~allowed == 0
-    )
+    return tuple(pt for pt in points if pt.support_mask & ~allowed == 0)
 
 
 @dataclass(frozen=True)
@@ -308,9 +317,10 @@ def schubert_code(
     """Code of the subvariety's points, rows restricted to the allowed
     coordinates."""
     alpha = validate_alpha(alpha, ell, m)
-    points = enumerate_schubert(F, alpha, ell, m, budget=budget)
+    # the subspace budget refuses before any work per column subset
+    points = enumerate_grassmannian(F, ell, m, budget=budget)
     positions = schubert_support(alpha, ell, m)
-    return build_code(F, ell, m, alpha, points, positions)
+    return build_code(F, ell, m, alpha, _points_within(points, positions), positions)
 
 
 def higher_weight(
@@ -446,7 +456,7 @@ def verify_conjecture(
         else:
             verdict = "lhs_greater"
     if alpha is None:
-        proven = r <= max(ell, m - ell) + 1
+        proven = r <= close_size_cap(ell, m)
     else:
         proven = r == 1
     return ConjectureReport(

@@ -147,8 +147,11 @@ class SubsetIndexer:
 
     Subsets are bitmasks with bit i-1 standing for element i.  Among masks
     of equal popcount, colex order coincides with numeric order, so the
-    rank of a subset is just its position in the sorted mask sequence.
-    Masks stay within machine words for m <= 62.
+    rank of a subset is just its position in the mask sequence that
+    Gosper's hack walks in increasing order; both directions look it up.
+    Masks stay within machine words for m <= 62, but the first lookup lists
+    all C(m, ell) masks, so the indexer is meant for lattices small enough
+    to list.
 
     >>> SubsetIndexer(2, 4).subset_at(0)
     (1, 2)
@@ -164,9 +167,6 @@ class SubsetIndexer:
         self.ell = ell
         self.m = m
         self.size = math.comb(m, ell)
-
-    def __len__(self) -> int:
-        return self.size
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -188,32 +188,18 @@ class SubsetIndexer:
                 f"mask has {mask.bit_count()} elements, expected {self.ell}"
             )
 
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {mask: i for i, mask in enumerate(self.masks)}
+
     def index_of_mask(self, mask: int) -> int:
         self._check_mask(mask)
-        rank = 0
-        i = 0
-        pos = 0
-        while mask:
-            if mask & 1:
-                i += 1
-                rank += math.comb(pos, i)
-            mask >>= 1
-            pos += 1
-        return rank
+        return self._index[mask]
 
     def mask_at(self, index: int) -> int:
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} outside 0..{self.size - 1}")
-        mask = 0
-        rem = index
-        for i in range(self.ell, 0, -1):
-            # largest position c with C(c, i) <= rem
-            c = i - 1
-            while math.comb(c + 1, i) <= rem:
-                c += 1
-            rem -= math.comb(c, i)
-            mask |= 1 << c
-        return mask
+        return self.masks[index]
 
     def index_of(self, subset) -> int:
         return self.index_of_mask(mask_of(subset))

@@ -36,7 +36,7 @@ def check_budget(count: int, what: str, budget: int) -> None:
 
 DEFAULT_FAMILY_BUDGET = 10**8
 
-# k_r_exhaustive counts maximizers only on lattices of at most this many
+# k_r in auto mode counts maximizers only on lattices of at most this many
 # subfamilies: the counting walk cannot cut a branch whose bound merely ties
 # the best, so it is kept where that stays cheap, and the cap alone fixes
 # which K_r records carry a count
@@ -278,9 +278,9 @@ class KrRecord:
     witness maximizer is the colex-least maximizer for brute-force records
     and a canonical construction for closed-form ones; it is omitted only
     when the ground family is too large to enumerate.  maximizer_count is
-    filled only by k_r_exhaustive (and so by k_r in auto mode) when the
-    lattice has at most _COUNT_CAP subfamilies; it is None otherwise, and
-    never depends on the budget.
+    filled only by k_r in auto mode, on a brute-force record whose lattice
+    has at most _COUNT_CAP subfamilies; it is None otherwise, and never
+    depends on the budget.
     """
 
     ell: int
@@ -427,22 +427,6 @@ def maximizer_families(
     )
 
 
-def k_r_exhaustive(
-    ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
-) -> KrRecord:
-    """Exhaustive K_r with the colex-least maximizer, never a closed form.
-
-    When the lattice has at most _COUNT_CAP subfamilies the search keeps
-    every tie and the record carries the maximizer count; otherwise this is
-    k_r_oracle.  Both give the same value and maximizer, and both refuse
-    the same C(k, r) candidates above budget.
-    """
-    if 1 << math.comb(m, ell) <= _COUNT_CAP:
-        value, first, attainers = _search(ell, m, r, budget, ties=True)
-        return KrRecord(ell, m, r, value, "brute_force", first, len(attainers))
-    return k_r_oracle(ell, m, r, budget=budget)
-
-
 def k_r(
     ell: int,
     m: int,
@@ -454,10 +438,12 @@ def k_r(
     """K_r in one of four modes.
 
     "closed" returns the closed-form record, or None in the open middle
-    range; "auto" prefers it, then k_r_exhaustive, which also counts
-    maximizers on small lattices; "oracle" forces the per-r search; "both"
-    runs the search, raises ArithmeticError when a closed form disagrees
-    with it, and returns the closed-form record where one applies.
+    range; "auto" prefers it, then searches, keeping every tie and the
+    maximizer count when the lattice has at most _COUNT_CAP subfamilies and
+    otherwise running k_r_oracle, with the same value, maximizer and budget
+    either way; "oracle" forces the per-r search; "both" runs the search,
+    raises ArithmeticError when a closed form disagrees with it, and returns
+    the closed-form record where one applies.
     """
     if mode not in ("auto", "closed", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -465,7 +451,10 @@ def k_r(
     if mode == "closed" or (mode == "auto" and closed is not None):
         return closed
     if mode == "auto":
-        return k_r_exhaustive(ell, m, r, budget=budget)
+        if 1 << math.comb(m, ell) <= _COUNT_CAP:
+            value, first, attainers = _search(ell, m, r, budget, ties=True)
+            return KrRecord(ell, m, r, value, "brute_force", first, len(attainers))
+        return k_r_oracle(ell, m, r, budget=budget)
     direct = k_r_oracle(ell, m, r, budget=budget)
     if closed is None:
         return direct

@@ -9,7 +9,6 @@ rather than aborting the run.
 from __future__ import annotations
 
 import math
-import random
 from typing import Callable
 
 from . import codes, combinat, families, gf, graphs, serialize
@@ -188,32 +187,18 @@ def _conjecture_proven_cases() -> bool:
     return rep.proven and rep.verdict == "equal"
 
 
-def _random_sum_identities(seed: int) -> bool:
-    rng = random.Random(seed)
-    params = [(1, 4), (2, 4), (2, 5), (3, 5), (2, 6), (5, 6), (1, 7), (3, 6)]
-    for _ in range(40):
-        ell, m = rng.choice(params)
+def _sum_identities() -> bool:
+    for ell, m in ((1, 4), (2, 4), (2, 5), (3, 5), (2, 6), (5, 6), (1, 7), (3, 6)):
         nu = families.through_point_count(ell, m)
         if families.total_intersection_sum(ell, m) != m * nu * nu:
             return False
-        idx = combinat.SubsetIndexer(ell, m)
-        a = idx.masks[rng.randrange(idx.size)]
-        if families.sum_intersections_fixed(ell, m, a) != ell * (nu - 1):
-            return False
-    return True
-
-
-def _random_second_duality(seed: int) -> bool:
-    rng = random.Random(seed)
-    for ell, m in ((2, 5), (3, 5), (2, 6)):
-        k = math.comb(m, ell)
-        for _ in range(5):
-            if not families.second_duality_check(ell, m, rng.randrange(k + 1)):
+        for a in combinat.SubsetIndexer(ell, m).masks:
+            if families.sum_intersections_fixed(ell, m, a) != ell * (nu - 1):
                 return False
     return True
 
 
-def fast_checks(seed: int) -> list[Check]:
+def fast_checks() -> list[Check]:
     return [
         ("binomial-identities", _binomial_identities),
         ("golden-kr-2-5", _golden_kr_2_5),
@@ -225,27 +210,26 @@ def fast_checks(seed: int) -> list[Check]:
         ("schubert-f2-alpha-2-4", _schubert_f2),
         ("simplex-code", _simplex_code),
         ("serialization", _serialization),
-        ("random-sum-identities", lambda: _random_sum_identities(seed)),
+        ("sum-identities", _sum_identities),
     ]
 
 
-def full_checks(seed: int) -> list[Check]:
-    return fast_checks(seed) + [
+def full_checks() -> list[Check]:
+    return fast_checks() + [
         ("golden-kr-2-6", _golden_kr_2_6),
         ("dualities-3-5-and-2-6", _dualities_medium),
         ("graph-bounds-m6", _graph_bounds_m6),
         ("weight-hierarchy-f2-2-4", _weight_hierarchy_f2),
         ("conjecture-proven-cases", _conjecture_proven_cases),
-        ("random-second-duality", lambda: _random_second_duality(seed)),
         ("close-families", _close_families),
     ]
 
 
-def run_selftest(mode: str, seed: int = 0) -> list[tuple[str, bool]]:
+def run_selftest(mode: str) -> list[tuple[str, bool]]:
     """Run the named checks; exceptions count as failures."""
     if mode not in ("fast", "full"):
         raise ValueError(f"unknown selftest mode {mode!r}")
-    picked = fast_checks(seed) if mode == "fast" else full_checks(seed)
+    picked = fast_checks() if mode == "fast" else full_checks()
     results = []
     for name, fn in picked:
         try:

@@ -326,6 +326,22 @@ def test_verify_bad_params_exit_2(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("kr-table", "--ell", "2", "--m", "5", "--r", ""), "r"),
+        (("verify", "--ell", "2", "--m", "4", "--q", "2", "--r", ""), "r"),
+        (("verify", "--ell", "2", "--m", "4", "--q", "2", "--alpha", ""), "alpha"),
+    ],
+)
+def test_empty_option_values_exit_2(capsys, argv, what):
+    # an empty value is a parse error like a blank one, not a default
+    for value in ("", " "):
+        code, out, err = run(capsys, *argv[:-1], value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot parse {what} ")
+
+
 def test_verify_budget_exits_1(capsys):
     code, _, err = run(
         capsys, "verify", "--ell", "2", "--m", "5", "--q", "2",
@@ -365,7 +381,7 @@ def test_selftest_json_document(capsys):
 
 def test_selftest_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_selftest", lambda mode, seed: [("boom", False), ("fine", True)]
+        cli, "run_selftest", lambda mode: [("boom", False), ("fine", True)]
     )
     code, out, _ = run(capsys, "selftest")
     assert code == 1

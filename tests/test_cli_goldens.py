@@ -1,0 +1,70 @@
+"""Byte-identity pins for the kr-table, optimal and verify commands.
+
+Each case runs one cheap command in process and compares the sha256 of its
+stdout, and its exit status, with the value recorded before a refactor.
+The cases cover every output format, every kr-table mode, maximizer counts
+on both sides of the counting cap, a budget refusal and bad parameters, so
+a change meant to keep the output must leave every hash in place.
+"""
+
+import hashlib
+
+import pytest
+
+import subclose.cli as cli
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDENS = [
+    ("kr-table --ell 2 --m 5", 0,
+     "b7c77a82a845fce4d20ea91862c6bf0b49fcc0bc295417cef8db752b3486ab4b"),
+    ("kr-table --ell 2 --m 6 --format json", 0,
+     "cf21b7217787df961f4d49e452aa5b1465eb01798618459cf705597babe61a3e"),
+    ("kr-table --ell 3 --m 6 --r 5..7 --format csv", 0,
+     "2a8e7b7ea860a3bdc7da6a901213e4b9136f4bef7d75620843416a1e9eb1bd2f"),
+    ("kr-table --ell 2 --m 8 --r 8..9 --format json", 0,
+     "9a63b13d0275ada446a45b39af4ce51d46c9931c8d6b32956fc01276690fe025"),
+    ("kr-table --ell 3 --m 7 --r 5..6", 0,
+     "ca43f8167e030a13355047eb0741353cbc244a3a95cb456c10557430922708a2"),
+    ("kr-table --ell 2 --m 7 --r 9..11 --mode oracle --format json", 0,
+     "288bdd7da1771c156acf69c3365ca1344f07148613666169fcd2d5de3490a230"),
+    ("kr-table --ell 2 --m 6 --mode both --format csv", 0,
+     "c47f6beff6721a058f426b3d83700970a33450dc38d1422ee6782cbaea8e038c"),
+    ("kr-table --ell 3 --m 7 --r 1..5 --mode closed --format json", 0,
+     "38118903a569c03f651fded4f3bcf5d420959d7d6d7168aa177f57a4d4686d60"),
+    ("kr-table --ell 0 --m 3 --format json", 0,
+     "6195c7218042897c4bbef399e91ad13812de82f6ba651facb1ef481926d6e145"),
+    ("kr-table --ell 2 --m 6 --mode closed", 2,
+     EMPTY),
+    ("kr-table --ell 2 --m 9 --r 18 --budget-families 1000", 1,
+     EMPTY),
+    ("kr-table --ell 2 --m 5 --r 7..3", 2,
+     EMPTY),
+    ("optimal --m 5 --r 0..10", 0,
+     "edec383f339fb9a8a91a920fd8cd23d9f8ab079f3ae10f1b2d66395aa302eac3"),
+    ("optimal --m 6 --r 3..9 --format json", 0,
+     "b63219b8e3721711c7f98b5207bf6a55706001e4d9bd8f7e759e2456400f938c"),
+    ("verify --ell 2 --m 4 --q 2 --format table", 0,
+     "01739f85d69fe3aac84f28d7e9802f1a4d13d01342a4eb4afddc46e445135c78"),
+    ("verify --ell 2 --m 4 --q 2 --alpha 2,4", 0,
+     "131e57abfb884e9c9f6e5211d8fc2ac85fd5afaadf1af6ff78880cad8dd11008"),
+    ("verify --ell 2 --m 4 --q 3 --r 1..2 --alpha 3,4 --format table", 0,
+     "d8c48b3880061b4e49b59d24f49cdb844a34eb28866a618bbe7e1f29aa3819cd"),
+    ("verify --ell 1 --m 3 --q 4", 0,
+     "2b6aa86c1e84f1ff052572070e9a014eb8f4b4c67d4bcf8fd6bcfca9d9d67767"),
+    ("verify --ell 2 --m 5 --q 2 --r 10", 0,
+     "e4d32af3f79a21c51ec8d4a2379d0c41c3f55700f08e78ed08bcc3ec500fd384"),
+    ("verify --ell 2 --m 6 --q 2 --r 15", 0,
+     "6e26a3274580aa6eff4bed984dec188889f98032406024f6ea23193218b0fcae"),
+    ("verify --ell 2 --m 5 --q 2 --budget-subspaces 100", 1,
+     EMPTY),
+    ("verify --ell 2 --m 4 --q 2 --alpha 3,2", 2,
+     EMPTY),
+]
+
+
+@pytest.mark.parametrize(("command", "status", "digest"), GOLDENS)
+def test_cli_output_is_pinned(capsys, command, status, digest):
+    assert cli.main(command.split()) == status
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -287,6 +287,29 @@ def test_higher_weight_validation_and_budget():
         weight_hierarchy(code, budget=100)
 
 
+def test_schubert_code_refuses_before_any_per_subset_work(monkeypatch):
+    calls = []
+    sane = codes.schubert_support
+
+    def counted(*args):
+        calls.append(args)
+        return sane(*args)
+
+    monkeypatch.setattr(codes, "schubert_support", counted)
+    code = schubert_code(F2, (2, 4), 2, 4)
+    assert len(calls) == 1
+    assert code.row_positions == sane((2, 4), 2, 4)
+
+    def refused(*args):
+        raise RuntimeError("the Schubert support ran before the subspace budget")
+
+    monkeypatch.setattr(codes, "schubert_support", refused)
+    with pytest.raises(BudgetError, match="subspaces for"):
+        schubert_code(F2, (25, 26, 27, 28, 29, 30), 6, 30)
+    with pytest.raises(BudgetError, match="subspaces for"):
+        enumerate_schubert(F2, (25, 26, 27, 28, 29, 30), 6, 30)
+
+
 def test_higher_weight_matches_reference_on_grassmann_2_4():
     for q in (2, 3, 4):
         code = grassmann_code(field_from_order(q), 2, 4)
@@ -339,6 +362,10 @@ def test_hierarchy_builds_one_support_table(monkeypatch):
     other = grassmann_code(F2, 2, 4)
     assert weight_hierarchy(other) == HIERARCHY_G24_F2
     assert len(builds) == 2 and builds[1] is other
+    # r = k alone reads the generator rows: the table would cost [k, 1]_q
+    top = grassmann_code(F2, 2, 5)
+    assert higher_weight(top, top.kdim) == top.n == 155
+    assert len(builds) == 2
 
 
 def test_support_table_covers_every_normalized_message():

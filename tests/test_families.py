@@ -24,7 +24,6 @@ from subclose.families import (
     k_lambda,
     k_r,
     k_r_closed,
-    k_r_exhaustive,
     k_r_oracle,
     k_r_value,
     maximizer_families,
@@ -303,21 +302,24 @@ def test_oracle_prune_audit():
 
 
 def test_sweep_matches_oracle_with_counts():
-    # value, colex-least witness and maximizer count of the counted search
+    # every maximizer at every r, and the value, colex-least witness and
+    # maximizer count of the auto route wherever no closed form applies
     for ell, m in LATTICES:
         for r in range(math.comb(m, ell) + 1):
             value, attainers = reference_maximizers(ell, m, r)
-            rec = k_r_exhaustive(ell, m, r)
+            assert tuple(maximizer_families(ell, m, r)) == attainers
+            if k_r_closed(ell, m, r) is not None:
+                continue
+            rec = k_r(ell, m, r, "auto")
             assert (rec.value, rec.maximizer) == (value, attainers[0])
             assert rec.maximizer_count == len(attainers)
             assert rec.method == "brute_force"
-            assert tuple(maximizer_families(ell, m, r)) == attainers
 
 
 @pytest.mark.parametrize("ell, m, counts", [(3, 6, COUNTS_3_6), (2, 7, COUNTS_2_7)])
 def test_maximizer_counts_pinned(ell, m, counts):
     assert tuple(
-        k_r_exhaustive(ell, m, r).maximizer_count for r in range(len(counts))
+        len(maximizer_families(ell, m, r)) for r in range(len(counts))
     ) == counts
 
 
@@ -334,17 +336,20 @@ def test_oracle_record_fields():
 
 
 def test_exhaustive_routes_agree(monkeypatch):
-    # 2^10 subfamilies fit a count cap of 1024 (counted) but not 1023
-    # (per-r search)
-    for r in range(11):
-        monkeypatch.setattr(families, "_COUNT_CAP", 1024)
-        swept = k_r_exhaustive(2, 5, r)
-        monkeypatch.setattr(families, "_COUNT_CAP", 1023)
-        searched = k_r_exhaustive(2, 5, r)
-        assert swept.maximizer_count is not None
+    # the 2^15 subfamilies of (2, 6) fit a count cap of 2^15 (counted) but
+    # not 2^15 - 1 (per-r search); r = 6..9 is its open middle range
+    for r in range(6, 10):
+        value, attainers = reference_maximizers(2, 6, r)
+        monkeypatch.setattr(families, "_COUNT_CAP", 1 << 15)
+        counted = k_r(2, 6, r, "auto")
+        monkeypatch.setattr(families, "_COUNT_CAP", (1 << 15) - 1)
+        searched = k_r(2, 6, r, "auto")
+        assert counted.maximizer_count == len(attainers)
         assert searched.maximizer_count is None
-        assert swept.value == searched.value == GOLDEN_2_5[r]
-        assert swept.maximizer == searched.maximizer
+        for rec in (counted, searched):
+            assert rec.method == "brute_force"
+            assert (rec.value, rec.maximizer) == (value, attainers[0])
+        assert counted.value == GOLDEN_2_6[r]
 
 
 def test_witness_check_survives_optimization(monkeypatch):
@@ -354,7 +359,7 @@ def test_witness_check_survives_optimization(monkeypatch):
     with pytest.raises(ArithmeticError, match="witness"):
         k_r_oracle(2, 5, 4)
     with pytest.raises(ArithmeticError):
-        k_r_exhaustive(2, 3, 2)
+        k_r(2, 5, 5, mode="auto")
     with pytest.raises(ArithmeticError):
         k_r(2, 5, 2, mode="closed")
 
@@ -517,6 +522,6 @@ def test_out_of_range_r():
     with pytest.raises(ValueError):
         k_r_oracle(2, 5, 11)
     with pytest.raises(ValueError):
-        k_r_exhaustive(2, 5, 11)
+        k_r(2, 5, 11, "auto")
     with pytest.raises(ValueError):
         maximizer_families(2, 5, -1)

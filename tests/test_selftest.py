@@ -7,23 +7,18 @@ from subclose.selftest import full_checks, run_selftest
 
 
 def test_fast_suite_all_green():
-    results = run_selftest("fast", 0)
+    results = run_selftest("fast")
     assert results, "fast suite ran no checks"
     assert all(ok for _, ok in results), [n for n, ok in results if not ok]
 
 
 def test_full_suite_extends_fast_and_is_green():
-    fast = run_selftest("fast", 0)
-    full = run_selftest("full", 0)
+    fast = run_selftest("fast")
+    full = run_selftest("full")
     fast_names = [name for name, _ in fast]
     full_names = [name for name, _ in full]
     assert set(fast_names) < set(full_names)
     assert all(ok for _, ok in full), [n for n, ok in full if not ok]
-
-
-def test_seed_changes_are_harmless():
-    for seed in (0, 1, 12345):
-        assert all(ok for _, ok in run_selftest("fast", seed))
 
 
 def test_fast_suite_catches_a_wrong_closed_form(monkeypatch):
@@ -36,7 +31,7 @@ def test_fast_suite_catches_a_wrong_closed_form(monkeypatch):
         return rec
 
     monkeypatch.setattr(families, "_closed_record", doctored)
-    failed = {name for name, ok in run_selftest("fast", 0) if not ok}
+    failed = {name for name, ok in run_selftest("fast") if not ok}
     assert {"golden-kr-2-5", "closed-vs-search"} <= failed
 
 
@@ -47,7 +42,7 @@ def test_full_suite_catches_a_wrong_close_witness(monkeypatch):
         w = sane(fam)
         return dataclasses.replace(w, tail=w.tail[:-1]) if fam.size == 3 else w
 
-    check = dict(full_checks(0))["close-families"]
+    check = dict(full_checks())["close-families"]
     assert check()
     monkeypatch.setattr(families, "classify_close", doctored)
     assert not check()
