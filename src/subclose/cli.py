@@ -15,7 +15,7 @@ import sys
 
 from . import families, gf, graphs, serialize
 from .codes import (
-    DEFAULT_SUBCODE_BUDGET,
+    DEFAULT_SUBSPACE_BUDGET,
     grassmann_code,
     schubert_code,
     verify_conjecture,
@@ -175,10 +175,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    mode = "full" if args.full else "fast"
-    results = run_selftest(mode)
+    results = run_selftest()
     if args.format == "json":
-        text = serialize.canonical_json(serialize.selftest_report_doc(mode, results))
+        text = serialize.canonical_json(serialize.selftest_report_doc(results))
         text += "\n"
     else:
         lines = [f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok in results]
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--budget-subspaces",
         type=int,
-        default=DEFAULT_SUBCODE_BUDGET,
+        default=DEFAULT_SUBSPACE_BUDGET,
         metavar="N",
         help="largest subspace/subcode count an enumeration may visit",
     )
@@ -287,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     st = sub.add_parser("selftest", help="run the built-in consistency checks")
-    level = st.add_mutually_exclusive_group()
-    level.add_argument("--fast", action="store_true", help="quick suite (default)")
-    level.add_argument(
-        "--full", action="store_true", help="extended suite with heavier exhaustions"
-    )
     st.add_argument("--format", choices=("table", "json"), default="table")
     st.add_argument("--out", metavar="FILE")
     st.set_defaults(func=_cmd_selftest)

@@ -36,8 +36,7 @@ from .families import (
 from .gf import FieldTable
 from .linalg import Matrix, det, mat_rank, rref_span_matrices
 
-DEFAULT_SUBSPACE_BUDGET = 10**6
-DEFAULT_SUBCODE_BUDGET = 10**7
+DEFAULT_SUBSPACE_BUDGET = 10**7
 
 # bytes.translate table sending each field element to the digit "0" or "1"
 _NONZERO_DIGIT = b"0" + b"1" * 255
@@ -50,14 +49,12 @@ def _support_mask(word) -> int:
 
 @dataclass(frozen=True)
 class PluckerPoint:
-    """A subspace as a normalized minor vector plus its echelon basis.
+    """A subspace as its normalized minor vector.
 
-    Equality and hashing use the coordinates only; the matrix rides along
-    as the witness basis.
+    Equality and hashing use the coordinates only.
     """
 
     coords: tuple[int, ...]
-    matrix: Matrix = field(compare=False)
     support_mask: int = field(init=False, compare=False, default=0)
 
     def __post_init__(self):
@@ -72,7 +69,9 @@ def enumerate_grassmannian(
     Echelon representatives come out already normalized: the colex-least
     nonzero minor sits at the pivot column set and equals 1.  Both facts
     are checked, as are the count and distinctness of the resulting points;
-    a failed check raises ArithmeticError.
+    a failed check raises ArithmeticError.  The points come in the order in
+    which rref_span_matrices(F, ell, m) yields their echelon bases, so
+    zipping the two pairs each point with its basis.
     """
     count = gaussian_binom(m, ell, F.q)
     check_budget(count, f"subspaces for (ell={ell}, m={m}, q={F.q})", budget)
@@ -88,7 +87,7 @@ def enumerate_grassmannian(
         first = next(i for i, c in enumerate(coords) if c)
         if coords[first] != 1:
             raise ArithmeticError("echelon representative not normalized")
-        points.append(PluckerPoint(coords, mat))
+        points.append(PluckerPoint(coords))
     if len(points) != count:
         raise ArithmeticError(f"{len(points)} subspaces enumerated, expected {count}")
     if len(set(points)) != count:
@@ -324,7 +323,7 @@ def schubert_code(
 
 
 def higher_weight(
-    code: CodeSystem, r: int, *, budget: int = DEFAULT_SUBCODE_BUDGET
+    code: CodeSystem, r: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> int:
     """d_r: the smallest support size over rank-r subcodes, by exhaustion
     over echelon representatives of the message-space subspaces."""
@@ -357,7 +356,7 @@ def higher_weight(
 
 
 def weight_hierarchy(
-    code: CodeSystem, *, budget: int = DEFAULT_SUBCODE_BUDGET
+    code: CodeSystem, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> tuple[int, ...]:
     """(d_1, ..., d_k).  Strict growth and d_k = n hold for any code built
     here (no repeated zero positions), so both are checked; a failed check
@@ -417,7 +416,7 @@ def verify_conjecture(
     r: int,
     *,
     family_budget: int = DEFAULT_FAMILY_BUDGET,
-    subcode_budget: int = DEFAULT_SUBCODE_BUDGET,
+    subcode_budget: int = DEFAULT_SUBSPACE_BUDGET,
 ) -> ConjectureReport:
     """Compare d_r with n minus the largest section over intersection-maximal
     row families; the system's parameters come from the code."""

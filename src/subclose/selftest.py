@@ -1,9 +1,10 @@
 """Built-in consistency checks behind the selftest subcommand.
 
-Fast mode stays under a few seconds and touches every module; full mode
-adds the heavier exhaustions.  Each check is a named zero-argument callable
-returning a bool, so failures localize and an exception counts as failure
-rather than aborting the run.
+One suite touches every module, including the exhaustions behind the
+paper's dualities, close-family certificates and proven cases, in well
+under a second.  Each check is a named zero-argument callable returning a
+bool, so failures localize and an exception counts as failure rather than
+aborting the run.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from . import codes, combinat, families, gf, graphs, serialize
+from . import codes, combinat, families, gf, graphs, linalg, serialize
 
 # K_r for ell=2 on 5 and 6 points, r = 0..C(m,2)
 GOLDEN_KR_2_5 = (0, 0, 1, 3, 6, 8, 12, 15, 19, 24, 30)
@@ -63,24 +64,13 @@ def _close_families() -> bool:
     return True
 
 
-def _dualities_small() -> bool:
-    k = math.comb(5, 2)
+def _dualities(*lattices: tuple[int, int]) -> bool:
     return all(
-        families.first_duality_check(2, 5, r)
-        and families.second_duality_check(2, 5, r)
-        for r in range(k + 1)
+        families.first_duality_check(ell, m, r)
+        and families.second_duality_check(ell, m, r)
+        for ell, m in lattices
+        for r in range(math.comb(m, ell) + 1)
     )
-
-
-def _dualities_medium() -> bool:
-    for ell, m in ((3, 5), (2, 6)):
-        k = math.comb(m, ell)
-        for r in range(k + 1):
-            if not families.first_duality_check(ell, m, r):
-                return False
-            if not families.second_duality_check(ell, m, r):
-                return False
-    return True
 
 
 def _graphs_small() -> bool:
@@ -140,10 +130,16 @@ def _schubert_f2() -> bool:
     sub = set(codes.enumerate_schubert(F, alpha, 2, 4))
     if len(sub) != 19:
         return False
-    for pt in codes.enumerate_grassmannian(F, 2, 4):
-        if codes.schubert_membership_flag(F, pt.matrix, alpha) != (pt in sub):
-            return False
-    return True
+    # enumerate_grassmannian lists the points in rref_span_matrices order
+    pairs = zip(
+        linalg.rref_span_matrices(F, 2, 4),
+        codes.enumerate_grassmannian(F, 2, 4),
+        strict=True,
+    )
+    return all(
+        codes.schubert_membership_flag(F, basis, alpha) == (pt in sub)
+        for basis, pt in pairs
+    )
 
 
 def _simplex_code() -> bool:
@@ -198,40 +194,31 @@ def _sum_identities() -> bool:
     return True
 
 
-def fast_checks() -> list[Check]:
-    return [
-        ("binomial-identities", _binomial_identities),
-        ("golden-kr-2-5", _golden_kr_2_5),
-        ("closed-vs-search", _closed_vs_search),
-        ("dualities-2-5", _dualities_small),
-        ("graphs-m5", _graphs_small),
-        ("field-tables", _field_tables),
-        ("grassmannian-f2-2-4", _grassmannian_f2),
-        ("schubert-f2-alpha-2-4", _schubert_f2),
-        ("simplex-code", _simplex_code),
-        ("serialization", _serialization),
-        ("sum-identities", _sum_identities),
-    ]
+CHECKS: tuple[Check, ...] = (
+    ("binomial-identities", _binomial_identities),
+    ("golden-kr-2-5", _golden_kr_2_5),
+    ("closed-vs-search", _closed_vs_search),
+    ("dualities-2-5", lambda: _dualities((2, 5))),
+    ("graphs-m5", _graphs_small),
+    ("field-tables", _field_tables),
+    ("grassmannian-f2-2-4", _grassmannian_f2),
+    ("schubert-f2-alpha-2-4", _schubert_f2),
+    ("simplex-code", _simplex_code),
+    ("serialization", _serialization),
+    ("sum-identities", _sum_identities),
+    ("golden-kr-2-6", _golden_kr_2_6),
+    ("dualities-3-5-and-2-6", lambda: _dualities((3, 5), (2, 6))),
+    ("graph-bounds-m6", _graph_bounds_m6),
+    ("weight-hierarchy-f2-2-4", _weight_hierarchy_f2),
+    ("conjecture-proven-cases", _conjecture_proven_cases),
+    ("close-families", _close_families),
+)
 
 
-def full_checks() -> list[Check]:
-    return fast_checks() + [
-        ("golden-kr-2-6", _golden_kr_2_6),
-        ("dualities-3-5-and-2-6", _dualities_medium),
-        ("graph-bounds-m6", _graph_bounds_m6),
-        ("weight-hierarchy-f2-2-4", _weight_hierarchy_f2),
-        ("conjecture-proven-cases", _conjecture_proven_cases),
-        ("close-families", _close_families),
-    ]
-
-
-def run_selftest(mode: str) -> list[tuple[str, bool]]:
-    """Run the named checks; exceptions count as failures."""
-    if mode not in ("fast", "full"):
-        raise ValueError(f"unknown selftest mode {mode!r}")
-    picked = fast_checks() if mode == "fast" else full_checks()
+def run_selftest() -> list[tuple[str, bool]]:
+    """Run every check; exceptions count as failures."""
     results = []
-    for name, fn in picked:
+    for name, fn in CHECKS:
         try:
             ok = bool(fn())
         except Exception:

@@ -106,11 +106,10 @@ def conjecture_report_doc(rep: ConjectureReport) -> dict:
     }
 
 
-def selftest_report_doc(mode: str, checks: list[tuple[str, bool]]) -> dict:
+def selftest_report_doc(checks: list[tuple[str, bool]]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "type": "selftest_report",
-        "mode": mode,
         "ok": all(ok for _, ok in checks),
         "checks": [{"name": name, "ok": ok} for name, ok in checks],
     }

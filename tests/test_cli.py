@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import re
 import subprocess
 import sys
 
@@ -363,11 +362,10 @@ def test_verify_internal_check_failure_exits_1(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- selftest
 
-def test_selftest_fast_passes(capsys):
-    code, out, err = run(capsys, "selftest", "--fast")
+def test_selftest_passes(capsys):
+    code, out, err = run(capsys, "selftest")
     assert code == 0 and err == ""
-    m = re.search(r"(\d+)/(\d+) checks passed", out)
-    assert m and m.group(1) == m.group(2)
+    assert out.endswith("\n17/17 checks passed\n")
     assert "FAIL" not in out
 
 
@@ -376,12 +374,13 @@ def test_selftest_json_document(capsys):
     assert code == 0
     doc = json.loads(out)
     validate_doc(doc)
-    assert doc["mode"] == "fast" and doc["ok"] is True
+    assert doc["ok"] is True and "mode" not in doc
+    assert len(doc["checks"]) == 17
 
 
 def test_selftest_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_selftest", lambda mode: [("boom", False), ("fine", True)]
+        cli, "run_selftest", lambda: [("boom", False), ("fine", True)]
     )
     code, out, _ = run(capsys, "selftest")
     assert code == 1
@@ -389,9 +388,12 @@ def test_selftest_reports_failures(capsys, monkeypatch):
     assert "1/2 checks passed" in out
 
 
-def test_selftest_modes_are_exclusive(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["selftest", "--fast", "--full"])
+@pytest.mark.parametrize("option", ["--fast", "--full"])
+def test_selftest_has_one_suite(capsys, option):
+    # the suite options are gone, so they are invalid parameters
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", option])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

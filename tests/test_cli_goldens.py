@@ -1,10 +1,15 @@
-"""Byte-identity pins for the kr-table, optimal and verify commands.
+"""Byte-identity pins for the kr-table, optimal, verify and selftest
+commands.
 
 Each case runs one cheap command in process and compares the sha256 of its
 stdout, and its exit status, with the value recorded before a refactor.
 The cases cover every output format, every kr-table mode, maximizer counts
 on both sides of the counting cap, a budget refusal and bad parameters, so
 a change meant to keep the output must leave every hash in place.
+
+The two selftest hashes were recorded when selftest became one suite of
+17 checks.  That change altered its output by design: the table lists all
+17 checks, and the JSON document lost its "mode" field.
 """
 
 import hashlib
@@ -60,6 +65,10 @@ GOLDENS = [
      EMPTY),
     ("verify --ell 2 --m 4 --q 2 --alpha 3,2", 2,
      EMPTY),
+    ("selftest", 0,
+     "d732376005f868cce748a28b4545096bf2620ca2547b9eb24c801bf4049cbca7"),
+    ("selftest --format json", 0,
+     "b4cf6d7293883337ce6d68adf1ab7ca2c388829be34054a053820e6f5744066f"),
 ]
 
 

@@ -1,16 +1,18 @@
 """Tests for subspace enumeration, the codes it spans, and their weights."""
 
+import inspect
 import random
 from functools import cached_property
 from itertools import combinations
 
 import pytest
 
+import subclose.cli as cli
 from subclose import codes
 from subclose.combinat import gaussian_binom
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r_value
 from subclose.gf import field_from_order
-from subclose.linalg import mat_rank, rref_span_matrices
+from subclose.linalg import det, mat_rank, rref_span_matrices
 from subclose.codes import (
     CodeSystem,
     PluckerPoint,
@@ -82,7 +84,7 @@ def random_code(F, rng, k, n):
     # build_code refuses a zero column or a rank below k; draw again
     while True:
         points = tuple(
-            PluckerPoint(tuple(rng.randrange(F.q) for _ in range(k)), ())
+            PluckerPoint(tuple(rng.randrange(F.q) for _ in range(k)))
             for _ in range(n)
         )
         try:
@@ -105,18 +107,22 @@ def test_grassmannian_counts():
 
 
 def test_points_are_normalized_with_witness_bases():
-    for pt in enumerate_grassmannian(F3, 2, 4):
+    # the points come in the order of their echelon bases, and each
+    # basis's 2 x 2 minors, in colex column order, are its point
+    pairs = zip(
+        rref_span_matrices(F3, 2, 4), enumerate_grassmannian(F3, 2, 4), strict=True
+    )
+    for basis, pt in pairs:
         first = next(c for c in pt.coords if c)
         assert first == 1
         assert len(pt.coords) == 6
-        assert mat_rank(F3, pt.matrix) == 2
-
-
-def test_point_equality_ignores_matrix():
-    a = PluckerPoint((1, 0, 1), ((1, 2),))
-    b = PluckerPoint((1, 0, 1), ((2, 1),))
-    assert a == b
-    assert a.support_mask == 0b101
+        assert mat_rank(F3, basis) == 2
+        minors = tuple(
+            det(F3, [[row[a], row[b]] for row in basis])
+            for b in range(4)
+            for a in range(b)
+        )
+        assert pt.coords == minors
 
 
 def test_enumeration_checks_survive_optimization(monkeypatch):
@@ -132,6 +138,26 @@ def test_budget_error_on_enumeration():
         enumerate_grassmannian(F2, 2, 5, budget=100)
 
 
+def test_one_subspace_budget_default():
+    # the library and the CLI refuse the same subspace and subcode counts
+    defaults = {
+        fn.__name__: inspect.signature(fn).parameters[param].default
+        for fn, param in (
+            (enumerate_grassmannian, "budget"),
+            (enumerate_schubert, "budget"),
+            (grassmann_code, "budget"),
+            (schubert_code, "budget"),
+            (higher_weight, "budget"),
+            (weight_hierarchy, "budget"),
+            (verify_conjecture, "subcode_budget"),
+        )
+    }
+    args = cli.build_parser().parse_args("verify --ell 2 --m 4 --q 2".split())
+    defaults["verify --budget-subspaces"] = args.budget_subspaces
+    assert codes.DEFAULT_SUBSPACE_BUDGET == 10**7
+    assert set(defaults.values()) == {codes.DEFAULT_SUBSPACE_BUDGET}, defaults
+
+
 # ---------------------------------------------------------------- plucker
 
 def test_plucker_relations_hold_everywhere():
@@ -142,7 +168,7 @@ def test_plucker_relations_hold_everywhere():
 
 def test_plucker_relations_reject_corruption():
     # support {12, 34} alone violates p12*p34 - p13*p24 + p14*p23 = 0
-    fake = PluckerPoint((1, 0, 0, 0, 0, 1), ((1, 0, 0, 0), (0, 1, 0, 0)))
+    fake = PluckerPoint((1, 0, 0, 0, 0, 1))
     assert not check_plucker_relations(F2, fake, 2, 4)
 
 
@@ -188,9 +214,14 @@ def test_membership_flag_agrees_with_vanishing():
         allowed = 0
         for pos in schubert_support(alpha, 2, 4):
             allowed |= 1 << pos
-        for pt in enumerate_grassmannian(F2, 2, 4):
+        pairs = zip(
+            rref_span_matrices(F2, 2, 4),
+            enumerate_grassmannian(F2, 2, 4),
+            strict=True,
+        )
+        for basis, pt in pairs:
             by_support = pt.support_mask & ~allowed == 0
-            by_flag = schubert_membership_flag(F2, pt.matrix, alpha)
+            by_flag = schubert_membership_flag(F2, basis, alpha)
             assert by_support == by_flag, (alpha, pt.coords)
 
 
@@ -199,9 +230,14 @@ def test_membership_flag_agrees_over_f3():
         allowed = 0
         for pos in schubert_support(alpha, 2, 4):
             allowed |= 1 << pos
-        for pt in enumerate_grassmannian(F3, 2, 4):
+        pairs = zip(
+            rref_span_matrices(F3, 2, 4),
+            enumerate_grassmannian(F3, 2, 4),
+            strict=True,
+        )
+        for basis, pt in pairs:
             assert (pt.support_mask & ~allowed == 0) == schubert_membership_flag(
-                F3, pt.matrix, alpha
+                F3, basis, alpha
             )
 
 
@@ -435,9 +471,9 @@ def test_conjecture_no_subclose_verdict():
     # a hand-built system on the rows (1,2) and (3,4), whose labels are
     # disjoint: no pair of rows can attain K_2(2,4) = 1
     pts = (
-        PluckerPoint((1, 0, 0, 0, 0, 0), ()),
-        PluckerPoint((0, 0, 0, 0, 0, 1), ()),
-        PluckerPoint((1, 0, 0, 0, 0, 1), ()),
+        PluckerPoint((1, 0, 0, 0, 0, 0)),
+        PluckerPoint((0, 0, 0, 0, 0, 1)),
+        PluckerPoint((1, 0, 0, 0, 0, 1)),
     )
     code = build_code(F2, 2, 4, None, pts, (0, 5))
     assert code.row_labels == ((1, 2), (3, 4))

@@ -1,9 +1,12 @@
-"""Load-bearing invariants in the package must survive ``python -O``."""
+"""Source invariants: load-bearing checks survive ``python -O``, and no
+import or command line option is dead."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import subclose
+import subclose.cli as cli
 
 PACKAGE = Path(subclose.__file__).parent
 
@@ -86,3 +89,27 @@ def test_no_unused_imports():
     paths += sorted(Path(__file__).parent.glob("*.py"))
     found = [entry for path in paths for entry in unused_imports(path)]
     assert not found, f"unused imports: {', '.join(found)}"
+
+
+def test_every_cli_option_is_read():
+    # an option no handler reads is a knob that changes nothing
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    (subparsers,) = (
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    unread = [
+        f"{command}: {(action.option_strings or [action.dest])[0]}"
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.dest != "help" and action.dest not in read
+    ]
+    assert not unread, f"options no handler reads: {', '.join(unread)}"

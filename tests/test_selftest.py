@@ -1,27 +1,19 @@
-"""The built-in consistency suite must be green in both modes."""
+"""The built-in consistency suite must be green and catch broken answers."""
 
 import dataclasses
 
-from subclose import families
-from subclose.selftest import full_checks, run_selftest
+from subclose import codes, families, selftest
+from subclose.selftest import CHECKS, run_selftest
 
 
-def test_fast_suite_all_green():
-    results = run_selftest("fast")
-    assert results, "fast suite ran no checks"
+def test_suite_all_green():
+    results = run_selftest()
+    assert [name for name, _ in results] == [name for name, _ in CHECKS]
+    assert len(results) == 17
     assert all(ok for _, ok in results), [n for n, ok in results if not ok]
 
 
-def test_full_suite_extends_fast_and_is_green():
-    fast = run_selftest("fast")
-    full = run_selftest("full")
-    fast_names = [name for name, _ in fast]
-    full_names = [name for name, _ in full]
-    assert set(fast_names) < set(full_names)
-    assert all(ok for _, ok in full), [n for n, ok in full if not ok]
-
-
-def test_fast_suite_catches_a_wrong_closed_form(monkeypatch):
+def test_suite_catches_a_wrong_closed_form(monkeypatch):
     sane = families._closed_record
 
     def doctored(ell, m, r):
@@ -31,7 +23,7 @@ def test_fast_suite_catches_a_wrong_closed_form(monkeypatch):
         return rec
 
     monkeypatch.setattr(families, "_closed_record", doctored)
-    failed = {name for name, ok in run_selftest("fast") if not ok}
+    failed = {name for name, ok in run_selftest() if not ok}
     assert {"golden-kr-2-5", "closed-vs-search"} <= failed
 
 
@@ -42,7 +34,7 @@ def test_full_suite_catches_a_wrong_close_witness(monkeypatch):
         w = sane(fam)
         return dataclasses.replace(w, tail=w.tail[:-1]) if fam.size == 3 else w
 
-    check = dict(full_checks())["close-families"]
+    check = dict(CHECKS)["close-families"]
     assert check()
     monkeypatch.setattr(families, "classify_close", doctored)
     assert not check()
@@ -50,5 +42,27 @@ def test_full_suite_catches_a_wrong_close_witness(monkeypatch):
         families,
         "classify_close",
         lambda fam: families.CloseFamilyWitness(families.CloseKind.NOT_CLOSE),
+    )
+    assert not check()
+
+
+def test_schubert_check_catches_a_wrong_flag_or_basis_order(monkeypatch):
+    # the check pairs each point with the basis rref_span_matrices yields
+    # at the same position; a doctored flag or a shuffled basis list fails
+    check = dict(CHECKS)["schubert-f2-alpha-2-4"]
+    assert check()
+    with monkeypatch.context() as patch:
+        sane = codes.schubert_membership_flag
+        patch.setattr(
+            codes,
+            "schubert_membership_flag",
+            lambda F, matrix, alpha: not sane(F, matrix, alpha),
+        )
+        assert not check()
+    sane_bases = selftest.linalg.rref_span_matrices
+    monkeypatch.setattr(
+        selftest.linalg,
+        "rref_span_matrices",
+        lambda F, r, n: reversed(list(sane_bases(F, r, n))),
     )
     assert not check()
