@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from heapq import nlargest
+from itertools import islice
 
 from .combinat import SubsetIndexer, mask_of, set_of
 
@@ -29,9 +29,21 @@ class BudgetError(RuntimeError):
 
 
 def check_budget(count: int, what: str, budget: int) -> None:
-    """The one budget wall: refuse count units of work above budget."""
+    """The one budget wall: refuse count units of work above budget.
+
+    A count too long for int-to-str conversion is named by its number of
+    decimal digits instead.
+    """
     if count > budget:
-        raise BudgetError(f"{count} {what} exceed budget {budget}")
+        try:
+            shown = str(count)
+        except ValueError:
+            # log10(2) rounded down, so the count of digits starts low
+            digits = int((count.bit_length() - 1) * 0.30102999)
+            while 10**digits <= count:
+                digits += 1
+            shown = f"a {digits}-digit number of"
+        raise BudgetError(f"{shown} {what} exceed budget {budget}")
 
 
 DEFAULT_FAMILY_BUDGET = 10**8
@@ -324,62 +336,68 @@ def _check_witness(fam: SubsetFamily, value: int) -> None:
         )
 
 
-def _member_bits(masks) -> list[tuple[int, ...]]:
-    return [tuple(i for i in range(mask.bit_length()) if mask >> i & 1) for mask in masks]
-
-
-def _walk(bits, k: int, m: int, ell: int, r: int, ties: bool):
+def _walk(masks, ell: int, r: int, ties: bool):
     """Max pairwise intersection sum over r-member families, with attainers.
 
     Branch and bound over index combinations in lexicographic order, which
-    is colex order on families.  The bound is admissible: a candidate's ties
-    to the chosen part are counted exactly (top s of them), and every pair
-    of still-undecided members can meet in at most ell-1 points, so it never
-    underestimates a completion.  With ties=False a bound equal to the best
-    so far is cut and only strict improvements are kept, so the one attainer
-    returned is the colex-least maximizer.  With ties=True only a bound
-    below the best is cut and every maximizer is returned, in colex order.
-    Returns (value, attainers) with attainers as index tuples.
+    is colex order on families.  Each node carries a load vector: load[off]
+    is the tie of candidate start+off to the chosen part, the sum of its
+    intersections with the chosen members.  A child's load is the parent's
+    load for the later candidates plus the new member's intersections with
+    them, so a node costs one pass over the remaining candidates and the
+    walk holds one load vector per depth, O(k*r) in all, with no k x k
+    intersection table.  The loads are only a cheaper way to the same
+    numbers: the bound, the order and the cuts are those of a walk that
+    recounts every tie at every node, and it visits the same nodes.
+
+    The bound is admissible: the top s loads count the ties to the chosen
+    part exactly, and every pair of still-undecided members can meet in at
+    most ell-1 points, so it never underestimates a completion.  With
+    ties=False a bound equal to the best so far is cut and only strict
+    improvements are kept, so the one attainer returned is the colex-least
+    maximizer.  With ties=True only a bound below the best is cut and every
+    maximizer is returned, in colex order.  Returns (value, attainers) with
+    attainers as index tuples.
     """
     if r == 0:
         return 0, [()]
+    k = len(masks)
     lm1 = ell - 1
-    elcount = [0] * m
     chosen: list[int] = []
     best = -1
     found: list[tuple[int, ...]] = []
 
-    def go(start: int, cur: int) -> None:
+    def go(start: int, cur: int, load: list[int]) -> None:
         nonlocal best, found
         s = r - len(chosen)
-        contribs = [sum(elcount[e] for e in bits[j]) for j in range(start, k)]
-        ub = cur + sum(nlargest(s, contribs)) + lm1 * s * (s - 1) // 2
+        if s == 1:
+            # the bound is the best completion, cur + max(load)
+            ub = cur + max(load)
+        else:
+            ub = cur + sum(sorted(load)[-s:]) + lm1 * s * (s - 1) // 2
         if ub < best or (ub == best and not ties):
             return
         if s == 1:
-            # here ub is the best completion, cur + max(contribs)
             if ub > best:
                 best, found = ub, []
             if ties:
                 found += [
                     (*chosen, start + off)
-                    for off, c in enumerate(contribs)
+                    for off, c in enumerate(load)
                     if cur + c == best
                 ]
             else:
-                found.append((*chosen, start + contribs.index(best - cur)))
+                found.append((*chosen, start + load.index(best - cur)))
             return
         for off in range(k - s + 1 - start):
             j = start + off
+            a = masks[j]
+            later = zip(islice(load, off + 1, None), islice(masks, j + 1, None))
             chosen.append(j)
-            for e in bits[j]:
-                elcount[e] += 1
-            go(j + 1, cur + contribs[off])
-            for e in bits[j]:
-                elcount[e] -= 1
+            go(j + 1, cur + load[off], [c + (a & b).bit_count() for c, b in later])
             chosen.pop()
 
-    go(0, 0)
+    go(0, 0, [0] * k)
     return best, found
 
 
@@ -397,7 +415,7 @@ def _search(ell: int, m: int, r: int, budget: int, ties: bool):
         math.comb(k, r), f"candidate families for (ell={ell}, m={m}, r={r})", budget
     )
     masks = idx.masks
-    value, attainers = _walk(_member_bits(masks), k, m, ell, r, ties)
+    value, attainers = _walk(masks, ell, r, ties)
     first = SubsetFamily(ell, m, tuple(masks[i] for i in attainers[0]))
     _check_witness(first, value)
     return value, first, attainers
@@ -451,7 +469,8 @@ def k_r(
     if mode == "closed" or (mode == "auto" and closed is not None):
         return closed
     if mode == "auto":
-        if 1 << math.comb(m, ell) <= _COUNT_CAP:
+        # 2^k <= _COUNT_CAP without building the k-bit integer 2^k
+        if math.comb(m, ell) < _COUNT_CAP.bit_length():
             value, first, attainers = _search(ell, m, r, budget, ties=True)
             return KrRecord(ell, m, r, value, "brute_force", first, len(attainers))
         return k_r_oracle(ell, m, r, budget=budget)

@@ -125,6 +125,18 @@ def test_kr_table_budget_exceeded_exits_1(capsys):
     assert "6435" in err and "budget 100" in err
 
 
+@pytest.mark.parametrize("mode", ["oracle", "auto"])
+def test_kr_table_refuses_a_count_too_long_to_print(capsys, mode):
+    # C(C(40, 20), 500) has 4436 digits, more than int-to-str conversion
+    # allows by default
+    code, out, err = run(
+        capsys, "kr-table", "--ell", "20", "--m", "40", "--r", "500", "--mode", mode,
+    )
+    assert (code, out) == (1, "")
+    assert "candidate families for (ell=20, m=40, r=500)" in err
+    assert err.endswith("exceed budget 100000000\n")
+
+
 def test_kr_table_count_does_not_depend_on_the_budget(capsys):
     # both walks refuse the same C(10, 5) = 252 candidates, so a budget that
     # admits them changes nothing, the maximizer count included

@@ -10,9 +10,15 @@ a change meant to keep the output must leave every hash in place.
 The two selftest hashes were recorded when selftest became one suite of
 17 checks.  That change altered its output by design: the table lists all
 17 checks, and the JSON document lost its "mode" field.
+
+The benchmark's own goldens, perfbench/goldens.json, are read here too and
+checked in process, so an output drift on a benchmark command fails this
+suite and not only the benchmark.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +83,17 @@ def test_cli_output_is_pinned(capsys, command, status, digest):
     assert cli.main(command.split()) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BENCHMARK_GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(BENCHMARK_GOLDENS))
+def test_benchmark_output_is_pinned(capsys, command):
+    golden = BENCHMARK_GOLDENS[command]
+    assert cli.main(command.split()) == golden["exit"]
+    out = capsys.readouterr().out.encode()
+    assert len(out) == golden["bytes"]
+    assert hashlib.sha256(out).hexdigest() == golden["sha256"]

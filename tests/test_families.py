@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import math
 import random
+import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -512,10 +514,51 @@ def test_oracle_budget_error_names_count():
         k_r_oracle(2, 6, 7, budget=100)
 
 
-def test_budget_is_checked_before_the_caches():
+def test_budget_is_checked_on_every_call():
     k_r(2, 6, 7)
     with pytest.raises(BudgetError):
         k_r(2, 6, 7, budget=1)
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs, and fn's result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_cap_is_decided_without_building_2_to_the_k():
+    # the lattice of C(34, 10) = 131128140 ell-subsets has 2^131128140
+    # subfamilies; writing that number down takes 16 MB
+    def refuse():
+        with pytest.raises(BudgetError, match=r"\(ell=10, m=34, r=100\)"):
+            k_r(10, 34, 100)
+
+    peak, _ = traced_peak(refuse)
+    assert peak < 2**20
+
+
+def test_walk_memory_is_linear_in_the_lattice():
+    # 780 two-subsets of {1..40}: a table of all pairwise intersections
+    # would hold 608400 entries, about 5 MB
+    peak, rec = traced_peak(lambda: k_r_oracle(2, 40, 2))
+    assert rec.value == 1
+    assert peak < 2**20
+
+
+def test_budget_names_an_unprintable_count_by_its_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    with pytest.raises(BudgetError) as caught:
+        families.check_budget(10**limit, "units", 7)
+    assert str(caught.value) == f"a {limit + 1}-digit number of units exceed budget 7"
+    with pytest.raises(BudgetError) as caught:
+        families.check_budget(10**limit - 1, "units", 7)
+    assert str(caught.value) == "9" * limit + " units exceed budget 7"
 
 
 def test_out_of_range_r():
