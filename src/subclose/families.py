@@ -352,7 +352,8 @@ def _walk(masks, ell: int, r: int, ties: bool):
 
     The bound is admissible: the top s loads count the ties to the chosen
     part exactly, and every pair of still-undecided members can meet in at
-    most ell-1 points, so it never underestimates a completion.  With
+    most ell-1 points, so it never underestimates a completion; at s = 1
+    it is cur + max(load), the best completion itself.  With
     ties=False a bound equal to the best so far is cut and only strict
     improvements are kept, so the one attainer returned is the colex-least
     maximizer.  With ties=True only a bound below the best is cut and every
@@ -370,11 +371,7 @@ def _walk(masks, ell: int, r: int, ties: bool):
     def go(start: int, cur: int, load: list[int]) -> None:
         nonlocal best, found
         s = r - len(chosen)
-        if s == 1:
-            # the bound is the best completion, cur + max(load)
-            ub = cur + max(load)
-        else:
-            ub = cur + sum(sorted(load)[-s:]) + lm1 * s * (s - 1) // 2
+        ub = cur + sum(sorted(load)[-s:]) + lm1 * s * (s - 1) // 2
         if ub < best or (ub == best and not ties):
             return
         if s == 1:
