@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .combinat import SubsetIndexer, gaussian_binom, mask_of, set_of
 from .families import (
@@ -61,31 +62,41 @@ class PluckerPoint:
         object.__setattr__(self, "support_mask", _support_mask(self.coords))
 
 
+def _minor_columns(cols: tuple[int, ...]):
+    """Getter taking a minor's columns, in order, out of a column tuple."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    # itemgetter gives a bare column for one index and needs at least one;
+    # a slice keeps the result a tuple of columns, empty for ell = 0
+    start = cols[0] if cols else 0
+    return itemgetter(slice(start, start + len(cols)))
+
+
 def enumerate_grassmannian(
     F: FieldTable, ell: int, m: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> tuple[PluckerPoint, ...]:
     """All ell-subspaces of F^m as minor-coordinate points.
 
     Echelon representatives come out already normalized: the colex-least
-    nonzero minor sits at the pivot column set and equals 1.  Both facts
-    are checked, as are the count and distinctness of the resulting points;
-    a failed check raises ArithmeticError.  The points come in the order in
-    which rref_span_matrices(F, ell, m) yields their echelon bases, so
-    zipping the two pairs each point with its basis.
+    nonzero minor sits at the pivot column set, which echelon form
+    guarantees, and equals 1, which is checked.  So are the count and the
+    distinctness of the resulting points; a failed check raises
+    ArithmeticError.  The points come in the order in which
+    rref_span_matrices(F, ell, m) yields their echelon bases, so zipping
+    the two pairs each point with its basis.
     """
     count = gaussian_binom(m, ell, F.q)
     check_budget(count, f"subspaces for (ell={ell}, m={m}, q={F.q})", budget)
-    idx = SubsetIndexer(ell, m)
-    col_sets = [
-        tuple(t for t in range(m) if mask >> t & 1) for mask in idx.masks
+    picks = [
+        _minor_columns(tuple(t for t in range(m) if mask >> t & 1))
+        for mask in SubsetIndexer(ell, m).masks
     ]
     points = []
     for mat in rref_span_matrices(F, ell, m):
         # a minor's columns, taken as rows, have the same determinant
         columns = tuple(zip(*mat))
-        coords = tuple(det(F, [columns[c] for c in cols]) for cols in col_sets)
-        first = next(i for i, c in enumerate(coords) if c)
-        if coords[first] != 1:
+        coords = tuple([det(F, pick(columns)) for pick in picks])
+        if next(c for c in coords if c) != 1:
             raise ArithmeticError("echelon representative not normalized")
         points.append(PluckerPoint(coords))
     if len(points) != count:
@@ -335,7 +346,15 @@ def higher_weight(
         budget,
     )
     if r < code.kdim:
-        # [k, r]_q >= [k, 1]_q here, so the table costs no more than the search
+        # the table holds [k, 1]_q codewords of length n: charge its
+        # entries before it is built, since its masks can far outgrow
+        # the subcode search itself
+        words = gaussian_binom(code.kdim, 1, code.F.q)
+        check_budget(
+            words * code.n,
+            f"support-table entries ({words} codewords of length {code.n})",
+            budget,
+        )
         supports = code.support_table
     else:
         # the one rank-k subcode is spanned by the unit messages, whose

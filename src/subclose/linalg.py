@@ -14,6 +14,8 @@ from .gf import FieldTable
 
 Matrix = tuple[tuple[int, ...], ...]
 
+_NOT_SQUARE = "determinant needs a square matrix"
+
 
 def rref(F: FieldTable, rows) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns (0-based)."""
@@ -49,25 +51,35 @@ def mat_rank(F: FieldTable, rows) -> int:
 
 def det(F: FieldTable, rows) -> int:
     """Determinant of a square matrix: cofactor expansion up to 3 x 3,
-    elimination beyond."""
+    elimination beyond.
+
+    A 2 x 2 or 3 x 3 matrix is unpacked straight into its entries, so a
+    ragged row fails the unpacking rather than a separate length check.
+    """
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
     add, mul, neg = F.add, F.mul, F.neg
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
     if n == 2:
-        (a, b), (c, d) = rows
+        try:
+            (a, b), (c, d) = rows
+        except ValueError:
+            raise ValueError(_NOT_SQUARE) from None
         return add[mul[a][d]][neg[mul[b][c]]]
     if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
+        try:
+            (a, b, c), (d, e, f), (g, h, i) = rows
+        except ValueError:
+            raise ValueError(_NOT_SQUARE) from None
         minor_a = add[mul[e][i]][neg[mul[f][h]]]
         minor_b = add[mul[d][i]][neg[mul[f][g]]]
         minor_c = add[mul[d][h]][neg[mul[e][g]]]
         return add[add[mul[a][minor_a]][neg[mul[b][minor_b]]]][mul[c][minor_c]]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(_NOT_SQUARE)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
     mat = [list(row) for row in rows]
     result = 1
     swaps = 0

@@ -362,6 +362,19 @@ def test_verify_budget_exits_1(capsys):
     assert "budget 100" in err
 
 
+def test_verify_refuses_a_support_table_over_budget(capsys):
+    # 4745 points and 37449 rank-1 subcodes pass their walls, but the
+    # table of 37449 codewords of length 4745 does not
+    code, out, err = run(
+        capsys, "verify", "--ell", "2", "--m", "4", "--q", "8", "--r", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 177695505 support-table entries (37449 codewords of length "
+        "4745) exceed budget 10000000\n"
+    )
+
+
 def test_verify_internal_check_failure_exits_1(capsys, monkeypatch):
     # a failed internal check is an error line and exit 1, not a traceback
     monkeypatch.setattr(codes, "mat_rank", lambda F, rows: 0)

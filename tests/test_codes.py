@@ -1,6 +1,7 @@
 """Tests for subspace enumeration, the codes it spans, and their weights."""
 
 import inspect
+import math
 import random
 from functools import cached_property
 from itertools import combinations
@@ -9,7 +10,7 @@ import pytest
 
 import subclose.cli as cli
 from subclose import codes
-from subclose.combinat import gaussian_binom
+from subclose.combinat import SubsetIndexer, gaussian_binom
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r_value
 from subclose.gf import field_from_order
 from subclose.linalg import det, mat_rank, rref_span_matrices
@@ -123,6 +124,40 @@ def test_points_are_normalized_with_witness_bases():
             for a in range(b)
         )
         assert pt.coords == minors
+
+
+def minor_vectors_reference(F, ell, m):
+    # every minor taken straight from the basis rows, one comprehension
+    # per minor, column sets in colex order
+    col_sets = [
+        tuple(t for t in range(m) if mask >> t & 1)
+        for mask in SubsetIndexer(ell, m).masks
+    ]
+    return [
+        tuple(det(F, [[row[c] for c in cols] for row in basis]) for cols in col_sets)
+        for basis in rref_span_matrices(F, ell, m)
+    ]
+
+
+def test_enumeration_matches_the_minor_by_minor_reference(monkeypatch):
+    calls = []
+    sane = codes.det
+
+    def counted(F, rows):
+        calls.append(rows)
+        return sane(F, rows)
+
+    monkeypatch.setattr(codes, "det", counted)
+    cases = [
+        (q, ell, m) for q in (2, 3, 4) for m in range(6) for ell in range(m + 1)
+    ]
+    for q, ell, m in cases + [(2, 3, 6)]:
+        F = field_from_order(q)
+        calls.clear()
+        got = [pt.coords for pt in enumerate_grassmannian(F, ell, m)]
+        # one det call per point and column set
+        assert len(calls) == len(got) * math.comb(m, ell), (q, ell, m)
+        assert got == minor_vectors_reference(F, ell, m), (q, ell, m)
 
 
 def test_enumeration_checks_survive_optimization(monkeypatch):
@@ -321,6 +356,22 @@ def test_higher_weight_validation_and_budget():
         higher_weight(code, 2, budget=100)
     with pytest.raises(BudgetError):
         weight_hierarchy(code, budget=100)
+
+
+def test_support_table_is_charged_against_the_budget():
+    # [6, 1]_4 = 1365 codewords of length 357: 487305 table entries, far
+    # more than the 1365 rank-1 subcodes the search itself walks
+    code = grassmann_code(F4, 2, 4)
+    with pytest.raises(
+        BudgetError,
+        match=r"^487305 support-table entries \(1365 codewords of length 357\) "
+        r"exceed budget 487304$",
+    ):
+        higher_weight(code, 1, budget=487304)
+    assert "support_table" not in vars(code)
+    assert higher_weight(code, 1, budget=487305) == 256
+    # r = k reads the generator rows and builds no table
+    assert higher_weight(grassmann_code(F2, 2, 4), 6, budget=1) == 35
 
 
 def test_schubert_code_refuses_before_any_per_subset_work(monkeypatch):

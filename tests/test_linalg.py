@@ -161,6 +161,13 @@ def test_det_rejects_non_square():
         for bad in ([[1] * (n + 1)] + square[1:], square[:-1] + [[1] * (n - 1)]):
             with pytest.raises(ValueError, match="square"):
                 det(F2, bad)
+    # 2 x 2 and 3 x 3 unpack their rows rather than measure them
+    for n in (2, 3):
+        for width in (0, n - 1, n + 1):
+            bad = [[1] * n for _ in range(n)]
+            bad[n // 2] = [1] * width
+            with pytest.raises(ValueError, match="square"):
+                det(F2, bad)
 
 
 def test_det_closed_forms_match_elimination_exhaustively():
