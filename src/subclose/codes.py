@@ -48,7 +48,7 @@ def _support_mask(word) -> int:
     return int(bytes(reversed(word)).translate(_NONZERO_DIGIT), 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PluckerPoint:
     """A subspace as its normalized minor vector.
 

@@ -54,6 +54,10 @@ DEFAULT_FAMILY_BUDGET = 10**8
 # which K_r records carry a count
 _COUNT_CAP = 1 << 22
 
+# the walk recurses once per member, and Python stops at 1000 frames by
+# default: a deeper walk is refused up front, leaving room for its callers
+_WALK_DEPTH_CAP = 900
+
 
 class CloseKind(enum.Enum):
     TYPE_I = "TypeI"
@@ -292,7 +296,9 @@ class KrRecord:
     when the ground family is too large to enumerate.  maximizer_count is
     filled only by k_r in auto mode, on a brute-force record whose lattice
     has at most _COUNT_CAP subfamilies; it is None otherwise, and never
-    depends on the budget.
+    depends on the budget.  It is counted from the maximizers through colex
+    member 0, which rows above k/2 read from the complements of the
+    maximizers for k-r (see _counted_record).
     """
 
     ell: int
@@ -336,17 +342,20 @@ def _check_witness(fam: SubsetFamily, value: int) -> None:
         )
 
 
-def _walk(masks, ell: int, r: int, ties: bool):
+def _walk(masks, ell: int, r: int, ties: bool, *, through_first: bool = False):
     """Max pairwise intersection sum over r-member families, with attainers.
 
     Branch and bound over index combinations in lexicographic order, which
-    is colex order on families.  Each node carries a load vector: load[off]
-    is the tie of candidate start+off to the chosen part, the sum of its
-    intersections with the chosen members.  A child's load is the parent's
-    load for the later candidates plus the new member's intersections with
-    them, so a node costs one pass over the remaining candidates and the
-    walk holds one load vector per depth, O(k*r) in all, with no k x k
-    intersection table.  The loads are only a cheaper way to the same
+    is colex order on families.  With through_first the root has member 0
+    already chosen, its load the intersections of masks[0] with the later
+    candidates, and the walk ranges only over the families through member
+    0; the counted route of k_r lists its maximizers this way.  Each node
+    carries a load vector: load[off] is the tie of candidate start+off to
+    the chosen part, the sum of its intersections with the chosen members.
+    A child's load is the parent's load for the later candidates plus the
+    new member's intersections with them, so a node costs one pass over the
+    remaining candidates and the walk holds one load vector per depth,
+    O(k*r) in all, with no k x k intersection table.  The loads are only a cheaper way to the same
     numbers: the bound, the order and the cuts are those of a walk that
     recounts every tie at every node, and it visits the same nodes.
 
@@ -394,28 +403,85 @@ def _walk(masks, ell: int, r: int, ties: bool):
             go(j + 1, cur + load[off], [c + (a & b).bit_count() for c, b in later])
             chosen.pop()
 
-    go(0, 0, [0] * k)
+    if not through_first:
+        go(0, 0, [0] * k)
+    elif r == 1:
+        # no member is left undecided, and the bound would read
+        # sorted(load)[-0:], the whole list
+        return 0, [(0,)]
+    else:
+        first = masks[0]
+        chosen.append(0)
+        go(1, 0, [(first & b).bit_count() for b in islice(masks, 1, None)])
     return best, found
 
 
-def _search(ell: int, m: int, r: int, budget: int, ties: bool):
-    """Range and budget checks, then the walk.
-
-    Returns the value, the colex-least maximizer (its witness checked) and
-    every attainer the walk kept, as index tuples into the colex masks.
-    """
+def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
+    """The colex masks of the ell-subsets, once r passes the range check,
+    the candidate budget and the walk's depth cap."""
     idx = SubsetIndexer(ell, m)
     k = idx.size
     if not 0 <= r <= k:
         raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
-    check_budget(
-        math.comb(k, r), f"candidate families for (ell={ell}, m={m}, r={r})", budget
-    )
-    masks = idx.masks
+    what = f"for (ell={ell}, m={m}, r={r})"
+    check_budget(math.comb(k, r), f"candidate families {what}", budget)
+    check_budget(r, f"walk levels {what}", _WALK_DEPTH_CAP)
+    return idx.masks
+
+
+def _search(ell: int, m: int, r: int, budget: int, ties: bool):
+    """Range, budget and depth checks, then the walk.
+
+    Returns the value, the colex-least maximizer (its witness checked) and
+    every attainer the walk kept, as index tuples into the colex masks.
+    """
+    masks = _checked_masks(ell, m, r, budget)
     value, attainers = _walk(masks, ell, r, ties)
     first = SubsetFamily(ell, m, tuple(masks[i] for i in attainers[0]))
     _check_witness(first, value)
     return value, first, attainers
+
+
+def _counted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
+    """Brute-force record with its maximizer count, from the maximizers
+    through colex member 0 alone (1 <= r < k).
+
+    S_m acts on the ell-subsets transitively and maps maximizers to
+    maximizers, so every member lies in the same number c0 of the N
+    maximizers.  Counting the pairs (F, A) with A a member of a maximizer F
+    both ways gives r * N = k * c0.  By the same transitivity some maximizer
+    contains member 0, the set {1..ell}, and every family through member 0
+    sorts before every family without it, so the colex-least maximizer is
+    the least of those through member 0.
+
+    For r <= k/2 the walk lists them directly.  Above k/2 it lists the
+    maximizers for k-r that avoid member 0, on masks[1:] (some maximizer for
+    k-r < k misses a member, so by transitivity one avoids member 0, and the
+    maximum there is K_{k-r}): a family avoids
+    member 0 exactly when its complement within all ell-subsets contains it,
+    and complementing adds complement_value's constant to K, so the
+    complements are the maximizers for r through member 0.
+    """
+    masks = _checked_masks(ell, m, r, budget)
+    k = len(masks)
+    if 2 * r <= k:
+        value, through = _walk(masks, ell, r, True, through_first=True)
+    else:
+        co_value, avoiding = _walk(masks[1:], ell, k - r, True)
+        value = complement_value(ell, m, k - r, co_value)
+        through = []
+        for chosen in avoiding:
+            out = {i + 1 for i in chosen}
+            through.append(tuple(i for i in range(k) if i not in out))
+    count, rest = divmod(k * len(through), r)
+    if rest:
+        raise ArithmeticError(
+            f"orbit count {k} * {len(through)} / {r} is not whole at "
+            f"(ell={ell}, m={m}, r={r})"
+        )
+    first = SubsetFamily(ell, m, tuple(masks[i] for i in min(through)))
+    _check_witness(first, value)
+    return KrRecord(ell, m, r, value, "brute_force", first, count)
 
 
 def k_r_oracle(
@@ -453,10 +519,12 @@ def k_r(
     """K_r in one of four modes.
 
     "closed" returns the closed-form record, or None in the open middle
-    range; "auto" prefers it, then searches, keeping every tie and the
-    maximizer count when the lattice has at most _COUNT_CAP subfamilies and
-    otherwise running k_r_oracle, with the same value, maximizer and budget
-    either way; "oracle" forces the per-r search; "both" runs the search,
+    range; "auto" prefers it, then searches: when the lattice has at most
+    _COUNT_CAP subfamilies it lists every maximizer through colex member 0,
+    for r > k/2 as the complements of the maximizers for k-r that avoid it,
+    and counts all maximizers from them (_counted_record); otherwise it runs
+    k_r_oracle, with the same value, maximizer and budget either way;
+    "oracle" forces the per-r search; "both" runs the search,
     raises ArithmeticError when a closed form disagrees with it, and returns
     the closed-form record where one applies.
     """
@@ -468,8 +536,7 @@ def k_r(
     if mode == "auto":
         # 2^k <= _COUNT_CAP without building the k-bit integer 2^k
         if math.comb(m, ell) < _COUNT_CAP.bit_length():
-            value, first, attainers = _search(ell, m, r, budget, ties=True)
-            return KrRecord(ell, m, r, value, "brute_force", first, len(attainers))
+            return _counted_record(ell, m, r, budget)
         return k_r_oracle(ell, m, r, budget=budget)
     direct = k_r_oracle(ell, m, r, budget=budget)
     if closed is None:

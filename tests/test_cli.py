@@ -447,6 +447,26 @@ def test_missing_required_args_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kr-table", "--ell", "2", "--m", "49", "--r", "1174", "--mode", "oracle"),
+        ("optimal", "--m", "49", "--r", "1174"),
+    ],
+)
+def test_deep_walk_is_refused_without_a_traceback(argv):
+    # C(1176, 1174) = 690900 candidates pass the default budget, but a walk
+    # 1174 members deep would exceed the interpreter's recursion limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "subclose.cli", *argv], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: 1174 walk levels for (ell=2, m=49, r=1174) exceed budget 900\n"
+    )
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "subclose.cli", "kr-table", "--ell", "2", "--m", "5"],

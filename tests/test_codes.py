@@ -201,6 +201,14 @@ def test_plucker_relations_hold_everywhere():
             assert check_plucker_relations(F, pt, ell, m)
 
 
+def test_plucker_point_has_no_instance_dict():
+    # a Grassmannian holds one point per subspace; a slotted point skips the
+    # per-instance dict
+    pt = enumerate_grassmannian(F2, 2, 4)[0]
+    assert not hasattr(pt, "__dict__")
+    assert pt == PluckerPoint(pt.coords) and pt.support_mask
+
+
 def test_plucker_relations_reject_corruption():
     # support {12, 34} alone violates p12*p34 - p13*p24 + p14*p23 = 0
     fake = PluckerPoint((1, 0, 0, 0, 0, 1))

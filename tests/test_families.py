@@ -320,9 +320,71 @@ def test_sweep_matches_oracle_with_counts():
 
 @pytest.mark.parametrize("ell, m, counts", [(3, 6, COUNTS_3_6), (2, 7, COUNTS_2_7)])
 def test_maximizer_counts_pinned(ell, m, counts):
-    assert tuple(
-        len(maximizer_families(ell, m, r)) for r in range(len(counts))
-    ) == counts
+    # at every middle r the auto record, counted from the maximizers through
+    # member 0 or from complements above k/2, equals the full list; a route
+    # that walks every maximizer passes this too, so it guards the counted
+    # route rather than telling it apart
+    k = len(counts) - 1
+    sides = set()
+    for r, count in enumerate(counts):
+        fams = maximizer_families(ell, m, r)
+        assert len(fams) == count
+        if k_r_closed(ell, m, r) is None:
+            rec = k_r(ell, m, r)
+            assert (rec.value, rec.maximizer, rec.maximizer_count) == (
+                k_lambda(fams[0]), fams[0], count
+            )
+            sides.add(2 * r <= k)
+    assert sides == {True, False}
+
+
+def test_dual_lattice_counts_match():
+    # complementing every member maps the maximizers of (2, 7) one-to-one
+    # onto those of (5, 7), whose middle range is the same r = 7..14
+    for r in range(len(COUNTS_2_7)):
+        if k_r_closed(5, 7, r) is None:
+            assert k_r(5, 7, r).maximizer_count == COUNTS_2_7[r]
+
+
+def test_counted_rows_walk_at_most_half(monkeypatch):
+    # rows above k/2 walk the k - r side; below it member 0 is fixed
+    walks = []
+    sane = families._walk
+
+    def recording(masks, ell, r, ties, **kw):
+        walks.append((r, kw))
+        return sane(masks, ell, r, ties, **kw)
+
+    monkeypatch.setattr(families, "_walk", recording)
+    for ell, m in ((3, 6), (2, 7)):
+        k = math.comb(m, ell)
+        for r in range(k + 1):
+            if k_r_closed(ell, m, r) is None:
+                walks.clear()
+                k_r(ell, m, r)
+                assert len(walks) == 1
+                walked, kw = walks[0]
+                assert walked == min(r, k - r)
+                assert kw == ({"through_first": True} if 2 * r <= k else {})
+
+
+def test_orbit_count_refuses_a_lost_maximizer(monkeypatch):
+    # (3, 6) has 360 maximizers at r = 7 and at r = 13; one lost attainer
+    # leaves k * c0 off a multiple of r on both sides of k/2
+    sane = families._walk
+
+    def lossy(*args, **kw):
+        value, found = sane(*args, **kw)
+        return value, found[:-1]
+
+    monkeypatch.setattr(families, "_walk", lossy)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^orbit count 20 \* 125 / 7 is not whole at \(ell=3, m=6, r=7\)$",
+    ):
+        k_r(3, 6, 7)
+    with pytest.raises(ArithmeticError, match=r"^orbit count 20 \* 233 / 13 "):
+        k_r(3, 6, 13)
 
 
 def test_oracle_record_fields():
@@ -512,6 +574,20 @@ def test_complement_family_edges():
 def test_oracle_budget_error_names_count():
     with pytest.raises(BudgetError, match="6435"):
         k_r_oracle(2, 6, 7, budget=100)
+
+
+def test_walk_depth_is_capped(monkeypatch):
+    # the walk recurses once per member: 901 levels pass the candidate
+    # budget (C(903, 2) = 407253) but not the depth cap
+    with pytest.raises(
+        BudgetError,
+        match=r"^901 walk levels for \(ell=2, m=43, r=901\) exceed budget 900$",
+    ):
+        k_r_oracle(2, 43, 901)
+    monkeypatch.setattr(families, "_WALK_DEPTH_CAP", 3)
+    assert k_r_oracle(2, 5, 3).value == 3
+    with pytest.raises(BudgetError, match=r"^4 walk levels "):
+        maximizer_families(2, 5, 4)
 
 
 def test_budget_is_checked_on_every_call():
