@@ -32,7 +32,6 @@ from .families import (
     k_r,
     k_r_closed,
     k_r_oracle,
-    k_r_value,
     maximizer_families,
     second_duality_check,
     sum_intersections_fixed,
@@ -64,7 +63,6 @@ from .linalg import det, mat_rank, rref, rref_span_matrices
 from .codes import (
     CodeSystem,
     ConjectureReport,
-    PluckerPoint,
     build_code,
     check_plucker_relations,
     enumerate_grassmannian,
@@ -72,10 +70,8 @@ from .codes import (
     grassmann_code,
     higher_weight,
     schubert_code,
-    schubert_coordinate_count,
     schubert_membership_flag,
     schubert_support,
-    section_count,
     validate_alpha,
     verify_conjecture,
     weight_hierarchy,

@@ -6,6 +6,8 @@ ell-subsets of columns.  Those coordinate vectors, one per subspace, are the
 columns of a generator matrix; restricting the row set to the coordinates
 supported on a Schubert subvariety gives the subvariety's code.
 
+A point is the tuple of its minors.
+
 Higher weights d_r are computed by exhausting rank-r subcodes.  The support
 of a subcode is the union of the supports of any basis, so each subcode
 costs one OR per basis row over a support table.  The table belongs to the
@@ -14,7 +16,9 @@ code: it is built once, on first use, and every rank r shares it.
 The conjecture harness compares d_r against the section counts of
 coordinate subspaces cut out by size-r families of column subsets, with the
 families ranging over those attaining the global pairwise intersection
-maximum.
+maximum.  The points on the section through some generator rows are those
+off the union of the rows' supports, so a section is counted by ORing
+generator-row masks.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ from itertools import combinations
 from operator import itemgetter
 
 from .combinat import SubsetIndexer, gaussian_binom, mask_of, set_of
+from . import families
 from .families import (
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
     check_budget,
     close_size_cap,
     k_lambda,
-    k_r_value,
 )
 from .gf import FieldTable
 from .linalg import Matrix, det, mat_rank, rref_span_matrices
@@ -43,38 +47,24 @@ DEFAULT_SUBSPACE_BUDGET = 10**7
 _NONZERO_DIGIT = b"0" + b"1" * 255
 
 
-def _support_mask(word) -> int:
+def _nonzero_mask(word) -> int:
     """Bitmask of the nonzero positions of a word, bit j for position j."""
     return int(bytes(reversed(word)).translate(_NONZERO_DIGIT), 2)
 
 
-@dataclass(frozen=True, slots=True)
-class PluckerPoint:
-    """A subspace as its normalized minor vector.
-
-    Equality and hashing use the coordinates only.
-    """
-
-    coords: tuple[int, ...]
-    support_mask: int = field(init=False, compare=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "support_mask", _support_mask(self.coords))
-
-
-def _minor_columns(cols: tuple[int, ...]):
-    """Getter taking a minor's columns, in order, out of a column tuple."""
-    if len(cols) > 1:
-        return itemgetter(*cols)
-    # itemgetter gives a bare column for one index and needs at least one;
-    # a slice keeps the result a tuple of columns, empty for ell = 0
-    start = cols[0] if cols else 0
-    return itemgetter(slice(start, start + len(cols)))
+def _taker(positions: tuple[int, ...]):
+    """Getter taking the items at some positions, in order, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # itemgetter gives a bare item for one index and needs at least one;
+    # a slice keeps the result a tuple, empty for no positions
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
 def enumerate_grassmannian(
     F: FieldTable, ell: int, m: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
-) -> tuple[PluckerPoint, ...]:
+) -> tuple[tuple[int, ...], ...]:
     """All ell-subspaces of F^m as minor-coordinate points.
 
     Echelon representatives come out already normalized: the colex-least
@@ -88,7 +78,7 @@ def enumerate_grassmannian(
     count = gaussian_binom(m, ell, F.q)
     check_budget(count, f"subspaces for (ell={ell}, m={m}, q={F.q})", budget)
     picks = [
-        _minor_columns(tuple(t for t in range(m) if mask >> t & 1))
+        _taker(tuple(t for t in range(m) if mask >> t & 1))
         for mask in SubsetIndexer(ell, m).masks
     ]
     points = []
@@ -98,7 +88,7 @@ def enumerate_grassmannian(
         coords = tuple([det(F, pick(columns)) for pick in picks])
         if next(c for c in coords if c) != 1:
             raise ArithmeticError("echelon representative not normalized")
-        points.append(PluckerPoint(coords))
+        points.append(coords)
     if len(points) != count:
         raise ArithmeticError(f"{len(points)} subspaces enumerated, expected {count}")
     if len(set(points)) != count:
@@ -113,7 +103,7 @@ def _indexer(ell: int, m: int) -> SubsetIndexer:
 
 
 def check_plucker_relations(
-    F: FieldTable, point: PluckerPoint, ell: int, m: int
+    F: FieldTable, coords: tuple[int, ...], ell: int, m: int
 ) -> bool:
     """Quadratic exchange relations on a coordinate vector.
 
@@ -123,7 +113,6 @@ def check_plucker_relations(
     vacuous.
     """
     idx = _indexer(ell, m)
-    coords = point.coords
 
     def signed(cols: tuple[int, ...]) -> int:
         # cols are 0-based, possibly out of order; repeats kill the minor
@@ -177,12 +166,6 @@ def schubert_support(alpha, ell: int, m: int) -> tuple[int, ...]:
     )
 
 
-def schubert_coordinate_count(alpha, ell: int, m: int) -> int:
-    """Number of allowed coordinates; the dimension of the subvariety's
-    code when nondegenerate."""
-    return len(schubert_support(alpha, ell, m))
-
-
 def schubert_membership_flag(F: FieldTable, matrix: Matrix, alpha) -> bool:
     """Membership test that never looks at minors: the subspace must meet
     the span of the first alpha_i unit vectors in dimension at least i,
@@ -202,20 +185,24 @@ def enumerate_schubert(
     m: int,
     *,
     budget: int = DEFAULT_SUBSPACE_BUDGET,
-) -> tuple[PluckerPoint, ...]:
+) -> tuple[tuple[int, ...], ...]:
     """Points of the subvariety: exactly those whose coordinates vanish
     outside the allowed positions."""
+    return _schubert_system(F, alpha, ell, m, budget)[2]
+
+
+def _schubert_system(F: FieldTable, alpha, ell: int, m: int, budget: int):
+    """(alpha, allowed positions, points) of the subvariety, the support
+    computed once and after the subspace budget."""
     alpha = validate_alpha(alpha, ell, m)
     # the subspace budget refuses before any work per column subset
     points = enumerate_grassmannian(F, ell, m, budget=budget)
-    return _points_within(points, schubert_support(alpha, ell, m))
-
-
-def _points_within(points, positions) -> tuple[PluckerPoint, ...]:
-    allowed = 0
-    for pos in positions:
-        allowed |= 1 << pos
-    return tuple(pt for pt in points if pt.support_mask & ~allowed == 0)
+    positions = schubert_support(alpha, ell, m)
+    allowed = set(positions)
+    outside = _taker(
+        tuple(i for i in range(math.comb(m, ell)) if i not in allowed)
+    )
+    return alpha, positions, tuple(pt for pt in points if not any(outside(pt)))
 
 
 @dataclass(frozen=True)
@@ -227,6 +214,7 @@ class CodeSystem:
     when alpha is not None.  row_labels names each generator row by the
     column subset (1-based) whose minor it reads off; row_positions gives
     the same rows as coordinate indices into the full minor vector.
+    points holds each point's minor tuple.
     """
 
     F: FieldTable = field(compare=False)
@@ -236,7 +224,7 @@ class CodeSystem:
     generator: Matrix
     row_labels: tuple[tuple[int, ...], ...]
     row_positions: tuple[int, ...]
-    points: tuple[PluckerPoint, ...] = field(compare=False)
+    points: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -245,6 +233,13 @@ class CodeSystem:
     @property
     def kdim(self) -> int:
         return len(self.generator)
+
+    @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Support bitmask, bit j for point j, of each generator row: the
+        points off the union of some rows' supports are the section through
+        those rows."""
+        return tuple(_nonzero_mask(row) for row in self.generator)
 
     @cached_property
     def support_table(self) -> dict[tuple[int, ...], int]:
@@ -264,7 +259,7 @@ class CodeSystem:
 
         def walk(msg, word, j):
             if j == k:
-                table[tuple(msg)] = _support_mask(word)
+                table[tuple(msg)] = _nonzero_mask(word)
                 return
             for c in F.elements:
                 msg[j] = c
@@ -290,7 +285,7 @@ def build_code(
     if not points:
         raise ValueError("a code needs at least one point")
     generator = tuple(
-        tuple(pt.coords[pos] for pt in points) for pos in row_positions
+        tuple(pt[pos] for pt in points) for pos in row_positions
     )
     for j in range(len(points)):
         if all(row[j] == 0 for row in generator):
@@ -326,11 +321,8 @@ def schubert_code(
 ) -> CodeSystem:
     """Code of the subvariety's points, rows restricted to the allowed
     coordinates."""
-    alpha = validate_alpha(alpha, ell, m)
-    # the subspace budget refuses before any work per column subset
-    points = enumerate_grassmannian(F, ell, m, budget=budget)
-    positions = schubert_support(alpha, ell, m)
-    return build_code(F, ell, m, alpha, _points_within(points, positions), positions)
+    alpha, positions, points = _schubert_system(F, alpha, ell, m, budget)
+    return build_code(F, ell, m, alpha, points, positions)
 
 
 def higher_weight(
@@ -360,8 +352,8 @@ def higher_weight(
         # the one rank-k subcode is spanned by the unit messages, whose
         # codewords are the generator rows
         supports = {
-            tuple(int(j == i) for j in range(code.kdim)): _support_mask(row)
-            for i, row in enumerate(code.generator)
+            tuple(int(j == i) for j in range(code.kdim)): mask
+            for i, mask in enumerate(code.row_masks)
         }
     best = None
     for basis in rref_span_matrices(code.F, r, code.kdim):
@@ -392,14 +384,6 @@ def weight_hierarchy(
     if weights[-1] != code.n:
         raise ArithmeticError(f"hierarchy must end at n={code.n}: {weights}")
     return weights
-
-
-def section_count(points, coordinate_positions) -> int:
-    """How many points vanish on every listed coordinate position."""
-    mask = 0
-    for pos in coordinate_positions:
-        mask |= 1 << pos
-    return sum(1 for pt in points if pt.support_mask & mask == 0)
 
 
 @dataclass(frozen=True)
@@ -446,27 +430,31 @@ def verify_conjecture(
     check_budget(
         math.comb(n_rows, r), f"candidate families of {r} rows", family_budget
     )
-    target = k_r_value(ell, m, r, budget=family_budget)
+    # looked up on the module, so a wrapper around families.k_r sees the call
+    target = families.k_r(ell, m, r, budget=family_budget).value
     masks = [mask_of(lab) for lab in labels]
-    best_any = -1
-    best_sub = -1
+    rows = code.row_masks
+    # smallest union of row supports over all families, and over maximal
+    # ones; the first (lex-least) family to reach the latter is the witness
+    least_any = least_sub = code.n + 1
     witness = None
     for combo in combinations(range(n_rows), r):
-        k_val = k_lambda(SubsetFamily(ell, m, tuple(masks[i] for i in combo)))
-        sec = section_count(
-            code.points, tuple(code.row_positions[i] for i in combo)
-        )
-        if sec > best_any:
-            best_any = sec
-        if k_val == target and sec > best_sub:
-            best_sub = sec
+        support = 0
+        for i in combo:
+            support |= rows[i]
+        size = support.bit_count()
+        if size < least_any:
+            least_any = size
+        if size < least_sub and k_lambda(
+            SubsetFamily(ell, m, tuple(masks[i] for i in combo))
+        ) == target:
+            least_sub = size
             witness = tuple(labels[i] for i in combo)
-    rhs_all = code.n - best_any
     if witness is None:
         verdict = "no_subclose"
         rhs_sub = None
     else:
-        rhs_sub = code.n - best_sub
+        rhs_sub = least_sub
         if d_r == rhs_sub:
             verdict = "equal"
         elif d_r < rhs_sub:
@@ -488,7 +476,7 @@ def verify_conjecture(
         d_r,
         target,
         rhs_sub,
-        rhs_all,
+        least_any,
         verdict,
         witness,
         proven,

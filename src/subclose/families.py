@@ -549,10 +549,6 @@ def k_r(
     return closed
 
 
-def k_r_value(ell: int, m: int, r: int, **kw) -> int:
-    return k_r(ell, m, r, **kw).value
-
-
 def first_duality_check(
     ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> bool:

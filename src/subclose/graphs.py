@@ -38,10 +38,6 @@ class Graph:
         if self.edges.m != self.m:
             raise ValueError("edge family lives on a different ground set")
 
-    @classmethod
-    def from_edges(cls, m: int, pairs) -> "Graph":
-        return cls(m, SubsetFamily.from_sets(2, m, pairs))
-
     @property
     def r(self) -> int:
         return self.edges.size

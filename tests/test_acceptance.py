@@ -47,7 +47,7 @@ from subclose.codes import (
     enumerate_grassmannian,
     grassmann_code,
     schubert_code,
-    schubert_coordinate_count,
+    schubert_support,
     verify_conjecture,
     weight_hierarchy,
 )
@@ -303,7 +303,7 @@ def test_criterion_12_schubert_instances():
     problems = []
     for alpha, expected_dim in (((3, 4), 6), ((2, 4), 5)):
         code = code_schubert(alpha)
-        counted = schubert_coordinate_count(alpha, 2, 4)
+        counted = len(schubert_support(alpha, 2, 4))
         note(problems, counted == expected_dim,
              f"alpha={alpha}: coordinate count {counted} != {expected_dim}")
         note(problems, code.kdim == counted,

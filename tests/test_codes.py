@@ -11,12 +11,11 @@ import pytest
 import subclose.cli as cli
 from subclose import codes
 from subclose.combinat import SubsetIndexer, gaussian_binom
-from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r_value
+from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r
 from subclose.gf import field_from_order
 from subclose.linalg import det, mat_rank, rref_span_matrices
 from subclose.codes import (
     CodeSystem,
-    PluckerPoint,
     build_code,
     check_plucker_relations,
     enumerate_grassmannian,
@@ -24,10 +23,8 @@ from subclose.codes import (
     grassmann_code,
     higher_weight,
     schubert_code,
-    schubert_coordinate_count,
     schubert_membership_flag,
     schubert_support,
-    section_count,
     validate_alpha,
     verify_conjecture,
     weight_hierarchy,
@@ -81,12 +78,24 @@ def assert_weights_match_reference(code, rs):
         ), (code.F.q, code.alpha, code.generator, r)
 
 
+def nonzero_mask(word):
+    # bit j for each nonzero entry j
+    return sum(1 << j for j, x in enumerate(word) if x)
+
+
+def section_count(points, coordinate_positions):
+    # reference: how many points vanish on every listed coordinate position,
+    # one point at a time
+    return sum(
+        1 for pt in points if all(pt[pos] == 0 for pos in coordinate_positions)
+    )
+
+
 def random_code(F, rng, k, n):
     # build_code refuses a zero column or a rank below k; draw again
     while True:
         points = tuple(
-            PluckerPoint(tuple(rng.randrange(F.q) for _ in range(k)))
-            for _ in range(n)
+            tuple(rng.randrange(F.q) for _ in range(k)) for _ in range(n)
         )
         try:
             return build_code(F, 1, k, None, points, tuple(range(k)))
@@ -114,16 +123,16 @@ def test_points_are_normalized_with_witness_bases():
         rref_span_matrices(F3, 2, 4), enumerate_grassmannian(F3, 2, 4), strict=True
     )
     for basis, pt in pairs:
-        first = next(c for c in pt.coords if c)
+        first = next(c for c in pt if c)
         assert first == 1
-        assert len(pt.coords) == 6
+        assert len(pt) == 6
         assert mat_rank(F3, basis) == 2
         minors = tuple(
             det(F3, [[row[a], row[b]] for row in basis])
             for b in range(4)
             for a in range(b)
         )
-        assert pt.coords == minors
+        assert pt == minors
 
 
 def minor_vectors_reference(F, ell, m):
@@ -154,7 +163,7 @@ def test_enumeration_matches_the_minor_by_minor_reference(monkeypatch):
     for q, ell, m in cases + [(2, 3, 6)]:
         F = field_from_order(q)
         calls.clear()
-        got = [pt.coords for pt in enumerate_grassmannian(F, ell, m)]
+        got = list(enumerate_grassmannian(F, ell, m))
         # one det call per point and column set
         assert len(calls) == len(got) * math.comb(m, ell), (q, ell, m)
         assert got == minor_vectors_reference(F, ell, m), (q, ell, m)
@@ -201,17 +210,17 @@ def test_plucker_relations_hold_everywhere():
             assert check_plucker_relations(F, pt, ell, m)
 
 
-def test_plucker_point_has_no_instance_dict():
-    # a Grassmannian holds one point per subspace; a slotted point skips the
-    # per-instance dict
-    pt = enumerate_grassmannian(F2, 2, 4)[0]
-    assert not hasattr(pt, "__dict__")
-    assert pt == PluckerPoint(pt.coords) and pt.support_mask
+def test_every_point_is_a_plain_tuple_of_ints():
+    # a Grassmannian holds one point per subspace, each just its minors
+    for F, ell, m in ((F2, 2, 4), (F3, 1, 3), (F4, 2, 4)):
+        for pt in enumerate_grassmannian(F, ell, m):
+            assert type(pt) is tuple and len(pt) == math.comb(m, ell)
+            assert all(type(c) is int for c in pt) and any(pt)
 
 
 def test_plucker_relations_reject_corruption():
     # support {12, 34} alone violates p12*p34 - p13*p24 + p14*p23 = 0
-    fake = PluckerPoint((1, 0, 0, 0, 0, 1))
+    fake = (1, 0, 0, 0, 0, 1)
     assert not check_plucker_relations(F2, fake, 2, 4)
 
 
@@ -239,10 +248,10 @@ def test_validate_alpha():
 
 def test_schubert_support_and_counts():
     assert schubert_support((2, 4), 2, 4) == (0, 1, 2, 3, 4)
-    assert schubert_coordinate_count((2, 4), 2, 4) == 5
-    assert schubert_coordinate_count((3, 4), 2, 4) == 6  # whole system
-    assert schubert_coordinate_count((1, 2), 2, 4) == 1
-    assert schubert_coordinate_count((2, 3), 2, 4) == 3
+    assert len(schubert_support((2, 4), 2, 4)) == 5
+    assert len(schubert_support((3, 4), 2, 4)) == 6  # whole system
+    assert len(schubert_support((1, 2), 2, 4)) == 1
+    assert len(schubert_support((2, 3), 2, 4)) == 3
 
 
 def test_schubert_point_counts():
@@ -263,9 +272,9 @@ def test_membership_flag_agrees_with_vanishing():
             strict=True,
         )
         for basis, pt in pairs:
-            by_support = pt.support_mask & ~allowed == 0
+            by_support = nonzero_mask(pt) & ~allowed == 0
             by_flag = schubert_membership_flag(F2, basis, alpha)
-            assert by_support == by_flag, (alpha, pt.coords)
+            assert by_support == by_flag, (alpha, pt)
 
 
 def test_membership_flag_agrees_over_f3():
@@ -279,7 +288,7 @@ def test_membership_flag_agrees_over_f3():
             strict=True,
         )
         for basis, pt in pairs:
-            assert (pt.support_mask & ~allowed == 0) == schubert_membership_flag(
+            assert (nonzero_mask(pt) & ~allowed == 0) == schubert_membership_flag(
                 F3, basis, alpha
             )
 
@@ -299,7 +308,7 @@ def test_schubert_code_shape():
     assert (code.n, code.kdim) == (19, 5)
     assert code.row_labels == ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4))
     # all 19 points carried over with full coordinate vectors
-    assert all(len(pt.coords) == 6 for pt in code.points)
+    assert all(len(pt) == 6 for pt in code.points)
 
 
 def test_build_code_rejects_zero_position():
@@ -494,7 +503,7 @@ def test_conjecture_grassmann_2_4():
         rep = verify_conjecture(code, r)
         assert (rep.n, rep.code_dimension) == (35, 6)
         assert rep.d_r == HIERARCHY_G24_F2[r - 1]
-        assert rep.k_r_target == k_r_value(2, 4, r)
+        assert rep.k_r_target == k_r(2, 4, r).value
         assert rep.verdict == "equal"
         assert rep.proven == (r <= 3)
         assert rep.rhs_all_coordinate <= rep.rhs_subclose
@@ -529,11 +538,7 @@ def test_conjecture_reuses_prebuilt_code():
 def test_conjecture_no_subclose_verdict():
     # a hand-built system on the rows (1,2) and (3,4), whose labels are
     # disjoint: no pair of rows can attain K_2(2,4) = 1
-    pts = (
-        PluckerPoint((1, 0, 0, 0, 0, 0)),
-        PluckerPoint((0, 0, 0, 0, 0, 1)),
-        PluckerPoint((1, 0, 0, 0, 0, 1)),
-    )
+    pts = ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
     code = build_code(F2, 2, 4, None, pts, (0, 5))
     assert code.row_labels == ((1, 2), (3, 4))
     rep = verify_conjecture(code, 2)
@@ -541,6 +546,61 @@ def test_conjecture_no_subclose_verdict():
     assert rep.rhs_subclose is None and rep.witness_lambda is None
     assert rep.d_r == 3
     assert rep.rhs_all_coordinate == 3
+
+
+def conjecture_reference(code, r, d_r):
+    # the scan point by point: each family's section counted by
+    # section_count, the largest kept with a strict >, so the witness is the
+    # lex-first family of rows reaching it
+    target = k_r(code.ell, code.m, r).value
+    best_any = best_sub = -1
+    witness = None
+    for combo in combinations(range(code.kdim), r):
+        labels = tuple(code.row_labels[i] for i in combo)
+        fam = SubsetFamily.from_sets(code.ell, code.m, labels)
+        sec = section_count(code.points, [code.row_positions[i] for i in combo])
+        best_any = max(best_any, sec)
+        if k_lambda(fam) == target and sec > best_sub:
+            best_sub, witness = sec, labels
+    if witness is None:
+        return code.n - best_any, None, "no_subclose", None
+    rhs_sub = code.n - best_sub
+    verdict = (
+        "equal" if d_r == rhs_sub else "lhs_less" if d_r < rhs_sub else "lhs_greater"
+    )
+    return code.n - best_any, rhs_sub, verdict, witness
+
+
+@pytest.mark.parametrize(
+    "q, ell, m, alpha, top",
+    # top is the largest r compared; None compares every r up to k
+    [
+        (2, 1, 3, None, None),
+        (2, 2, 4, None, None),
+        (3, 2, 4, None, 3),
+        (2, 2, 5, None, 2),
+        (2, 2, 4, (1, 3), None),
+        (2, 2, 4, (1, 4), None),
+        (2, 2, 4, (2, 3), None),
+        (2, 2, 4, (2, 4), None),
+        (3, 2, 5, (2, 5), 2),
+    ],
+)
+def test_conjecture_scan_matches_the_point_by_point_reference(q, ell, m, alpha, top):
+    F = field_from_order(q)
+    if alpha is None:
+        code = grassmann_code(F, ell, m)
+    else:
+        code = schubert_code(F, alpha, ell, m)
+    for r in range(1, (top or code.kdim) + 1):
+        rep = verify_conjecture(code, r)
+        got = (
+            rep.rhs_all_coordinate,
+            rep.rhs_subclose,
+            rep.verdict,
+            rep.witness_lambda,
+        )
+        assert got == conjecture_reference(code, r, rep.d_r), (q, alpha, r)
 
 
 def test_conjecture_validation_and_budget():

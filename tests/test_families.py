@@ -27,7 +27,6 @@ from subclose.families import (
     k_r,
     k_r_closed,
     k_r_oracle,
-    k_r_value,
     maximizer_families,
     second_duality_check,
     sum_intersections_fixed,
@@ -266,18 +265,20 @@ def test_k_r_closed_ranges_overlap_consistently():
 
 def test_golden_table_2_5():
     for r in range(11):
-        assert k_r_value(2, 5, r) == GOLDEN_2_5[r]
+        assert k_r(2, 5, r).value == GOLDEN_2_5[r]
         assert k_r_oracle(2, 5, r).value == GOLDEN_2_5[r]
 
 
 def test_golden_table_2_6():
     for r in range(16):
-        assert k_r_value(2, 6, r) == GOLDEN_2_6[r]
+        assert k_r(2, 6, r).value == GOLDEN_2_6[r]
 
 
 def test_golden_3_5_via_first_duality():
-    assert k_r_value(3, 5, 4) == 12
-    assert k_r_value(3, 5, 4) == math.comb(4, 2) * (2 * 3 - 5) + k_r_value(2, 5, 4)
+    assert k_r(3, 5, 4).value == 12
+    assert k_r(3, 5, 4).value == (
+        math.comb(4, 2) * (2 * 3 - 5) + k_r(2, 5, 4).value
+    )
 
 
 # ------------------------------------------------------------------ oracle
@@ -448,7 +449,7 @@ def test_barrier_strict_above_cap():
     # at r = mu + 1 no family reaches the close-family value
     for ell, m in ((2, 5), (3, 5), (2, 6)):
         mu = close_size_cap(ell, m)
-        assert k_r_value(ell, m, mu + 1) < (ell - 1) * math.comb(mu + 1, 2)
+        assert k_r(ell, m, mu + 1).value < (ell - 1) * math.comb(mu + 1, 2)
 
 
 def test_k_r_modes():

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from subclose.combinat import SubsetIndexer
-from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r_value
+from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r
 from subclose.graphs import (
     Graph,
     de_caen_bound,
@@ -28,7 +28,7 @@ from subclose.graphs import (
 
 
 def graph(m, *pairs):
-    return Graph.from_edges(m, pairs)
+    return Graph(m, SubsetFamily.from_sets(2, m, pairs))
 
 
 def all_graphs(m):
@@ -210,7 +210,7 @@ def test_optimal_routes_agree_everywhere_m5():
     for m in (2, 3, 4, 5, 6, 7):
         for r in range(math.comb(m, 2) + 1):
             rec = optimal_graphs(m, r)
-            assert rec.sigma_max == 2 * k_r_value(2, m, r) + 2 * r
+            assert rec.sigma_max == 2 * k_r(2, m, r).value + 2 * r
             assert sigma_max_closed(m, r) == rec.sigma_max
 
 
