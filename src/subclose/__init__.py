@@ -66,7 +66,6 @@ from .codes import (
     build_code,
     check_plucker_relations,
     enumerate_grassmannian,
-    enumerate_schubert,
     grassmann_code,
     higher_weight,
     schubert_code,

@@ -178,33 +178,6 @@ def schubert_membership_flag(F: FieldTable, matrix: Matrix, alpha) -> bool:
     return True
 
 
-def enumerate_schubert(
-    F: FieldTable,
-    alpha,
-    ell: int,
-    m: int,
-    *,
-    budget: int = DEFAULT_SUBSPACE_BUDGET,
-) -> tuple[tuple[int, ...], ...]:
-    """Points of the subvariety: exactly those whose coordinates vanish
-    outside the allowed positions."""
-    return _schubert_system(F, alpha, ell, m, budget)[2]
-
-
-def _schubert_system(F: FieldTable, alpha, ell: int, m: int, budget: int):
-    """(alpha, allowed positions, points) of the subvariety, the support
-    computed once and after the subspace budget."""
-    alpha = validate_alpha(alpha, ell, m)
-    # the subspace budget refuses before any work per column subset
-    points = enumerate_grassmannian(F, ell, m, budget=budget)
-    positions = schubert_support(alpha, ell, m)
-    allowed = set(positions)
-    outside = _taker(
-        tuple(i for i in range(math.comb(m, ell)) if i not in allowed)
-    )
-    return alpha, positions, tuple(pt for pt in points if not any(outside(pt)))
-
-
 @dataclass(frozen=True)
 class CodeSystem:
     """A linear code presented by a generator matrix whose columns are the
@@ -320,8 +293,17 @@ def schubert_code(
     budget: int = DEFAULT_SUBSPACE_BUDGET,
 ) -> CodeSystem:
     """Code of the subvariety's points, rows restricted to the allowed
-    coordinates."""
-    alpha, positions, points = _schubert_system(F, alpha, ell, m, budget)
+    coordinates.  The points are exactly those of G(ell, m) whose
+    coordinates vanish outside the allowed positions."""
+    alpha = validate_alpha(alpha, ell, m)
+    # the subspace budget refuses before any work per column subset
+    points = enumerate_grassmannian(F, ell, m, budget=budget)
+    positions = schubert_support(alpha, ell, m)
+    allowed = set(positions)
+    outside = _taker(
+        tuple(i for i in range(math.comb(m, ell)) if i not in allowed)
+    )
+    points = [pt for pt in points if not any(outside(pt))]
     return build_code(F, ell, m, alpha, points, positions)
 
 
@@ -424,12 +406,16 @@ def verify_conjecture(
     """Compare d_r with n minus the largest section over intersection-maximal
     row families; the system's parameters come from the code."""
     ell, m, alpha = code.ell, code.m, code.alpha
-    d_r = higher_weight(code, r, budget=subcode_budget)
     labels = code.row_labels
     n_rows = len(labels)
+    if not 1 <= r <= n_rows:
+        raise ValueError(f"r={r} outside 1..{n_rows}")
+    # the row-family gate refuses before the subcode search, which can
+    # take far longer than the refusal
     check_budget(
         math.comb(n_rows, r), f"candidate families of {r} rows", family_budget
     )
+    d_r = higher_weight(code, r, budget=subcode_budget)
     # looked up on the module, so a wrapper around families.k_r sees the call
     target = families.k_r(ell, m, r, budget=family_budget).value
     masks = [mask_of(lab) for lab in labels]

@@ -110,10 +110,6 @@ class SubsetFamily:
             seen.add(mask)
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
-    @classmethod
-    def from_sets(cls, ell: int, m: int, sets) -> "SubsetFamily":
-        return cls(ell, m, tuple(mask_of(s) for s in sets))
-
     @property
     def size(self) -> int:
         return len(self.members)
@@ -124,14 +120,19 @@ class SubsetFamily:
 
 
 def k_lambda(fam: SubsetFamily) -> int:
-    """Sum of |A_i cap A_j| over all unordered pairs of members."""
-    mem = fam.members
-    total = 0
-    for i in range(len(mem)):
-        a = mem[i]
-        for j in range(i + 1, len(mem)):
-            total += (a & mem[j]).bit_count()
-    return total
+    """Sum of |A_i cap A_j| over all unordered pairs of members.
+
+    Counted by points: a point lying in d members is shared by C(d, 2)
+    pairs, so one pass over the members' elements suffices, not one over
+    the pairs.
+    """
+    degrees = [0] * fam.m
+    for mask in fam.members:
+        while mask:
+            low = mask & -mask
+            degrees[low.bit_length() - 1] += 1
+            mask ^= low
+    return sum(d * (d - 1) // 2 for d in degrees)
 
 
 def close_size_cap(ell: int, m: int) -> int:
@@ -342,22 +343,22 @@ def _check_witness(fam: SubsetFamily, value: int) -> None:
         )
 
 
-def _walk(masks, ell: int, r: int, ties: bool, *, through_first: bool = False):
+def _walk(masks, ell: int, r: int, ties: bool, load=None):
     """Max pairwise intersection sum over r-member families, with attainers.
 
     Branch and bound over index combinations in lexicographic order, which
-    is colex order on families.  With through_first the root has member 0
-    already chosen, its load the intersections of masks[0] with the later
-    candidates, and the walk ranges only over the families through member
-    0; the counted route of k_r lists its maximizers this way.  Each node
-    carries a load vector: load[off] is the tie of candidate start+off to
-    the chosen part, the sum of its intersections with the chosen members.
-    A child's load is the parent's load for the later candidates plus the
-    new member's intersections with them, so a node costs one pass over the
-    remaining candidates and the walk holds one load vector per depth,
-    O(k*r) in all, with no k x k intersection table.  The loads are only a cheaper way to the same
-    numbers: the bound, the order and the cuts are those of a walk that
-    recounts every tie at every node, and it visits the same nodes.
+    is colex order on families.  Each node carries a load vector: load[off]
+    is the tie of candidate start+off to the chosen part, the sum of its
+    intersections with the chosen members.  The root's load comes from the
+    caller, all zeros when not given; a caller that has fixed one member
+    outside masks passes that member's ties, and the value then counts them
+    too (the counted route of k_r fixes member 0 this way).  A child's load
+    is the parent's load for the later candidates plus the new member's
+    intersections with them, so a node costs one pass over the remaining
+    candidates and the walk holds one load vector per depth, O(k*r) in all,
+    with no k x k intersection table.  The loads are only a cheaper way to
+    the same numbers: the bound, the order and the cuts are those of a walk
+    that recounts every tie at every node, and it visits the same nodes.
 
     The bound is admissible: the top s loads count the ties to the chosen
     part exactly, and every pair of still-undecided members can meet in at
@@ -403,16 +404,7 @@ def _walk(masks, ell: int, r: int, ties: bool, *, through_first: bool = False):
             go(j + 1, cur + load[off], [c + (a & b).bit_count() for c, b in later])
             chosen.pop()
 
-    if not through_first:
-        go(0, 0, [0] * k)
-    elif r == 1:
-        # no member is left undecided, and the bound would read
-        # sorted(load)[-0:], the whole list
-        return 0, [(0,)]
-    else:
-        first = masks[0]
-        chosen.append(0)
-        go(1, 0, [(first & b).bit_count() for b in islice(masks, 1, None)])
+    go(0, 0, [0] * k if load is None else load)
     return best, found
 
 
@@ -429,19 +421,6 @@ def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
     return idx.masks
 
 
-def _search(ell: int, m: int, r: int, budget: int, ties: bool):
-    """Range, budget and depth checks, then the walk.
-
-    Returns the value, the colex-least maximizer (its witness checked) and
-    every attainer the walk kept, as index tuples into the colex masks.
-    """
-    masks = _checked_masks(ell, m, r, budget)
-    value, attainers = _walk(masks, ell, r, ties)
-    first = SubsetFamily(ell, m, tuple(masks[i] for i in attainers[0]))
-    _check_witness(first, value)
-    return value, first, attainers
-
-
 def _counted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
     """Brute-force record with its maximizer count, from the maximizers
     through colex member 0 alone (1 <= r < k).
@@ -454,18 +433,22 @@ def _counted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
     sorts before every family without it, so the colex-least maximizer is
     the least of those through member 0.
 
-    For r <= k/2 the walk lists them directly.  Above k/2 it lists the
-    maximizers for k-r that avoid member 0, on masks[1:] (some maximizer for
-    k-r < k misses a member, so by transitivity one avoids member 0, and the
-    maximum there is K_{k-r}): a family avoids
-    member 0 exactly when its complement within all ell-subsets contains it,
-    and complementing adds complement_value's constant to K, so the
-    complements are the maximizers for r through member 0.
+    For r <= k/2 the walk lists them directly: it picks the other r-1
+    members from masks[1:], from a root whose load is each candidate's tie
+    to member 0.  Above k/2 it lists the maximizers for k-r that avoid
+    member 0, on masks[1:] (some maximizer for k-r < k misses a member, so
+    by transitivity one avoids member 0, and the maximum there is
+    K_{k-r}): a family avoids member 0 exactly when its complement within
+    all ell-subsets contains it, and complementing adds complement_value's
+    constant to K, so the complements are the maximizers for r through
+    member 0.
     """
     masks = _checked_masks(ell, m, r, budget)
     k = len(masks)
     if 2 * r <= k:
-        value, through = _walk(masks, ell, r, True, through_first=True)
+        root = [(masks[0] & b).bit_count() for b in islice(masks, 1, None)]
+        value, others = _walk(masks[1:], ell, r - 1, True, root)
+        through = [(0, *(i + 1 for i in chosen)) for chosen in others]
     else:
         co_value, avoiding = _walk(masks[1:], ell, k - r, True)
         value = complement_value(ell, m, k - r, co_value)
@@ -493,7 +476,10 @@ def k_r_oracle(
     colex-least maximizer (family compared as its sorted tuple of colex
     member indices).
     """
-    value, first, _ = _search(ell, m, r, budget, ties=False)
+    masks = _checked_masks(ell, m, r, budget)
+    value, attainers = _walk(masks, ell, r, False)
+    first = SubsetFamily(ell, m, tuple(masks[i] for i in attainers[0]))
+    _check_witness(first, value)
     return KrRecord(ell, m, r, value, "brute_force", first)
 
 
@@ -501,11 +487,13 @@ def maximizer_families(
     ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> tuple[SubsetFamily, ...]:
     """Every family attaining K_r, in colex order."""
-    _, _, attainers = _search(ell, m, r, budget, ties=True)
-    masks = SubsetIndexer(ell, m).masks
-    return tuple(
+    masks = _checked_masks(ell, m, r, budget)
+    value, attainers = _walk(masks, ell, r, True)
+    fams = tuple(
         SubsetFamily(ell, m, tuple(masks[i] for i in chosen)) for chosen in attainers
     )
+    _check_witness(fams[0], value)
+    return fams
 
 
 def k_r(

@@ -12,6 +12,7 @@ we do exactly that rather than trust the table generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 # Irreducible monic polynomials over GF(p), ascending coefficients, one per
 # (p, e) we support.  x^2+x+1, x^3+x+1, x^4+x+1 over GF(2); x^2+2x+1 would
@@ -138,14 +139,9 @@ def build_field(p: int, e: int) -> FieldTable:
     return table
 
 
-_field_cache: dict[int, FieldTable] = {}
-
-
+@cache
 def field_from_order(q: int) -> FieldTable:
-    """GF(q) for any prime power q <= 16."""
-    hit = _field_cache.get(q)
-    if hit is not None:
-        return hit
+    """GF(q) for any prime power q <= 16, built once per q."""
     if not 2 <= q <= 16:
         raise ValueError(f"q={q} outside the supported range 2..16")
     for p in _PRIMES:
@@ -157,7 +153,5 @@ def field_from_order(q: int) -> FieldTable:
                 e += 1
             if n != 1:
                 raise ValueError(f"q={q} is not a prime power")
-            table = build_field(p, e)
-            _field_cache[q] = table
-            return table
+            return build_field(p, e)
     raise ValueError(f"q={q} is not a prime power")

@@ -127,7 +127,7 @@ def _grassmannian_f2() -> bool:
 def _schubert_f2() -> bool:
     F = gf.field_from_order(2)
     alpha = (2, 4)
-    sub = set(codes.enumerate_schubert(F, alpha, 2, 4))
+    sub = set(codes.schubert_code(F, alpha, 2, 4).points)
     if len(sub) != 19:
         return False
     # enumerate_grassmannian lists the points in rref_span_matrices order

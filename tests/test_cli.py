@@ -467,6 +467,22 @@ def test_deep_walk_is_refused_without_a_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_form_row_of_a_large_lattice_answers_quickly():
+    # the high-range witness here is all C(40, 4) = 91390 subsets; its K
+    # must be checked by point degrees, not over its 4e9 pairs
+    proc = subprocess.run(
+        [sys.executable, "-m", "subclose.cli", "kr-table", "--ell", "4",
+         "--m", "40", "--r", "91390", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "ell,m,r,value,method\n4,40,91390,1670243640,closed_form_high\n"
+    )
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "subclose.cli", "kr-table", "--ell", "2", "--m", "5"],

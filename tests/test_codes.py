@@ -10,7 +10,7 @@ import pytest
 
 import subclose.cli as cli
 from subclose import codes
-from subclose.combinat import SubsetIndexer, gaussian_binom
+from subclose.combinat import SubsetIndexer, gaussian_binom, mask_of
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r
 from subclose.gf import field_from_order
 from subclose.linalg import det, mat_rank, rref_span_matrices
@@ -19,7 +19,6 @@ from subclose.codes import (
     build_code,
     check_plucker_relations,
     enumerate_grassmannian,
-    enumerate_schubert,
     grassmann_code,
     higher_weight,
     schubert_code,
@@ -33,6 +32,11 @@ from subclose.codes import (
 F2 = field_from_order(2)
 F3 = field_from_order(3)
 F4 = field_from_order(4)
+
+
+def family(ell, m, sets):
+    return SubsetFamily(ell, m, tuple(mask_of(s) for s in sets))
+
 
 # hierarchies frozen from the first exhaustive computation
 HIERARCHY_G24_F2 = (16, 24, 28, 32, 34, 35)
@@ -188,7 +192,6 @@ def test_one_subspace_budget_default():
         fn.__name__: inspect.signature(fn).parameters[param].default
         for fn, param in (
             (enumerate_grassmannian, "budget"),
-            (enumerate_schubert, "budget"),
             (grassmann_code, "budget"),
             (schubert_code, "budget"),
             (higher_weight, "budget"),
@@ -255,9 +258,9 @@ def test_schubert_support_and_counts():
 
 
 def test_schubert_point_counts():
-    assert len(enumerate_schubert(F2, (2, 4), 2, 4)) == 19
-    assert len(enumerate_schubert(F2, (3, 4), 2, 4)) == 35
-    assert len(enumerate_schubert(F2, (1, 2), 2, 4)) == 1
+    assert len(schubert_code(F2, (2, 4), 2, 4).points) == 19
+    assert len(schubert_code(F2, (3, 4), 2, 4).points) == 35
+    assert len(schubert_code(F2, (1, 2), 2, 4).points) == 1
 
 
 def test_membership_flag_agrees_with_vanishing():
@@ -410,8 +413,6 @@ def test_schubert_code_refuses_before_any_per_subset_work(monkeypatch):
     monkeypatch.setattr(codes, "schubert_support", refused)
     with pytest.raises(BudgetError, match="subspaces for"):
         schubert_code(F2, (25, 26, 27, 28, 29, 30), 6, 30)
-    with pytest.raises(BudgetError, match="subspaces for"):
-        enumerate_schubert(F2, (25, 26, 27, 28, 29, 30), 6, 30)
 
 
 def test_higher_weight_matches_reference_on_grassmann_2_4():
@@ -508,7 +509,7 @@ def test_conjecture_grassmann_2_4():
         assert rep.proven == (r <= 3)
         assert rep.rhs_all_coordinate <= rep.rhs_subclose
         # the witness really is a family attaining the global maximum
-        fam = SubsetFamily.from_sets(2, 4, rep.witness_lambda)
+        fam = family(2, 4, rep.witness_lambda)
         assert k_lambda(fam) == rep.k_r_target
 
 
@@ -557,7 +558,7 @@ def conjecture_reference(code, r, d_r):
     witness = None
     for combo in combinations(range(code.kdim), r):
         labels = tuple(code.row_labels[i] for i in combo)
-        fam = SubsetFamily.from_sets(code.ell, code.m, labels)
+        fam = family(code.ell, code.m, labels)
         sec = section_count(code.points, [code.row_positions[i] for i in combo])
         best_any = max(best_any, sec)
         if k_lambda(fam) == target and sec > best_sub:
@@ -611,3 +612,21 @@ def test_conjecture_validation_and_budget():
         verify_conjecture(code, 7)
     with pytest.raises(BudgetError):
         verify_conjecture(code, 3, family_budget=10)
+
+
+def test_row_family_gate_refuses_before_the_subcode_search(monkeypatch):
+    # the d_r search of G(2, 5)/F2 at r = 3 takes seconds; the gate on the
+    # C(10, 3) row families must not wait for it, nor mask a bad r
+    code = grassmann_code(F2, 2, 5)
+
+    def refused(*args, **kwargs):
+        raise RuntimeError("the subcode search ran before the row-family gate")
+
+    monkeypatch.setattr(codes, "higher_weight", refused)
+    with pytest.raises(
+        BudgetError, match=r"120 candidate families of 3 rows exceed budget 10$"
+    ):
+        verify_conjecture(code, 3, family_budget=10)
+    for r in (-1, 0, 11):
+        with pytest.raises(ValueError, match=rf"^r={r} outside 1\.\.10$"):
+            verify_conjecture(code, r, family_budget=10)

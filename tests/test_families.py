@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from subclose import families
-from subclose.combinat import SubsetIndexer
+from subclose.combinat import SubsetIndexer, mask_of
 from subclose.families import (
     BudgetError,
     CloseKind,
@@ -51,7 +51,7 @@ COUNTS_2_7 = (
 
 
 def fam(ell, m, *sets):
-    return SubsetFamily.from_sets(ell, m, sets)
+    return SubsetFamily(ell, m, tuple(mask_of(s) for s in sets))
 
 
 def all_families(ell, m, size):
@@ -348,13 +348,15 @@ def test_dual_lattice_counts_match():
 
 
 def test_counted_rows_walk_at_most_half(monkeypatch):
-    # rows above k/2 walk the k - r side; below it member 0 is fixed
+    # every counted row makes one walk over the k - 1 masks after member 0:
+    # below k/2 for the other r - 1 members, from a root holding their ties
+    # to member 0, above it for the k - r members of the complement side
     walks = []
     sane = families._walk
 
-    def recording(masks, ell, r, ties, **kw):
-        walks.append((r, kw))
-        return sane(masks, ell, r, ties, **kw)
+    def recording(masks, ell, r, ties, load=None):
+        walks.append((len(masks), r, load is not None))
+        return sane(masks, ell, r, ties, load)
 
     monkeypatch.setattr(families, "_walk", recording)
     for ell, m in ((3, 6), (2, 7)):
@@ -363,10 +365,8 @@ def test_counted_rows_walk_at_most_half(monkeypatch):
             if k_r_closed(ell, m, r) is None:
                 walks.clear()
                 k_r(ell, m, r)
-                assert len(walks) == 1
-                walked, kw = walks[0]
-                assert walked == min(r, k - r)
-                assert kw == ({"through_first": True} if 2 * r <= k else {})
+                below = 2 * r <= k
+                assert walks == [(k - 1, r - 1 if below else k - r, below)]
 
 
 def test_orbit_count_refuses_a_lost_maximizer(monkeypatch):

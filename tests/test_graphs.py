@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from subclose.combinat import SubsetIndexer
+from subclose.combinat import SubsetIndexer, mask_of
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r
 from subclose.graphs import (
     Graph,
@@ -27,8 +27,12 @@ from subclose.graphs import (
 )
 
 
+def family(ell, m, sets):
+    return SubsetFamily(ell, m, tuple(mask_of(s) for s in sets))
+
+
 def graph(m, *pairs):
-    return Graph(m, SubsetFamily.from_sets(2, m, pairs))
+    return Graph(m, family(2, m, pairs))
 
 
 def all_graphs(m):
@@ -332,8 +336,8 @@ def test_budget_error_names_count():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph(5, SubsetFamily.from_sets(3, 5, [(1, 2, 3)]))
+        Graph(5, family(3, 5, [(1, 2, 3)]))
     with pytest.raises(ValueError):
-        Graph(4, SubsetFamily.from_sets(2, 5, [(1, 2)]))
+        Graph(4, family(2, 5, [(1, 2)]))
     with pytest.raises(ValueError):
         sigma_exhaustive(4, 7)

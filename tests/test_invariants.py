@@ -91,6 +91,36 @@ def test_no_unused_imports():
     assert not found, f"unused imports: {', '.join(found)}"
 
 
+def test_every_public_name_has_a_package_caller():
+    # code that only tests call is code the package does not need: every
+    # public function, class and method must be named by some module other
+    # than the re-exporting __init__.py
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for name, node in package_nodes()
+        if name != "__init__.py" and isinstance(node, (ast.Name, ast.Attribute))
+    }
+    public = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            public.append((f"{path.name}:{stmt.name}", stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                public += [
+                    (f"{path.name}:{stmt.name}.{item.name}", item.name)
+                    for item in stmt.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    unused = [
+        where
+        for where, attr in public
+        if not attr.startswith("_") and attr not in named
+    ]
+    assert not unused, f"public names no package module uses: {', '.join(unused)}"
+
+
 def test_every_cli_option_is_read():
     # an option no handler reads is a knob that changes nothing
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from subclose.codes import grassmann_code, schubert_code, verify_conjecture
+from subclose.combinat import mask_of
 from subclose.families import SubsetFamily, k_r
 from subclose.gf import field_from_order
 from subclose.graphs import Graph, optimal_graphs
@@ -27,6 +28,10 @@ from subclose.serialize import (
 )
 
 F2 = field_from_order(2)
+
+
+def family(ell, m, sets):
+    return SubsetFamily(ell, m, tuple(mask_of(s) for s in sets))
 
 
 def all_example_docs():
@@ -59,9 +64,9 @@ def test_to_jsonl_round_trips():
 def test_leaf_converters():
     assert fraction_json(Fraction(20, 3)) == {"num": 20, "den": 3}
     assert family_json(None) is None
-    fam = SubsetFamily.from_sets(2, 5, [(4, 5), (1, 2)])
+    fam = family(2, 5, [(4, 5), (1, 2)])
     assert family_json(fam) == [[1, 2], [4, 5]]
-    g = Graph(4, SubsetFamily.from_sets(2, 4, [(1, 2), (3, 4)]))
+    g = Graph(4, family(2, 4, [(1, 2), (3, 4)]))
     assert graph_json(g) == {"m": 4, "edges": [[1, 2], [3, 4]]}
 
 
