@@ -10,8 +10,11 @@ attaining the maximum is called subclose.
 
 All subsets are bitmasks on {1..m} (bit i-1 is element i).  The search is
 one branch and bound per r, which gives the value, the colex-least
-maximizer and, on request, every maximizer.  It is sequential,
-deterministic and single-threaded, and nothing is cached.
+maximizer and, on request, every maximizer.  Since S_m permutes the
+ell-subsets transitively, k_r's own search walks only the families through
+colex member 0; k_r_oracle walks them all and is the unreduced reference.
+It is sequential, deterministic and single-threaded, and nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ def check_budget(count: int, what: str, budget: int) -> None:
 
 DEFAULT_FAMILY_BUDGET = 10**8
 
-# k_r in auto mode counts maximizers only on lattices of at most this many
+# k_r in auto mode searches the families through colex member 0 on every
+# lattice, and counts maximizers only on lattices of at most this many
 # subfamilies: the counting walk cannot cut a branch whose bound merely ties
 # the best, so it is kept where that stays cheap, and the cap alone fixes
 # which K_r records carry a count
@@ -294,12 +298,13 @@ class KrRecord:
     method is one of closed_form_low, closed_form_high, brute_force.  The
     witness maximizer is the colex-least maximizer for brute-force records
     and a canonical construction for closed-form ones; it is omitted only
-    when the ground family is too large to enumerate.  maximizer_count is
-    filled only by k_r in auto mode, on a brute-force record whose lattice
-    has at most _COUNT_CAP subfamilies; it is None otherwise, and never
-    depends on the budget.  It is counted from the maximizers through colex
+    when the ground family is too large to enumerate.  k_r in auto mode
+    finds every brute-force record from the families through colex member
+    0 (see _member0_record).  maximizer_count is filled only there, on a
+    lattice of at most _COUNT_CAP subfamilies; it is None otherwise, and
+    never depends on the budget.  It is counted from the maximizers through
     member 0, which rows above k/2 read from the complements of the
-    maximizers for k-r (see _counted_record).
+    maximizers for k-r.
     """
 
     ell: int
@@ -352,7 +357,7 @@ def _walk(masks, ell: int, r: int, ties: bool, load=None):
     intersections with the chosen members.  The root's load comes from the
     caller, all zeros when not given; a caller that has fixed one member
     outside masks passes that member's ties, and the value then counts them
-    too (the counted route of k_r fixes member 0 this way).  A child's load
+    too (the auto search of k_r fixes member 0 this way).  A child's load
     is the parent's load for the later candidates plus the new member's
     intersections with them, so a node costs one pass over the remaining
     candidates and the walk holds one load vector per depth, O(k*r) in all,
@@ -421,21 +426,26 @@ def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
     return idx.masks
 
 
-def _counted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
-    """Brute-force record with its maximizer count, from the maximizers
-    through colex member 0 alone (1 <= r < k).
+def _member0_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
+    """Brute-force record from the families through colex member 0 alone
+    (1 <= r < k), with the maximizer count when the lattice has at most
+    _COUNT_CAP subfamilies.
 
     S_m acts on the ell-subsets transitively and maps maximizers to
-    maximizers, so every member lies in the same number c0 of the N
-    maximizers.  Counting the pairs (F, A) with A a member of a maximizer F
-    both ways gives r * N = k * c0.  By the same transitivity some maximizer
-    contains member 0, the set {1..ell}, and every family through member 0
-    sorts before every family without it, so the colex-least maximizer is
-    the least of those through member 0.
+    maximizers, so some maximizer contains member 0, the set {1..ell}, and
+    every family through member 0 sorts before every family without it:
+    the maximum over the families through member 0 is K_r, and the
+    colex-least maximizer is the least of those through member 0.  By the
+    same transitivity every member lies in the same number c0 of the N
+    maximizers, and counting the pairs (F, A) with A a member of a
+    maximizer F both ways gives r * N = k * c0.
 
-    For r <= k/2 the walk lists them directly: it picks the other r-1
-    members from masks[1:], from a root whose load is each candidate's tie
-    to member 0.  Above k/2 it lists the maximizers for k-r that avoid
+    The walk picks the other r-1 members from masks[1:], from a root whose
+    load is each candidate's tie to member 0.  Above the cap it keeps only
+    strict improvements, and it is then exactly the first subtree of
+    k_r_oracle's walk, with the same loads, bounds and first attainer.
+    Below the cap it lists every maximizer through member 0 to count them,
+    and above k/2 it lists instead the maximizers for k-r that avoid
     member 0, on masks[1:] (some maximizer for k-r < k misses a member, so
     by transitivity one avoids member 0, and the maximum there is
     K_{k-r}): a family avoids member 0 exactly when its complement within
@@ -445,9 +455,11 @@ def _counted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
     """
     masks = _checked_masks(ell, m, r, budget)
     k = len(masks)
-    if 2 * r <= k:
+    # 2^k <= _COUNT_CAP without building the k-bit integer 2^k
+    ties = k < _COUNT_CAP.bit_length()
+    if 2 * r <= k or not ties:
         root = [(masks[0] & b).bit_count() for b in islice(masks, 1, None)]
-        value, others = _walk(masks[1:], ell, r - 1, True, root)
+        value, others = _walk(masks[1:], ell, r - 1, ties, root)
         through = [(0, *(i + 1 for i in chosen)) for chosen in others]
     else:
         co_value, avoiding = _walk(masks[1:], ell, k - r, True)
@@ -456,12 +468,14 @@ def _counted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
         for chosen in avoiding:
             out = {i + 1 for i in chosen}
             through.append(tuple(i for i in range(k) if i not in out))
-    count, rest = divmod(k * len(through), r)
-    if rest:
-        raise ArithmeticError(
-            f"orbit count {k} * {len(through)} / {r} is not whole at "
-            f"(ell={ell}, m={m}, r={r})"
-        )
+    count = None
+    if ties:
+        count, rest = divmod(k * len(through), r)
+        if rest:
+            raise ArithmeticError(
+                f"orbit count {k} * {len(through)} / {r} is not whole at "
+                f"(ell={ell}, m={m}, r={r})"
+            )
     first = SubsetFamily(ell, m, tuple(masks[i] for i in min(through)))
     _check_witness(first, value)
     return KrRecord(ell, m, r, value, "brute_force", first, count)
@@ -507,14 +521,16 @@ def k_r(
     """K_r in one of four modes.
 
     "closed" returns the closed-form record, or None in the open middle
-    range; "auto" prefers it, then searches: when the lattice has at most
-    _COUNT_CAP subfamilies it lists every maximizer through colex member 0,
-    for r > k/2 as the complements of the maximizers for k-r that avoid it,
-    and counts all maximizers from them (_counted_record); otherwise it runs
-    k_r_oracle, with the same value, maximizer and budget either way;
-    "oracle" forces the per-r search; "both" runs the search,
-    raises ArithmeticError when a closed form disagrees with it, and returns
-    the closed-form record where one applies.
+    range; "auto" prefers it, then searches only the families through
+    colex member 0 (_member0_record), with the value, maximizer and budget
+    of k_r_oracle; the lattice size decides only whether the record also
+    carries the maximizer count, which takes every maximizer through
+    member 0, for r > k/2 as the complements of the maximizers for k-r
+    that avoid it.  "oracle" forces the unreduced per-r search, k_r_oracle;
+    "both" runs it and raises ArithmeticError when a closed form disagrees
+    with it, or in the middle range when the auto search finds another
+    value or maximizer; it returns the closed-form record where one
+    applies and the oracle's otherwise.
     """
     if mode not in ("auto", "closed", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -522,12 +538,18 @@ def k_r(
     if mode == "closed" or (mode == "auto" and closed is not None):
         return closed
     if mode == "auto":
-        # 2^k <= _COUNT_CAP without building the k-bit integer 2^k
-        if math.comb(m, ell) < _COUNT_CAP.bit_length():
-            return _counted_record(ell, m, r, budget)
-        return k_r_oracle(ell, m, r, budget=budget)
+        return _member0_record(ell, m, r, budget)
     direct = k_r_oracle(ell, m, r, budget=budget)
+    if mode == "oracle":
+        return direct
     if closed is None:
+        auto = _member0_record(ell, m, r, budget)
+        if (auto.value, auto.maximizer) != (direct.value, direct.maximizer):
+            raise ArithmeticError(
+                f"member-0 search {auto.value} {auto.maximizer.sets} disagrees "
+                f"with exhaustive search {direct.value} {direct.maximizer.sets} "
+                f"at (ell={ell}, m={m}, r={r})"
+            )
         return direct
     if closed.value != direct.value:
         raise ArithmeticError(

@@ -125,6 +125,30 @@ def test_kr_table_budget_exceeded_exits_1(capsys):
     assert "6435" in err and "budget 100" in err
 
 
+def test_kr_table_auto_above_the_count_cap_prints_the_oracle_bytes(capsys):
+    # (2, 8) has 2^28 subfamilies, past the count cap: auto walks only the
+    # families through member 0, oracle walks them all, and both print the
+    # same rows
+    args = ("kr-table", "--ell", "2", "--m", "8", "--r", "9..10")
+    auto = run(capsys, *args)
+    assert auto == run(capsys, *args, "--mode", "oracle")
+    assert auto[0] == 0 and auto[2] == ""
+
+
+def test_kr_table_auto_above_the_count_cap_charges_every_family(capsys):
+    # the budget counts all C(28, 14) candidate families, not those through
+    # member 0 the walk visits
+    code, out, err = run(
+        capsys, "kr-table", "--ell", "2", "--m", "8", "--r", "14",
+        "--budget-families", "10",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: 40116600 candidate families for (ell=2, m=8, r=14) "
+        "exceed budget 10\n"
+    )
+
+
 @pytest.mark.parametrize("mode", ["oracle", "auto"])
 def test_kr_table_refuses_a_count_too_long_to_print(capsys, mode):
     # C(C(40, 20), 500) has 4436 digits, more than int-to-str conversion

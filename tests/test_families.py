@@ -369,6 +369,49 @@ def test_counted_rows_walk_at_most_half(monkeypatch):
                 assert walks == [(k - 1, r - 1 if below else k - r, below)]
 
 
+MIDDLE_LATTICES = ((2, 5), (3, 5), (2, 6), (4, 6), (3, 6), (2, 7), (5, 7), (1, 6))
+
+
+def middle_rows(lattices):
+    for ell, m in lattices:
+        for r in range(math.comb(m, ell) + 1):
+            if k_r_closed(ell, m, r) is None:
+                yield ell, m, r
+
+
+def test_member0_search_equals_the_oracle_above_the_cap(monkeypatch):
+    # with no lattice under the count cap, every auto row, above k/2 too,
+    # is the member-0 walk: the oracle's first subtree, same record
+    monkeypatch.setattr(families, "_COUNT_CAP", 1)
+    rows = list(middle_rows(MIDDLE_LATTICES))
+    assert len(rows) == 37
+    for ell, m, r in rows:
+        assert k_r(ell, m, r) == k_r_oracle(ell, m, r)
+
+
+def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
+    # above the cap every row, on both sides of k/2, makes one walk over
+    # the k - 1 masks after member 0 for the other r - 1 members, from a
+    # root holding their ties to member 0, keeping strict improvements only
+    walks = []
+    sane = families._walk
+
+    def recording(masks, ell, r, ties, load=None):
+        walks.append((len(masks), r, load is not None, ties))
+        return sane(masks, ell, r, ties, load)
+
+    def refuse(*args, **kw):
+        raise AssertionError("auto mode ran k_r_oracle")
+
+    monkeypatch.setattr(families, "_COUNT_CAP", 1)
+    monkeypatch.setattr(families, "_walk", recording)
+    monkeypatch.setattr(families, "k_r_oracle", refuse)
+    for ell, m, r in middle_rows(((3, 6), (2, 7))):
+        walks.clear()
+        k_r(ell, m, r)
+        assert walks == [(math.comb(m, ell) - 1, r - 1, True, False)]
+
+
 def test_orbit_count_refuses_a_lost_maximizer(monkeypatch):
     # (3, 6) has 360 maximizers at r = 7 and at r = 13; one lost attainer
     # leaves k * c0 off a multiple of r on both sides of k/2
@@ -402,7 +445,7 @@ def test_oracle_record_fields():
 
 def test_exhaustive_routes_agree(monkeypatch):
     # the 2^15 subfamilies of (2, 6) fit a count cap of 2^15 (counted) but
-    # not 2^15 - 1 (per-r search); r = 6..9 is its open middle range
+    # not 2^15 - 1 (uncounted); r = 6..9 is its open middle range
     for r in range(6, 10):
         value, attainers = reference_maximizers(2, 6, r)
         monkeypatch.setattr(families, "_COUNT_CAP", 1 << 15)
@@ -493,6 +536,31 @@ def test_both_mode_raises_on_disagreement(monkeypatch):
         r"at \(ell=2, m=5, r=9\)",
     ):
         k_r(2, 5, 9, "both")
+
+
+def test_both_mode_checks_the_member0_search(monkeypatch):
+    # (2, 8) is above the count cap; a walk from a given root that sees only
+    # the later half of the candidates finds another witness, whose K it
+    # reports truly, and the oracle, which gives no root, is left alone
+    oracle = k_r_oracle(2, 8, 9)
+    assert k_r(2, 8, 9, "both") == oracle
+    sane = families._walk
+
+    def half_blind(masks, ell, r, ties, load=None):
+        if load is None:
+            return sane(masks, ell, r, ties, load)
+        h = len(masks) // 2
+        value, found = sane(masks[h:], ell, r, ties, load[h:])
+        return value, [tuple(i + h for i in chosen) for chosen in found]
+
+    monkeypatch.setattr(families, "_walk", half_blind)
+    assert k_r_oracle(2, 8, 9) == oracle
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^member-0 search \d+ .* disagrees with exhaustive search 26 .* "
+        r"at \(ell=2, m=8, r=9\)$",
+    ):
+        k_r(2, 8, 9, "both")
 
 
 def test_closed_record_carries_witness():
