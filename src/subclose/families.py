@@ -13,8 +13,12 @@ one branch and bound per r, which gives the value, the colex-least
 maximizer and, on request, every maximizer.  Since S_m permutes the
 ell-subsets transitively, k_r's own search walks only the families through
 colex member 0; k_r_oracle walks them all and is the unreduced reference.
-It is sequential, deterministic and single-threaded, and nothing is
-cached.
+Where k_r does not count maximizers it takes the value from the shifted
+families instead (every maximizer is one, once its points are sorted by
+degree: Frankl's shifting argument, which for ell = 2 is the paper's link
+to threshold graphs), and the walk only finds the witness, stopping at
+its first attainer.  It is sequential, deterministic and single-threaded,
+and nothing is cached.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ DEFAULT_FAMILY_BUDGET = 10**8
 # lattice, and counts maximizers only on lattices of at most this many
 # subfamilies: the counting walk cannot cut a branch whose bound merely ties
 # the best, so it is kept where that stays cheap, and the cap alone fixes
-# which K_r records carry a count
+# which K_r records carry a count; above it the value comes from the
+# shifted families and the walk stops at its first attainer
 _COUNT_CAP = 1 << 22
 
 # the walk recurses once per member, and Python stops at 1000 frames by
@@ -300,11 +305,13 @@ class KrRecord:
     and a canonical construction for closed-form ones; it is omitted only
     when the ground family is too large to enumerate.  k_r in auto mode
     finds every brute-force record from the families through colex member
-    0 (see _member0_record).  maximizer_count is filled only there, on a
-    lattice of at most _COUNT_CAP subfamilies; it is None otherwise, and
-    never depends on the budget.  It is counted from the maximizers through
-    member 0, which rows above k/2 read from the complements of the
-    maximizers for k-r.
+    0 (see _member0_record), and above _COUNT_CAP subfamilies takes the
+    value from the shifted families and stops the walk at the first
+    family that reaches it; the record is the same either way.
+    maximizer_count is filled only in auto mode, on a lattice of at most
+    _COUNT_CAP subfamilies; it is None otherwise, and never depends on the
+    budget.  It is counted from the maximizers through member 0, which
+    rows above k/2 read from the complements of the maximizers for k-r.
     """
 
     ell: int
@@ -348,7 +355,11 @@ def _check_witness(fam: SubsetFamily, value: int) -> None:
         )
 
 
-def _walk(masks, ell: int, r: int, ties: bool, load=None):
+class _FirstHit(Exception):
+    """Ends a walk given a target at its first attainer."""
+
+
+def _walk(masks, ell: int, r: int, ties: bool, load=None, *, target=None):
     """Max pairwise intersection sum over r-member families, with attainers.
 
     Branch and bound over index combinations in lexicographic order, which
@@ -374,13 +385,24 @@ def _walk(masks, ell: int, r: int, ties: bool, load=None):
     maximizer.  With ties=True only a bound below the best is cut and every
     maximizer is returned, in colex order.  Returns (value, attainers) with
     attainers as index tuples.
+
+    A caller that already knows the maximum passes it as target, with
+    ties=False.  The walk then starts from best = target - 1 and returns
+    at its first attainer, without proving that nothing beats it.  Every
+    node it cuts has a bound below the target, so no family reaching the
+    target lies under it, and the leaves come in colex order: the first
+    leaf whose best completion reaches the target holds the colex-least
+    family that does, and its least last member is the one taken.  When
+    the target is the true maximum that family is the colex-least
+    maximizer, and the value returned is the target; when no family
+    reaches the target the walk returns target - 1 and no attainer.
     """
     if r == 0:
         return 0, [()]
     k = len(masks)
     lm1 = ell - 1
     chosen: list[int] = []
-    best = -1
+    best = -1 if target is None else target - 1
     found: list[tuple[int, ...]] = []
 
     def go(start: int, cur: int, load: list[int]) -> None:
@@ -400,6 +422,8 @@ def _walk(masks, ell: int, r: int, ties: bool, load=None):
                 ]
             else:
                 found.append((*chosen, start + load.index(best - cur)))
+                if target is not None:
+                    raise _FirstHit
             return
         for off in range(k - s + 1 - start):
             j = start + off
@@ -409,8 +433,67 @@ def _walk(masks, ell: int, r: int, ties: bool, load=None):
             go(j + 1, cur + load[off], [c + (a & b).bit_count() for c, b in later])
             chosen.pop()
 
-    go(0, 0, [0] * k if load is None else load)
+    try:
+        go(0, 0, [0] * k if load is None else load)
+    except _FirstHit:
+        pass
     return best, found
+
+
+def _shifted_value(masks, r: int) -> int:
+    """K_r as the largest K over the shifted r-families.
+
+    K(F) = sum over the points x of C(d_x, 2), d_x the degree of x in F.
+    Shifting S_ij (i < j) replaces each member A with j in A and i not in
+    A by A - j + i, unless that set is already a member; if it moves t
+    members, d_i grows by t, d_j falls by t and K changes by
+    t(d_i - d_j) + t^2.  Relabel the points of a maximizer so that the
+    degrees do not increase: then d_i >= d_j for every i < j, and any S_ij
+    that moves a member would raise K, so the maximizer is stable under
+    every S_ij, that is, shifted (Frankl's shifting technique; for ell = 2
+    the shifted families are the threshold graphs).  Relabeling keeps K, so
+    K_r is the maximum over the shifted r-families.
+
+    The shifted families are the order ideals of the Gale order on the
+    ell-subsets, whose lower covers of A move one element t of A to t-1
+    when t-1 is not in A.  masks are the colex masks of all ell-subsets,
+    and an ideal is a bitmask over their indices.  The ideals of size s+1
+    are those of size s plus one member whose lower covers all lie in the
+    ideal; each is built once per layer, with K raised by the new member's
+    tie to the ideal, the sum of the ideal's degrees at its points.
+    """
+    index = {a: i for i, a in enumerate(masks)}
+    below = [0] * len(masks)
+    above = [0] * len(masks)
+    for i, a in enumerate(masks):
+        # the bits of the elements t >= 2 of A with t-1 not in A
+        movable = a & ~(a << 1) & ~1
+        while movable:
+            bit = movable & -movable
+            j = index[a ^ bit ^ bit >> 1]
+            below[i] |= 1 << j
+            above[j] |= 1 << i
+            movable ^= bit
+    points = [[x for x in range(a.bit_length()) if a >> x & 1] for a in masks]
+    # ideal -> (K, point degrees, a superset of the members that extend it)
+    layer = {0: (0, (0,) * masks[-1].bit_length(), 1)}
+    for _ in range(r):
+        grown = {}
+        for ideal, (value, degrees, reach) in layer.items():
+            free = reach & ~ideal
+            while free:
+                bit = free & -free
+                free ^= bit
+                j = bit.bit_length() - 1
+                if below[j] & ~ideal or ideal | bit in grown:
+                    continue
+                raised = list(degrees)
+                for x in points[j]:
+                    raised[x] += 1
+                tie = sum(degrees[x] for x in points[j])
+                grown[ideal | bit] = (value + tie, tuple(raised), reach | above[j])
+        layer = grown
+    return max(value for value, _, _ in layer.values())
 
 
 def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
@@ -441,11 +524,19 @@ def _member0_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
     maximizer F both ways gives r * N = k * c0.
 
     The walk picks the other r-1 members from masks[1:], from a root whose
-    load is each candidate's tie to member 0.  Above the cap it keeps only
-    strict improvements, and it is then exactly the first subtree of
-    k_r_oracle's walk, with the same loads, bounds and first attainer.
-    Below the cap it lists every maximizer through member 0 to count them,
-    and above k/2 it lists instead the maximizers for k-r that avoid
+    load is each candidate's tie to member 0.  Above the cap the value is
+    _shifted_value's maximum over the shifted families, and the walk, given
+    it as its target, only finds the witness.  Every shifted family is an
+    ideal of the Gale order, and every nonempty ideal contains member 0,
+    its least element, so a shifted maximizer goes through member 0 and the
+    walk reaches the target.  It stops at its first attainer, which is the
+    colex-least maximizer through member 0 (see _walk) and so the
+    colex-least maximizer, the one k_r_oracle returns.  A walk that ends at
+    another value than the target, because no family reaches it or the
+    first that does exceeds it, raises ArithmeticError.
+
+    Below the cap the walk lists every maximizer through member 0 to count
+    them, and above k/2 it lists instead the maximizers for k-r that avoid
     member 0, on masks[1:] (some maximizer for k-r < k misses a member, so
     by transitivity one avoids member 0, and the maximum there is
     K_{k-r}): a family avoids member 0 exactly when its complement within
@@ -459,7 +550,15 @@ def _member0_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
     ties = k < _COUNT_CAP.bit_length()
     if 2 * r <= k or not ties:
         root = [(masks[0] & b).bit_count() for b in islice(masks, 1, None)]
-        value, others = _walk(masks[1:], ell, r - 1, ties, root)
+        target = None if ties else _shifted_value(masks, r)
+        value, others = _walk(masks[1:], ell, r - 1, ties, root, target=target)
+        if target is not None and value != target:
+            # the walk starts at target - 1: no attainer leaves it there
+            raise ArithmeticError(
+                f"member-0 walk reached {value if others else 'no family'}, "
+                f"not the shifted-family maximum {target}, at "
+                f"(ell={ell}, m={m}, r={r})"
+            )
         through = [(0, *(i + 1 for i in chosen)) for chosen in others]
     else:
         co_value, avoiding = _walk(masks[1:], ell, k - r, True)
@@ -526,7 +625,8 @@ def k_r(
     of k_r_oracle; the lattice size decides only whether the record also
     carries the maximizer count, which takes every maximizer through
     member 0, for r > k/2 as the complements of the maximizers for k-r
-    that avoid it.  "oracle" forces the unreduced per-r search, k_r_oracle;
+    that avoid it, or, above the cap, takes the value from the shifted
+    families and only the witness from the walk.  "oracle" forces the unreduced per-r search, k_r_oracle;
     "both" runs it and raises ArithmeticError when a closed form disagrees
     with it, or in the middle range when the auto search finds another
     value or maximizer; it returns the closed-form record where one

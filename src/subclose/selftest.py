@@ -1,8 +1,8 @@
 """Built-in consistency checks behind the selftest subcommand.
 
 One suite touches every module, including the exhaustions behind the
-paper's dualities, close-family certificates and proven cases, in well
-under a second.  Each check is a named zero-argument callable returning a
+paper's dualities, close-family certificates, proven cases and the
+shifted-family K_r route, in under a second.  Each check is a named zero-argument callable returning a
 bool, so failures localize and an exception counts as failure rather than
 aborting the run.
 """
@@ -43,6 +43,15 @@ def _closed_vs_search() -> bool:
     for ell, m in ((2, 4), (3, 5)):
         for r in range(math.comb(m, ell) + 1):
             families.k_r(ell, m, r, "both")  # raises on a disagreement
+    return True
+
+
+def _shifted_vs_oracle() -> bool:
+    # (3, 7) lies above the count cap, so auto mode takes K_r from the
+    # shifted families and its witness from a walk stopped at the first
+    # attainer; mode "both" checks both against the unreduced search
+    for r in range(6, 10):
+        families.k_r(3, 7, r, "both")  # raises on a disagreement
     return True
 
 
@@ -212,6 +221,7 @@ CHECKS: tuple[Check, ...] = (
     ("weight-hierarchy-f2-2-4", _weight_hierarchy_f2),
     ("conjecture-proven-cases", _conjecture_proven_cases),
     ("close-families", _close_families),
+    ("shifted-vs-oracle-3-7", _shifted_vs_oracle),
 )
 
 

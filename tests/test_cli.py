@@ -414,7 +414,7 @@ def test_verify_internal_check_failure_exits_1(capsys, monkeypatch):
 def test_selftest_passes(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0 and err == ""
-    assert out.endswith("\n17/17 checks passed\n")
+    assert out.endswith("\n18/18 checks passed\n")
     assert "FAIL" not in out
 
 
@@ -424,7 +424,7 @@ def test_selftest_json_document(capsys):
     doc = json.loads(out)
     validate_doc(doc)
     assert doc["ok"] is True and "mode" not in doc
-    assert len(doc["checks"]) == 17
+    assert len(doc["checks"]) == 18
 
 
 def test_selftest_reports_failures(capsys, monkeypatch):

@@ -350,13 +350,14 @@ def test_dual_lattice_counts_match():
 def test_counted_rows_walk_at_most_half(monkeypatch):
     # every counted row makes one walk over the k - 1 masks after member 0:
     # below k/2 for the other r - 1 members, from a root holding their ties
-    # to member 0, above it for the k - r members of the complement side
+    # to member 0, above it for the k - r members of the complement side;
+    # it lists every maximizer, so it is given no target
     walks = []
     sane = families._walk
 
-    def recording(masks, ell, r, ties, load=None):
-        walks.append((len(masks), r, load is not None))
-        return sane(masks, ell, r, ties, load)
+    def recording(masks, ell, r, ties, load=None, *, target=None):
+        walks.append((len(masks), r, load is not None, target))
+        return sane(masks, ell, r, ties, load, target=target)
 
     monkeypatch.setattr(families, "_walk", recording)
     for ell, m in ((3, 6), (2, 7)):
@@ -366,7 +367,7 @@ def test_counted_rows_walk_at_most_half(monkeypatch):
                 walks.clear()
                 k_r(ell, m, r)
                 below = 2 * r <= k
-                assert walks == [(k - 1, r - 1 if below else k - r, below)]
+                assert walks == [(k - 1, r - 1 if below else k - r, below, None)]
 
 
 MIDDLE_LATTICES = ((2, 5), (3, 5), (2, 6), (4, 6), (3, 6), (2, 7), (5, 7), (1, 6))
@@ -392,13 +393,16 @@ def test_member0_search_equals_the_oracle_above_the_cap(monkeypatch):
 def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
     # above the cap every row, on both sides of k/2, makes one walk over
     # the k - 1 masks after member 0 for the other r - 1 members, from a
-    # root holding their ties to member 0, keeping strict improvements only
+    # root holding their ties to member 0, keeping strict improvements only,
+    # with the oracle's value as its target
+    rows = list(middle_rows(((3, 6), (2, 7))))
+    values = [k_r_oracle(ell, m, r).value for ell, m, r in rows]
     walks = []
     sane = families._walk
 
-    def recording(masks, ell, r, ties, load=None):
-        walks.append((len(masks), r, load is not None, ties))
-        return sane(masks, ell, r, ties, load)
+    def recording(masks, ell, r, ties, load=None, *, target=None):
+        walks.append((len(masks), r, load is not None, ties, target))
+        return sane(masks, ell, r, ties, load, target=target)
 
     def refuse(*args, **kw):
         raise AssertionError("auto mode ran k_r_oracle")
@@ -406,10 +410,95 @@ def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
     monkeypatch.setattr(families, "_COUNT_CAP", 1)
     monkeypatch.setattr(families, "_walk", recording)
     monkeypatch.setattr(families, "k_r_oracle", refuse)
-    for ell, m, r in middle_rows(((3, 6), (2, 7))):
+    for (ell, m, r), value in zip(rows, values):
         walks.clear()
         k_r(ell, m, r)
-        assert walks == [(math.comb(m, ell) - 1, r - 1, True, False)]
+        assert walks == [(math.comb(m, ell) - 1, r - 1, True, False, value)]
+
+
+def test_oracle_walks_take_no_target(monkeypatch):
+    # k_r_oracle and maximizer_families prove their answers: a target would
+    # stop them at a first attainer and make them a reduced search
+    targets = []
+    sane = families._walk
+
+    def recording(masks, ell, r, ties, load=None, *, target=None):
+        targets.append(target)
+        return sane(masks, ell, r, ties, load, target=target)
+
+    monkeypatch.setattr(families, "_walk", recording)
+    rows = list(middle_rows(((2, 5), (3, 5), (2, 6))))
+    for ell, m, r in rows:
+        k_r_oracle(ell, m, r)
+        maximizer_families(ell, m, r)
+    k_r_oracle(2, 8, 9)
+    assert len(targets) == 2 * len(rows) + 1
+    assert set(targets) == {None}
+
+
+LATTICE_BNB_ROWS = tuple((2, 8, r) for r in range(9, 13)) + tuple(
+    (3, 7, r) for r in range(6, 10)
+)
+
+
+def test_shifted_value_equals_the_oracle():
+    # on every middle row the oracle reaches, and on the rows above the
+    # count cap where auto mode takes its value from the shifted families
+    rows = list(middle_rows(MIDDLE_LATTICES)) + list(LATTICE_BNB_ROWS)
+    for ell, m, r in rows:
+        masks = SubsetIndexer(ell, m).masks
+        assert families._shifted_value(masks, r) == k_r_oracle(ell, m, r).value
+    for ell, m, r in LATTICE_BNB_ROWS:
+        assert k_r(ell, m, r) == k_r_oracle(ell, m, r)
+
+
+def test_walk_with_a_target_returns_its_first_attainer():
+    # {1,2,3}, {1,4,5}, {4,5,6}, {4,5,7}: the pairs through {1,2,3} reach
+    # K = 1 at most and the later ones K = 2; given target 1 the walk stops
+    # at the first pair that reaches it, and given 3 it finds none
+    masks = (0b111, 0b11001, 0b111000, 0b1011000)
+    assert families._walk(masks, 3, 2, False) == (2, [(1, 2)])
+    assert families._walk(masks, 3, 2, False, target=2) == (2, [(1, 2)])
+    assert families._walk(masks, 3, 2, False, target=1) == (1, [(0, 1)])
+    assert families._walk(masks, 3, 2, False, target=3) == (2, [])
+
+
+def test_a_shifted_value_above_the_maximum_is_refused(monkeypatch):
+    # no family through member 0 reaches a target above K_r; the walk is
+    # left at target - 1, and an ArithmeticError, which python -O keeps,
+    # names the row
+    sane = families._shifted_value
+    monkeypatch.setattr(
+        families, "_shifted_value", lambda masks, r: sane(masks, r) + 1
+    )
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^member-0 walk reached no family, not the shifted-family "
+        r"maximum 27, at \(ell=2, m=8, r=9\)$",
+    ):
+        k_r(2, 8, 9)
+
+
+def test_a_shifted_value_below_the_maximum_is_caught(monkeypatch):
+    # at (2, 8, 9) the first family to reach 25 has K = 26, which the walk
+    # reports; at (3, 7, 6) it has K = 26, a true witness of a wrong value,
+    # which only the oracle refutes, in "both" mode
+    sane = families._shifted_value
+    monkeypatch.setattr(
+        families, "_shifted_value", lambda masks, r: sane(masks, r) - 1
+    )
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^member-0 walk reached 26, not the shifted-family maximum 25, "
+        r"at \(ell=2, m=8, r=9\)$",
+    ):
+        k_r(2, 8, 9)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^member-0 search 26 .* disagrees with exhaustive search 27 .* "
+        r"at \(ell=3, m=7, r=6\)$",
+    ):
+        k_r(3, 7, 6, "both")
 
 
 def test_orbit_count_refuses_a_lost_maximizer(monkeypatch):
@@ -546,11 +635,11 @@ def test_both_mode_checks_the_member0_search(monkeypatch):
     assert k_r(2, 8, 9, "both") == oracle
     sane = families._walk
 
-    def half_blind(masks, ell, r, ties, load=None):
+    def half_blind(masks, ell, r, ties, load=None, *, target=None):
         if load is None:
-            return sane(masks, ell, r, ties, load)
+            return sane(masks, ell, r, ties, load, target=target)
         h = len(masks) // 2
-        value, found = sane(masks[h:], ell, r, ties, load[h:])
+        value, found = sane(masks[h:], ell, r, ties, load[h:], target=target)
         return value, [tuple(i + h for i in chosen) for chosen in found]
 
     monkeypatch.setattr(families, "_walk", half_blind)

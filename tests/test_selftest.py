@@ -9,7 +9,7 @@ from subclose.selftest import CHECKS, run_selftest
 def test_suite_all_green():
     results = run_selftest()
     assert [name for name, _ in results] == [name for name, _ in CHECKS]
-    assert len(results) == 17
+    assert len(results) == 18
     assert all(ok for _, ok in results), [n for n, ok in results if not ok]
 
 
@@ -25,6 +25,19 @@ def test_suite_catches_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr(families, "_closed_record", doctored)
     failed = {name for name, ok in run_selftest() if not ok}
     assert {"golden-kr-2-5", "closed-vs-search"} <= failed
+
+
+def test_suite_catches_a_wrong_shifted_value(monkeypatch):
+    # one below K_r at (3, 7, 6), the walk stops at a family of that K,
+    # which only the unreduced search in mode "both" refutes
+    check = dict(CHECKS)["shifted-vs-oracle-3-7"]
+    assert check()
+    sane = families._shifted_value
+    monkeypatch.setattr(
+        families, "_shifted_value", lambda masks, r: sane(masks, r) - 1
+    )
+    failed = {name for name, ok in run_selftest() if not ok}
+    assert failed == {"shifted-vs-oracle-3-7"}
 
 
 def test_full_suite_catches_a_wrong_close_witness(monkeypatch):
