@@ -8,17 +8,16 @@ K_r = max(sum of |A_i cap A_j| over pairs) is produced by closed forms on
 the low and high ranges of r and by exhaustive search in between; a family
 attaining the maximum is called subclose.
 
-All subsets are bitmasks on {1..m} (bit i-1 is element i).  The search is
-one branch and bound per r, which gives the value, the colex-least
-maximizer and, on request, every maximizer.  Since S_m permutes the
-ell-subsets transitively, k_r's own search walks only the families through
-colex member 0; k_r_oracle walks them all and is the unreduced reference.
-Where k_r does not count maximizers it takes the value from the shifted
-families instead (every maximizer is one, once its points are sorted by
-degree: Frankl's shifting argument, which for ell = 2 is the paper's link
-to threshold graphs), and the walk only finds the witness, stopping at
-its first attainer.  It is sequential, deterministic and single-threaded,
-and nothing is cached.
+All subsets are bitmasks on {1..m} (bit i-1 is element i).  K_r, the
+number of its maximizers and their list come from the shifted families:
+every maximizer is one once its points are sorted by degree (Frankl's
+shifting argument, which for ell = 2 is the paper's link to threshold
+graphs), so the maximizers are the relabelings of the shifted ones.  A
+branch and bound per r finds witnesses: k_r's walk, given K_r as its
+target, picks from the families through colex member 0 and stops at the
+colex-least maximizer; k_r_oracle walks every family with no target and
+is the unreduced reference.  It is sequential, deterministic and
+single-threaded, and nothing is cached.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, groupby, islice
 
 from .combinat import SubsetIndexer, mask_of, set_of
 
@@ -55,12 +54,9 @@ def check_budget(count: int, what: str, budget: int) -> None:
 
 DEFAULT_FAMILY_BUDGET = 10**8
 
-# k_r in auto mode searches the families through colex member 0 on every
-# lattice, and counts maximizers only on lattices of at most this many
-# subfamilies: the counting walk cannot cut a branch whose bound merely ties
-# the best, so it is kept where that stays cheap, and the cap alone fixes
-# which K_r records carry a count; above it the value comes from the
-# shifted families and the walk stops at its first attainer
+# k_r in auto mode reports the maximizer count only on lattices of at most
+# this many subfamilies; the shifted families give it on every lattice, so
+# the cap fixes nothing but which K_r records carry a count
 _COUNT_CAP = 1 << 22
 
 # the walk recurses once per member, and Python stops at 1000 frames by
@@ -304,14 +300,12 @@ class KrRecord:
     witness maximizer is the colex-least maximizer for brute-force records
     and a canonical construction for closed-form ones; it is omitted only
     when the ground family is too large to enumerate.  k_r in auto mode
-    finds every brute-force record from the families through colex member
-    0 (see _member0_record), and above _COUNT_CAP subfamilies takes the
-    value from the shifted families and stops the walk at the first
-    family that reaches it; the record is the same either way.
-    maximizer_count is filled only in auto mode, on a lattice of at most
-    _COUNT_CAP subfamilies; it is None otherwise, and never depends on the
-    budget.  It is counted from the maximizers through member 0, which
-    rows above k/2 read from the complements of the maximizers for k-r.
+    takes every brute-force value from the shifted families and its
+    witness from a walk over the families through colex member 0 (see
+    _member0_record).  maximizer_count is filled only in auto mode, on a
+    lattice of at most _COUNT_CAP subfamilies; it is None otherwise, and
+    never depends on the budget.  It is the sum of the shifted maximizers'
+    orbit sizes under S_m.
     """
 
     ell: int
@@ -359,8 +353,9 @@ class _FirstHit(Exception):
     """Ends a walk given a target at its first attainer."""
 
 
-def _walk(masks, ell: int, r: int, ties: bool, load=None, *, target=None):
-    """Max pairwise intersection sum over r-member families, with attainers.
+def _walk(masks, ell: int, r: int, load=None, *, target=None):
+    """Max pairwise intersection sum over r-member families, with the
+    colex-least attainer.
 
     Branch and bound over index combinations in lexicographic order, which
     is colex order on families.  Each node carries a load vector: load[off]
@@ -379,51 +374,40 @@ def _walk(masks, ell: int, r: int, ties: bool, load=None, *, target=None):
     The bound is admissible: the top s loads count the ties to the chosen
     part exactly, and every pair of still-undecided members can meet in at
     most ell-1 points, so it never underestimates a completion; at s = 1
-    it is cur + max(load), the best completion itself.  With
-    ties=False a bound equal to the best so far is cut and only strict
-    improvements are kept, so the one attainer returned is the colex-least
-    maximizer.  With ties=True only a bound below the best is cut and every
-    maximizer is returned, in colex order.  Returns (value, attainers) with
-    attainers as index tuples.
+    it is cur + max(load), the best completion itself.  A bound equal to
+    the best so far is cut and only strict improvements are kept, so the
+    attainer returned is the colex-least maximizer.  Returns (value,
+    attainer) with the attainer as an index tuple.
 
-    A caller that already knows the maximum passes it as target, with
-    ties=False.  The walk then starts from best = target - 1 and returns
-    at its first attainer, without proving that nothing beats it.  Every
-    node it cuts has a bound below the target, so no family reaching the
-    target lies under it, and the leaves come in colex order: the first
-    leaf whose best completion reaches the target holds the colex-least
-    family that does, and its least last member is the one taken.  When
-    the target is the true maximum that family is the colex-least
-    maximizer, and the value returned is the target; when no family
-    reaches the target the walk returns target - 1 and no attainer.
+    A caller that already knows the maximum passes it as target.  The walk
+    then starts from best = target - 1 and returns at its first attainer,
+    without proving that nothing beats it.  Every node it cuts has a bound
+    below the target, so no family reaching the target lies under it, and
+    the leaves come in colex order: the first leaf whose best completion
+    reaches the target holds the colex-least family that does, and its
+    least last member is the one taken.  When the target is the true
+    maximum that family is the colex-least maximizer, and the value
+    returned is the target; when no family reaches the target the walk
+    returns target - 1 and None.
     """
     if r == 0:
-        return 0, [()]
+        return 0, ()
     k = len(masks)
     lm1 = ell - 1
     chosen: list[int] = []
     best = -1 if target is None else target - 1
-    found: list[tuple[int, ...]] = []
+    found = None
 
     def go(start: int, cur: int, load: list[int]) -> None:
         nonlocal best, found
         s = r - len(chosen)
         ub = cur + sum(sorted(load)[-s:]) + lm1 * s * (s - 1) // 2
-        if ub < best or (ub == best and not ties):
+        if ub <= best:
             return
         if s == 1:
-            if ub > best:
-                best, found = ub, []
-            if ties:
-                found += [
-                    (*chosen, start + off)
-                    for off, c in enumerate(load)
-                    if cur + c == best
-                ]
-            else:
-                found.append((*chosen, start + load.index(best - cur)))
-                if target is not None:
-                    raise _FirstHit
+            best, found = ub, (*chosen, start + load.index(ub - cur))
+            if target is not None:
+                raise _FirstHit
             return
         for off in range(k - s + 1 - start):
             j = start + off
@@ -440,8 +424,8 @@ def _walk(masks, ell: int, r: int, ties: bool, load=None, *, target=None):
     return best, found
 
 
-def _shifted_value(masks, r: int) -> int:
-    """K_r as the largest K over the shifted r-families.
+def _shifted_maximizers(masks, m: int, r: int):
+    """K_r and every shifted r-family attaining it.
 
     K(F) = sum over the points x of C(d_x, 2), d_x the degree of x in F.
     Shifting S_ij (i < j) replaces each member A with j in A and i not in
@@ -452,7 +436,8 @@ def _shifted_value(masks, r: int) -> int:
     that moves a member would raise K, so the maximizer is stable under
     every S_ij, that is, shifted (Frankl's shifting technique; for ell = 2
     the shifted families are the threshold graphs).  Relabeling keeps K, so
-    K_r is the maximum over the shifted r-families.
+    K_r is the maximum over the shifted r-families, and every maximizer is
+    a relabeling of a shifted one (see _orbit_size).
 
     The shifted families are the order ideals of the Gale order on the
     ell-subsets, whose lower covers of A move one element t of A to t-1
@@ -461,6 +446,7 @@ def _shifted_value(masks, r: int) -> int:
     are those of size s plus one member whose lower covers all lie in the
     ideal; each is built once per layer, with K raised by the new member's
     tie to the ideal, the sum of the ideal's degrees at its points.
+    Returns (K_r, [(ideal, degrees), ...]), degrees the m point degrees.
     """
     index = {a: i for i, a in enumerate(masks)}
     below = [0] * len(masks)
@@ -476,7 +462,7 @@ def _shifted_value(masks, r: int) -> int:
             movable ^= bit
     points = [[x for x in range(a.bit_length()) if a >> x & 1] for a in masks]
     # ideal -> (K, point degrees, a superset of the members that extend it)
-    layer = {0: (0, (0,) * masks[-1].bit_length(), 1)}
+    layer = {0: (0, (0,) * m, 1)}
     for _ in range(r):
         grown = {}
         for ideal, (value, degrees, reach) in layer.items():
@@ -493,7 +479,42 @@ def _shifted_value(masks, r: int) -> int:
                 tie = sum(degrees[x] for x in points[j])
                 grown[ideal | bit] = (value + tie, tuple(raised), reach | above[j])
         layer = grown
-    return max(value for value, _, _ in layer.values())
+    best = max(value for value, _, _ in layer.values())
+    return best, [(i, d) for i, (value, d, _) in layer.items() if value == best]
+
+
+def _orbit_size(degrees) -> int:
+    """Number of relabelings of a shifted family with these point degrees:
+    m! over the product of the factorials of its equal-degree runs.
+
+    A shifted family's degrees do not increase.  For i < j of equal degree,
+    S_ij maps the members with j and not i one-to-one into the equally
+    many with i and not j, so swapping i and j fixes the family; as an
+    automorphism keeps degrees, the automorphisms are the permutations
+    inside the runs.  Two shifted families that relabel each other have the
+    same degrees, so the relabeling stays inside the runs and they are
+    equal: each maximizer relabels exactly one shifted maximizer.
+    """
+    size = math.factorial(len(degrees))
+    for _, run in groupby(degrees):
+        size //= math.factorial(len(list(run)))
+    return size
+
+
+def _relabelings(degrees) -> list[tuple[int, ...]]:
+    """One relabeling per coset of the automorphisms in _orbit_size:
+    new[x] is the new label of point x, each equal-degree run going in
+    order onto one choice of labels among those the earlier runs left."""
+    points = range(len(degrees))
+    news = [()]
+    for _, run in groupby(degrees):
+        size = len(list(run))
+        news = [
+            new + block
+            for new in news
+            for block in combinations([x for x in points if x not in new], size)
+        ]
+    return news
 
 
 def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
@@ -510,73 +531,38 @@ def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
 
 
 def _member0_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
-    """Brute-force record from the families through colex member 0 alone
-    (1 <= r < k), with the maximizer count when the lattice has at most
-    _COUNT_CAP subfamilies.
+    """Brute-force record (1 <= r < k) with its value from the shifted
+    families and its witness from the families through colex member 0,
+    and the maximizer count when the lattice has at most _COUNT_CAP
+    subfamilies: the sum of the shifted maximizers' orbit sizes.
 
     S_m acts on the ell-subsets transitively and maps maximizers to
     maximizers, so some maximizer contains member 0, the set {1..ell}, and
     every family through member 0 sorts before every family without it:
-    the maximum over the families through member 0 is K_r, and the
-    colex-least maximizer is the least of those through member 0.  By the
-    same transitivity every member lies in the same number c0 of the N
-    maximizers, and counting the pairs (F, A) with A a member of a
-    maximizer F both ways gives r * N = k * c0.
-
-    The walk picks the other r-1 members from masks[1:], from a root whose
-    load is each candidate's tie to member 0.  Above the cap the value is
-    _shifted_value's maximum over the shifted families, and the walk, given
-    it as its target, only finds the witness.  Every shifted family is an
-    ideal of the Gale order, and every nonempty ideal contains member 0,
-    its least element, so a shifted maximizer goes through member 0 and the
-    walk reaches the target.  It stops at its first attainer, which is the
-    colex-least maximizer through member 0 (see _walk) and so the
-    colex-least maximizer, the one k_r_oracle returns.  A walk that ends at
-    another value than the target, because no family reaches it or the
-    first that does exceeds it, raises ArithmeticError.
-
-    Below the cap the walk lists every maximizer through member 0 to count
-    them, and above k/2 it lists instead the maximizers for k-r that avoid
-    member 0, on masks[1:] (some maximizer for k-r < k misses a member, so
-    by transitivity one avoids member 0, and the maximum there is
-    K_{k-r}): a family avoids member 0 exactly when its complement within
-    all ell-subsets contains it, and complementing adds complement_value's
-    constant to K, so the complements are the maximizers for r through
-    member 0.
+    the colex-least maximizer is the least of those through member 0.  The
+    walk picks the other r-1 members from masks[1:], from a root whose load
+    is each candidate's tie to member 0, with K_r as its target.  It stops
+    at its first attainer, which is the colex-least maximizer (see _walk),
+    the one k_r_oracle returns.  A walk that ends at another value than the
+    target, because no family reaches it or the first that does exceeds
+    it, raises ArithmeticError.
     """
     masks = _checked_masks(ell, m, r, budget)
-    k = len(masks)
-    # 2^k <= _COUNT_CAP without building the k-bit integer 2^k
-    ties = k < _COUNT_CAP.bit_length()
-    if 2 * r <= k or not ties:
-        root = [(masks[0] & b).bit_count() for b in islice(masks, 1, None)]
-        target = None if ties else _shifted_value(masks, r)
-        value, others = _walk(masks[1:], ell, r - 1, ties, root, target=target)
-        if target is not None and value != target:
-            # the walk starts at target - 1: no attainer leaves it there
-            raise ArithmeticError(
-                f"member-0 walk reached {value if others else 'no family'}, "
-                f"not the shifted-family maximum {target}, at "
-                f"(ell={ell}, m={m}, r={r})"
-            )
-        through = [(0, *(i + 1 for i in chosen)) for chosen in others]
-    else:
-        co_value, avoiding = _walk(masks[1:], ell, k - r, True)
-        value = complement_value(ell, m, k - r, co_value)
-        through = []
-        for chosen in avoiding:
-            out = {i + 1 for i in chosen}
-            through.append(tuple(i for i in range(k) if i not in out))
-    count = None
-    if ties:
-        count, rest = divmod(k * len(through), r)
-        if rest:
-            raise ArithmeticError(
-                f"orbit count {k} * {len(through)} / {r} is not whole at "
-                f"(ell={ell}, m={m}, r={r})"
-            )
-    first = SubsetFamily(ell, m, tuple(masks[i] for i in min(through)))
+    value, shifted = _shifted_maximizers(masks, m, r)
+    root = [(masks[0] & b).bit_count() for b in islice(masks, 1, None)]
+    reached, others = _walk(masks[1:], ell, r - 1, root, target=value)
+    if reached != value:
+        # the walk starts at value - 1: no attainer leaves it there
+        raise ArithmeticError(
+            f"member-0 walk reached {reached if others else 'no family'}, "
+            f"not the shifted-family maximum {value}, at "
+            f"(ell={ell}, m={m}, r={r})"
+        )
+    first = SubsetFamily(ell, m, (masks[0], *(masks[i + 1] for i in others)))
     _check_witness(first, value)
+    # 2^k <= _COUNT_CAP without building the k-bit integer 2^k
+    counted = len(masks) < _COUNT_CAP.bit_length()
+    count = sum(_orbit_size(d) for _, d in shifted) if counted else None
     return KrRecord(ell, m, r, value, "brute_force", first, count)
 
 
@@ -585,13 +571,13 @@ def k_r_oracle(
 ) -> KrRecord:
     """Exhaustive K_r over all C(k, r) families of r distinct ell-subsets.
 
-    Never consults the closed forms and never counts.  Returns the
-    colex-least maximizer (family compared as its sorted tuple of colex
-    member indices).
+    Never consults the closed forms or the shifted families and never
+    counts.  Returns the colex-least maximizer (family compared as its
+    sorted tuple of colex member indices).
     """
     masks = _checked_masks(ell, m, r, budget)
-    value, attainers = _walk(masks, ell, r, False)
-    first = SubsetFamily(ell, m, tuple(masks[i] for i in attainers[0]))
+    value, chosen = _walk(masks, ell, r)
+    first = SubsetFamily(ell, m, tuple(masks[i] for i in chosen))
     _check_witness(first, value)
     return KrRecord(ell, m, r, value, "brute_force", first)
 
@@ -599,13 +585,29 @@ def k_r_oracle(
 def maximizer_families(
     ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> tuple[SubsetFamily, ...]:
-    """Every family attaining K_r, in colex order."""
+    """Every family attaining K_r, in colex order: the distinct
+    relabelings of the shifted maximizers.
+
+    A listing whose length is not the sum of their orbit sizes, or a
+    family whose K is not K_r, raises ArithmeticError.  The budget and the
+    depth cap are k_r_oracle's, so both refuse the same rows.
+    """
     masks = _checked_masks(ell, m, r, budget)
-    value, attainers = _walk(masks, ell, r, True)
-    fams = tuple(
-        SubsetFamily(ell, m, tuple(masks[i] for i in chosen)) for chosen in attainers
-    )
-    _check_witness(fams[0], value)
+    value, shifted = _shifted_maximizers(masks, m, r)
+    listed = set()
+    for ideal, degrees in shifted:
+        members = [set_of(a) for j, a in enumerate(masks) if ideal >> j & 1]
+        for new in _relabelings(degrees):
+            listed.add(tuple(sorted(sum(1 << new[x - 1] for x in a) for a in members)))
+    orbits = sum(_orbit_size(degrees) for _, degrees in shifted)
+    if len(listed) != orbits:
+        raise ArithmeticError(
+            f"{len(listed)} relabelings of the shifted maximizers, not their "
+            f"orbit sum {orbits}, at (ell={ell}, m={m}, r={r})"
+        )
+    fams = tuple(SubsetFamily(ell, m, members) for members in sorted(listed))
+    for fam in fams:
+        _check_witness(fam, value)
     return fams
 
 
@@ -620,13 +622,11 @@ def k_r(
     """K_r in one of four modes.
 
     "closed" returns the closed-form record, or None in the open middle
-    range; "auto" prefers it, then searches only the families through
-    colex member 0 (_member0_record), with the value, maximizer and budget
-    of k_r_oracle; the lattice size decides only whether the record also
-    carries the maximizer count, which takes every maximizer through
-    member 0, for r > k/2 as the complements of the maximizers for k-r
-    that avoid it, or, above the cap, takes the value from the shifted
-    families and only the witness from the walk.  "oracle" forces the unreduced per-r search, k_r_oracle;
+    range; "auto" prefers it, then takes the value and, on a lattice of at
+    most _COUNT_CAP subfamilies, the maximizer count from the shifted
+    families and the witness from a walk through colex member 0
+    (_member0_record), with the value, maximizer and budget of k_r_oracle.
+    "oracle" forces the unreduced per-r search, k_r_oracle;
     "both" runs it and raises ArithmeticError when a closed form disagrees
     with it, or in the middle range when the auto search finds another
     value or maximizer; it returns the closed-form record where one

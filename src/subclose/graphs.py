@@ -4,9 +4,9 @@ The degree square sum Sigma(G) = sum of deg(v)^2 links straight back to the
 intersection machinery: Sigma = 2*K + 2r for a graph with r edges, where K
 is the pairwise intersection sum of the edge family.  Maximizing Sigma over
 r-edge graphs is therefore the ell = 2 case of the K_r problem: the maximum
-and its witnesses come from the one exhaustive search in ``families``, and
-the Ahlswede-Katona closed form checks every maximum.  Exhaustion is over
-labeled edge subsets, never isomorphism classes.
+and its witness come from the exhaustive search in ``families``, every
+labeled maximizer from the threshold graphs (its shifted families), and the
+Ahlswede-Katona closed form checks every maximum.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def optimal_graphs(
 
 @dataclass(frozen=True)
 class TrivialBoundReport:
-    """Exhaustive audit of the sparse-range bound Sigma <= r*(r+1)."""
+    """Audit of the sparse-range bound Sigma <= r*(r+1) on every maximizer."""
 
     m: int
     r: int

@@ -2,9 +2,8 @@
 
 One suite touches every module, including the exhaustions behind the
 paper's dualities, close-family certificates, proven cases and the
-shifted-family K_r route, in under a second.  Each check is a named zero-argument callable returning a
-bool, so failures localize and an exception counts as failure rather than
-aborting the run.
+shifted-family K_r route, in under a second.  Each check is a named
+zero-argument callable returning a bool; an exception counts as failure.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ def _closed_vs_search() -> bool:
 
 
 def _shifted_vs_oracle() -> bool:
-    # (3, 7) lies above the count cap, so auto mode takes K_r from the
-    # shifted families and its witness from a walk stopped at the first
-    # attainer; mode "both" checks both against the unreduced search
+    # auto mode takes K_r from the shifted families and its witness from a
+    # walk stopped at the first attainer; mode "both" checks both against
+    # the unreduced search, here on rows above the count cap
     for r in range(6, 10):
         families.k_r(3, 7, r, "both")  # raises on a disagreement
     return True

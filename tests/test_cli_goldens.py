@@ -45,6 +45,10 @@ GOLDENS = [
      "c47f6beff6721a058f426b3d83700970a33450dc38d1422ee6782cbaea8e038c"),
     ("kr-table --ell 3 --m 7 --r 1..5 --mode closed --format json", 0,
      "38118903a569c03f651fded4f3bcf5d420959d7d6d7168aa177f57a4d4686d60"),
+    ("kr-table --ell 3 --m 6 --format json", 0,
+     "d138ef49a28dcc7e1539f173330d973acf9f3a7635e2d3ba39dda44f4527e312"),
+    ("kr-table --ell 5 --m 7 --format json", 0,
+     "12033f0092e754449daae03f5e9071825d0f0a36f58bddfb9fc034c263958209"),
     ("kr-table --ell 0 --m 3 --format json", 0,
      "6195c7218042897c4bbef399e91ad13812de82f6ba651facb1ef481926d6e145"),
     ("kr-table --ell 2 --m 6 --mode closed", 2,

@@ -283,7 +283,7 @@ def test_golden_3_5_via_first_duality():
 
 # ------------------------------------------------------------------ oracle
 
-LATTICES = ((1, 4), (2, 4), (3, 4), (2, 5), (3, 5), (2, 6))
+LATTICES = ((0, 3), (1, 4), (2, 4), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6))
 
 
 @functools.cache
@@ -321,10 +321,9 @@ def test_sweep_matches_oracle_with_counts():
 
 @pytest.mark.parametrize("ell, m, counts", [(3, 6, COUNTS_3_6), (2, 7, COUNTS_2_7)])
 def test_maximizer_counts_pinned(ell, m, counts):
-    # at every middle r the auto record, counted from the maximizers through
-    # member 0 or from complements above k/2, equals the full list; a route
-    # that walks every maximizer passes this too, so it guards the counted
-    # route rather than telling it apart
+    # at every r the listing, and at every middle r the auto record, whose
+    # count is the shifted maximizers' orbit sum, match counts taken by a
+    # walk over every subfamily, on both sides of k/2
     k = len(counts) - 1
     sides = set()
     for r, count in enumerate(counts):
@@ -347,29 +346,6 @@ def test_dual_lattice_counts_match():
             assert k_r(5, 7, r).maximizer_count == COUNTS_2_7[r]
 
 
-def test_counted_rows_walk_at_most_half(monkeypatch):
-    # every counted row makes one walk over the k - 1 masks after member 0:
-    # below k/2 for the other r - 1 members, from a root holding their ties
-    # to member 0, above it for the k - r members of the complement side;
-    # it lists every maximizer, so it is given no target
-    walks = []
-    sane = families._walk
-
-    def recording(masks, ell, r, ties, load=None, *, target=None):
-        walks.append((len(masks), r, load is not None, target))
-        return sane(masks, ell, r, ties, load, target=target)
-
-    monkeypatch.setattr(families, "_walk", recording)
-    for ell, m in ((3, 6), (2, 7)):
-        k = math.comb(m, ell)
-        for r in range(k + 1):
-            if k_r_closed(ell, m, r) is None:
-                walks.clear()
-                k_r(ell, m, r)
-                below = 2 * r <= k
-                assert walks == [(k - 1, r - 1 if below else k - r, below, None)]
-
-
 MIDDLE_LATTICES = ((2, 5), (3, 5), (2, 6), (4, 6), (3, 6), (2, 7), (5, 7), (1, 6))
 
 
@@ -381,8 +357,8 @@ def middle_rows(lattices):
 
 
 def test_member0_search_equals_the_oracle_above_the_cap(monkeypatch):
-    # with no lattice under the count cap, every auto row, above k/2 too,
-    # is the member-0 walk: the oracle's first subtree, same record
+    # with no lattice under the count cap no auto row carries a count, and
+    # every one, above k/2 too, is the oracle's record
     monkeypatch.setattr(families, "_COUNT_CAP", 1)
     rows = list(middle_rows(MIDDLE_LATTICES))
     assert len(rows) == 37
@@ -391,40 +367,43 @@ def test_member0_search_equals_the_oracle_above_the_cap(monkeypatch):
 
 
 def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
-    # above the cap every row, on both sides of k/2, makes one walk over
-    # the k - 1 masks after member 0 for the other r - 1 members, from a
-    # root holding their ties to member 0, keeping strict improvements only,
-    # with the oracle's value as its target
+    # every middle row, counted or not and on both sides of k/2, makes one
+    # walk over the k - 1 masks after member 0 for the other r - 1 members,
+    # from a root holding their ties to member 0, with the oracle's value
+    # as its target
     rows = list(middle_rows(((3, 6), (2, 7))))
     values = [k_r_oracle(ell, m, r).value for ell, m, r in rows]
     walks = []
     sane = families._walk
 
-    def recording(masks, ell, r, ties, load=None, *, target=None):
-        walks.append((len(masks), r, load is not None, ties, target))
-        return sane(masks, ell, r, ties, load, target=target)
+    def recording(masks, ell, r, load=None, *, target=None):
+        walks.append((len(masks), r, load is not None, target))
+        return sane(masks, ell, r, load, target=target)
 
     def refuse(*args, **kw):
         raise AssertionError("auto mode ran k_r_oracle")
 
-    monkeypatch.setattr(families, "_COUNT_CAP", 1)
     monkeypatch.setattr(families, "_walk", recording)
     monkeypatch.setattr(families, "k_r_oracle", refuse)
-    for (ell, m, r), value in zip(rows, values):
-        walks.clear()
-        k_r(ell, m, r)
-        assert walks == [(math.comb(m, ell) - 1, r - 1, True, False, value)]
+    for cap in (families._COUNT_CAP, 1):
+        monkeypatch.setattr(families, "_COUNT_CAP", cap)
+        for (ell, m, r), value in zip(rows, values):
+            walks.clear()
+            counted = k_r(ell, m, r).maximizer_count is not None
+            assert counted == (cap > 1)
+            assert walks == [(math.comb(m, ell) - 1, r - 1, True, value)]
 
 
 def test_oracle_walks_take_no_target(monkeypatch):
-    # k_r_oracle and maximizer_families prove their answers: a target would
-    # stop them at a first attainer and make them a reduced search
+    # k_r_oracle proves its answer: a target would stop it at a first
+    # attainer and make it a reduced search; maximizer_families lists the
+    # relabelings of the shifted maximizers and walks nothing
     targets = []
     sane = families._walk
 
-    def recording(masks, ell, r, ties, load=None, *, target=None):
+    def recording(masks, ell, r, load=None, *, target=None):
         targets.append(target)
-        return sane(masks, ell, r, ties, load, target=target)
+        return sane(masks, ell, r, load, target=target)
 
     monkeypatch.setattr(families, "_walk", recording)
     rows = list(middle_rows(((2, 5), (3, 5), (2, 6))))
@@ -432,8 +411,7 @@ def test_oracle_walks_take_no_target(monkeypatch):
         k_r_oracle(ell, m, r)
         maximizer_families(ell, m, r)
     k_r_oracle(2, 8, 9)
-    assert len(targets) == 2 * len(rows) + 1
-    assert set(targets) == {None}
+    assert targets == [None] * (len(rows) + 1)
 
 
 LATTICE_BNB_ROWS = tuple((2, 8, r) for r in range(9, 13)) + tuple(
@@ -442,12 +420,13 @@ LATTICE_BNB_ROWS = tuple((2, 8, r) for r in range(9, 13)) + tuple(
 
 
 def test_shifted_value_equals_the_oracle():
-    # on every middle row the oracle reaches, and on the rows above the
-    # count cap where auto mode takes its value from the shifted families
+    # on every middle row the oracle reaches, and on the uncounted rows
+    # above the count cap, whose auto records match the oracle's in full
     rows = list(middle_rows(MIDDLE_LATTICES)) + list(LATTICE_BNB_ROWS)
     for ell, m, r in rows:
         masks = SubsetIndexer(ell, m).masks
-        assert families._shifted_value(masks, r) == k_r_oracle(ell, m, r).value
+        value, _ = families._shifted_maximizers(masks, m, r)
+        assert value == k_r_oracle(ell, m, r).value
     for ell, m, r in LATTICE_BNB_ROWS:
         assert k_r(ell, m, r) == k_r_oracle(ell, m, r)
 
@@ -457,20 +436,27 @@ def test_walk_with_a_target_returns_its_first_attainer():
     # K = 1 at most and the later ones K = 2; given target 1 the walk stops
     # at the first pair that reaches it, and given 3 it finds none
     masks = (0b111, 0b11001, 0b111000, 0b1011000)
-    assert families._walk(masks, 3, 2, False) == (2, [(1, 2)])
-    assert families._walk(masks, 3, 2, False, target=2) == (2, [(1, 2)])
-    assert families._walk(masks, 3, 2, False, target=1) == (1, [(0, 1)])
-    assert families._walk(masks, 3, 2, False, target=3) == (2, [])
+    assert families._walk(masks, 3, 2) == (2, (1, 2))
+    assert families._walk(masks, 3, 2, target=2) == (2, (1, 2))
+    assert families._walk(masks, 3, 2, target=1) == (1, (0, 1))
+    assert families._walk(masks, 3, 2, target=3) == (2, None)
+
+
+def shifted_off_by(monkeypatch, shift):
+    sane = families._shifted_maximizers
+
+    def doctored(masks, m, r):
+        value, shifted = sane(masks, m, r)
+        return value + shift, shifted
+
+    monkeypatch.setattr(families, "_shifted_maximizers", doctored)
 
 
 def test_a_shifted_value_above_the_maximum_is_refused(monkeypatch):
     # no family through member 0 reaches a target above K_r; the walk is
     # left at target - 1, and an ArithmeticError, which python -O keeps,
     # names the row
-    sane = families._shifted_value
-    monkeypatch.setattr(
-        families, "_shifted_value", lambda masks, r: sane(masks, r) + 1
-    )
+    shifted_off_by(monkeypatch, 1)
     with pytest.raises(
         ArithmeticError,
         match=r"^member-0 walk reached no family, not the shifted-family "
@@ -483,10 +469,7 @@ def test_a_shifted_value_below_the_maximum_is_caught(monkeypatch):
     # at (2, 8, 9) the first family to reach 25 has K = 26, which the walk
     # reports; at (3, 7, 6) it has K = 26, a true witness of a wrong value,
     # which only the oracle refutes, in "both" mode
-    sane = families._shifted_value
-    monkeypatch.setattr(
-        families, "_shifted_value", lambda masks, r: sane(masks, r) - 1
-    )
+    shifted_off_by(monkeypatch, -1)
     with pytest.raises(
         ArithmeticError,
         match=r"^member-0 walk reached 26, not the shifted-family maximum 25, "
@@ -501,23 +484,17 @@ def test_a_shifted_value_below_the_maximum_is_caught(monkeypatch):
         k_r(3, 7, 6, "both")
 
 
-def test_orbit_count_refuses_a_lost_maximizer(monkeypatch):
-    # (3, 6) has 360 maximizers at r = 7 and at r = 13; one lost attainer
-    # leaves k * c0 off a multiple of r on both sides of k/2
-    sane = families._walk
-
-    def lossy(*args, **kw):
-        value, found = sane(*args, **kw)
-        return value, found[:-1]
-
-    monkeypatch.setattr(families, "_walk", lossy)
+def test_a_wrong_orbit_size_is_refused(monkeypatch):
+    # (3, 6) has 360 maximizers at r = 7, the relabelings of four shifted
+    # maximizers; orbit sizes each one too large no longer match the listing
+    sane = families._orbit_size
+    monkeypatch.setattr(families, "_orbit_size", lambda degrees: sane(degrees) + 1)
     with pytest.raises(
         ArithmeticError,
-        match=r"^orbit count 20 \* 125 / 7 is not whole at \(ell=3, m=6, r=7\)$",
+        match=r"^360 relabelings of the shifted maximizers, not their orbit "
+        r"sum 364, at \(ell=3, m=6, r=7\)$",
     ):
-        k_r(3, 6, 7)
-    with pytest.raises(ArithmeticError, match=r"^orbit count 20 \* 233 / 13 "):
-        k_r(3, 6, 13)
+        maximizer_families(3, 6, 7)
 
 
 def test_oracle_record_fields():
@@ -557,6 +534,8 @@ def test_witness_check_survives_optimization(monkeypatch):
         k_r_oracle(2, 5, 4)
     with pytest.raises(ArithmeticError):
         k_r(2, 5, 5, mode="auto")
+    with pytest.raises(ArithmeticError, match="witness"):
+        maximizer_families(2, 5, 5)
     with pytest.raises(ArithmeticError):
         k_r(2, 5, 2, mode="closed")
 
@@ -635,12 +614,12 @@ def test_both_mode_checks_the_member0_search(monkeypatch):
     assert k_r(2, 8, 9, "both") == oracle
     sane = families._walk
 
-    def half_blind(masks, ell, r, ties, load=None, *, target=None):
+    def half_blind(masks, ell, r, load=None, *, target=None):
         if load is None:
-            return sane(masks, ell, r, ties, load, target=target)
+            return sane(masks, ell, r, load, target=target)
         h = len(masks) // 2
-        value, found = sane(masks[h:], ell, r, ties, load[h:], target=target)
-        return value, [tuple(i + h for i in chosen) for chosen in found]
+        value, found = sane(masks[h:], ell, r, load[h:], target=target)
+        return value, found and tuple(i + h for i in found)
 
     monkeypatch.setattr(families, "_walk", half_blind)
     assert k_r_oracle(2, 8, 9) == oracle

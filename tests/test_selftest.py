@@ -28,16 +28,30 @@ def test_suite_catches_a_wrong_closed_form(monkeypatch):
 
 
 def test_suite_catches_a_wrong_shifted_value(monkeypatch):
-    # one below K_r at (3, 7, 6), the walk stops at a family of that K,
-    # which only the unreduced search in mode "both" refutes
+    # every auto middle row and every maximizer listing reads the shifted
+    # families, so one below K_r fails each check that takes one; at
+    # (3, 7, 6) the walk stops at a family of that K, which only the
+    # unreduced search in mode "both" refutes
     check = dict(CHECKS)["shifted-vs-oracle-3-7"]
     assert check()
-    sane = families._shifted_value
-    monkeypatch.setattr(
-        families, "_shifted_value", lambda masks, r: sane(masks, r) - 1
-    )
+    sane = families._shifted_maximizers
+
+    def doctored(masks, m, r):
+        value, shifted = sane(masks, m, r)
+        return value - 1, shifted
+
+    monkeypatch.setattr(families, "_shifted_maximizers", doctored)
     failed = {name for name, ok in run_selftest() if not ok}
-    assert failed == {"shifted-vs-oracle-3-7"}
+    assert failed == {
+        "golden-kr-2-5",
+        "closed-vs-search",
+        "dualities-2-5",
+        "graphs-m5",
+        "dualities-3-5-and-2-6",
+        "graph-bounds-m6",
+        "close-families",
+        "shifted-vs-oracle-3-7",
+    }
 
 
 def test_full_suite_catches_a_wrong_close_witness(monkeypatch):
