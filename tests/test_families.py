@@ -366,11 +366,9 @@ def test_member0_search_equals_the_oracle_above_the_cap(monkeypatch):
         assert k_r(ell, m, r) == k_r_oracle(ell, m, r)
 
 
-def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
-    # every middle row, counted or not and on both sides of k/2, makes one
-    # walk over the k - 1 masks after member 0 for the other r - 1 members,
-    # from a root holding their ties to member 0, with the oracle's value
-    # as its target
+def _member0_walks(monkeypatch, cap):
+    # the walks each middle row of (3, 6) and (2, 7) makes under the count
+    # cap, with the oracle's values as the expected targets
     rows = list(middle_rows(((3, 6), (2, 7))))
     values = [k_r_oracle(ell, m, r).value for ell, m, r in rows]
     walks = []
@@ -383,15 +381,34 @@ def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("auto mode ran k_r_oracle")
 
+    monkeypatch.setattr(families, "_COUNT_CAP", cap)
     monkeypatch.setattr(families, "_walk", recording)
     monkeypatch.setattr(families, "k_r_oracle", refuse)
-    for cap in (families._COUNT_CAP, 1):
-        monkeypatch.setattr(families, "_COUNT_CAP", cap)
-        for (ell, m, r), value in zip(rows, values):
-            walks.clear()
-            counted = k_r(ell, m, r).maximizer_count is not None
-            assert counted == (cap > 1)
-            assert walks == [(math.comb(m, ell) - 1, r - 1, True, value)]
+    for (ell, m, r), value in zip(rows, values):
+        walks.clear()
+        counted = k_r(ell, m, r).maximizer_count is not None
+        yield ell, m, r, value, counted, list(walks)
+
+
+def test_counted_rows_walk_at_most_half(monkeypatch):
+    # counted rows once took a complement walk over k - r members above k/2;
+    # now the count is an orbit sum of the shifted maximizers, and every
+    # counted row, on both sides of k/2, makes the one member-0 walk over the
+    # k - 1 masks after member 0 for the other r - 1 members, from a root
+    # holding their ties to member 0, with the oracle's value as its target
+    for ell, m, r, value, counted, walks in _member0_walks(
+        monkeypatch, families._COUNT_CAP
+    ):
+        assert counted
+        assert walks == [(math.comb(m, ell) - 1, r - 1, True, value)]
+
+
+def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
+    # above the cap every row, on both sides of k/2, makes the same single
+    # member-0 walk as a counted row, with the oracle's value as its target
+    for ell, m, r, value, counted, walks in _member0_walks(monkeypatch, 1):
+        assert not counted
+        assert walks == [(math.comb(m, ell) - 1, r - 1, True, value)]
 
 
 def test_oracle_walks_take_no_target(monkeypatch):
