@@ -13,6 +13,12 @@ and the JSON document lost its "mode" field.  They were recorded again when
 the suite gained its 18th check, shifted-vs-oracle-3-7, which adds one row
 to the table and one entry to the JSON document and changes nothing else.
 
+The kr-table case on (2, 10) at r = 23..24 pins two middle-row witnesses
+far beyond the exhaustive search's reach and beyond the count cap.  It was
+recorded while the witness still came from a walk, stopped at its first
+attainer, over the families through colex member 0, so it checks that
+taking the witness as the least shifted maximizer picks the same family.
+
 The benchmark's own goldens, perfbench/goldens.json, are read here too and
 checked in process, so an output drift on a benchmark command fails this
 suite and not only the benchmark.
@@ -51,6 +57,9 @@ GOLDENS = [
      "12033f0092e754449daae03f5e9071825d0f0a36f58bddfb9fc034c263958209"),
     ("kr-table --ell 0 --m 3 --format json", 0,
      "6195c7218042897c4bbef399e91ad13812de82f6ba651facb1ef481926d6e145"),
+    ("kr-table --ell 2 --m 10 --r 23..24 --budget-families 100000000000000 "
+     "--format json", 0,
+     "191830feb5a83e340af1a0a67b916ba230ec821a19e3fabd01a1d4c7e0226b01"),
     ("kr-table --ell 2 --m 6 --mode closed", 2,
      EMPTY),
     ("kr-table --ell 2 --m 9 --r 18 --budget-families 1000", 1,
