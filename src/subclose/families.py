@@ -12,12 +12,11 @@ All subsets are bitmasks on {1..m} (bit i-1 is element i).  K_r, the
 number of its maximizers and their list come from the shifted families:
 every maximizer is one once its points are sorted by degree (Frankl's
 shifting argument, which for ell = 2 is the paper's link to threshold
-graphs), so the maximizers are the relabelings of the shifted ones.  A
-branch and bound per r finds witnesses: k_r's walk, given K_r as its
-target, picks from the families through colex member 0 and stops at the
-colex-least maximizer; k_r_oracle walks every family with no target and
-is the unreduced reference.  It is sequential, deterministic and
-single-threaded, and nothing is cached.
+graphs), so the maximizers are the relabelings of the shifted ones, and
+the colex-least maximizer, k_r's witness, is the least shifted one.
+k_r_oracle, a branch and bound per r over every family, is the unreduced
+reference.  It is sequential, deterministic and single-threaded, and
+nothing is cached.
 """
 
 from __future__ import annotations
@@ -59,8 +58,9 @@ DEFAULT_FAMILY_BUDGET = 10**8
 # the cap fixes nothing but which K_r records carry a count
 _COUNT_CAP = 1 << 22
 
-# the walk recurses once per member, and Python stops at 1000 frames by
-# default: a deeper walk is refused up front, leaving room for its callers
+# k_r_oracle's walk recurses once per member, and Python stops at 1000
+# frames by default: a deeper walk is refused up front, leaving room for its
+# callers; auto k_r and maximizer_families refuse the same rows
 _WALK_DEPTH_CAP = 900
 
 
@@ -131,13 +131,19 @@ def k_lambda(fam: SubsetFamily) -> int:
     pairs, so one pass over the members' elements suffices, not one over
     the pairs.
     """
+    return sum(d * (d - 1) // 2 for d in _degrees(fam))
+
+
+def _degrees(fam: SubsetFamily) -> list[int]:
+    """The number of members through each point, by one pass over the
+    members' elements."""
     degrees = [0] * fam.m
     for mask in fam.members:
         while mask:
             low = mask & -mask
             degrees[low.bit_length() - 1] += 1
             mask ^= low
-    return sum(d * (d - 1) // 2 for d in degrees)
+    return degrees
 
 
 def close_size_cap(ell: int, m: int) -> int:
@@ -300,9 +306,8 @@ class KrRecord:
     witness maximizer is the colex-least maximizer for brute-force records
     and a canonical construction for closed-form ones; it is omitted only
     when the ground family is too large to enumerate.  k_r in auto mode
-    takes every brute-force value from the shifted families and its
-    witness from a walk over the families through colex member 0 (see
-    _member0_record).  maximizer_count is filled only in auto mode, on a
+    takes every brute-force value and witness from the shifted families
+    (see _shifted_record).  maximizer_count is filled only in auto mode, on a
     lattice of at most _COUNT_CAP subfamilies; it is None otherwise, and
     never depends on the budget.  It is the sum of the shifted maximizers'
     orbit sizes under S_m.
@@ -341,35 +346,51 @@ def _closed_record(ell: int, m: int, r: int) -> KrRecord | None:
 
 
 def _check_witness(fam: SubsetFamily, value: int) -> None:
+    """Refuse a claimed maximizer whose K is not value, or that is not
+    shifted once its points are sorted by degree, as every maximizer is
+    (see _shifted_maximizers): each lower cover of a member, one element x
+    moved to the point y just before it in that order when y is absent,
+    must be a member.  One pass over the members' elements, O(r*ell)."""
+    where = f"(ell={fam.ell}, m={fam.m}, r={fam.size})"
     got = k_lambda(fam)
     if got != value:
         raise ArithmeticError(
-            f"witness for (ell={fam.ell}, m={fam.m}, r={fam.size}) has "
-            f"K={got}, not the claimed maximum {value}"
+            f"witness for {where} has K={got}, not the claimed maximum {value}"
         )
+    degrees = _degrees(fam)
+    order = sorted(range(fam.m), key=degrees.__getitem__, reverse=True)
+    before = [0] * fam.m  # the bit of y for each point x, 0 for the first
+    for y, x in zip(order, order[1:]):
+        before[x] = 1 << y
+    present = set(fam.members)
+    for a in fam.members:
+        rest = a
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            y = before[bit.bit_length() - 1]
+            if y and not a & y and a ^ bit ^ y not in present:
+                raise ArithmeticError(
+                    f"witness for {where} is not shifted once its points are "
+                    f"sorted by degree, so it is no maximizer"
+                )
 
 
-class _FirstHit(Exception):
-    """Ends a walk given a target at its first attainer."""
-
-
-def _walk(masks, ell: int, r: int, load=None, *, target=None):
+def _walk(masks, ell: int, r: int):
     """Max pairwise intersection sum over r-member families, with the
     colex-least attainer.
 
     Branch and bound over index combinations in lexicographic order, which
     is colex order on families.  Each node carries a load vector: load[off]
     is the tie of candidate start+off to the chosen part, the sum of its
-    intersections with the chosen members.  The root's load comes from the
-    caller, all zeros when not given; a caller that has fixed one member
-    outside masks passes that member's ties, and the value then counts them
-    too (the auto search of k_r fixes member 0 this way).  A child's load
-    is the parent's load for the later candidates plus the new member's
-    intersections with them, so a node costs one pass over the remaining
-    candidates and the walk holds one load vector per depth, O(k*r) in all,
-    with no k x k intersection table.  The loads are only a cheaper way to
-    the same numbers: the bound, the order and the cuts are those of a walk
-    that recounts every tie at every node, and it visits the same nodes.
+    intersections with the chosen members, all zeros at the root.  A
+    child's load is the parent's load for the later candidates plus the
+    new member's intersections with them, so a node costs one pass over
+    the remaining candidates and the walk holds one load vector per depth,
+    O(k*r) in all, with no k x k intersection table.  The loads are only a
+    cheaper way to the same numbers: the bound, the order and the cuts are
+    those of a walk that recounts every tie at every node, and it visits
+    the same nodes.
 
     The bound is admissible: the top s loads count the ties to the chosen
     part exactly, and every pair of still-undecided members can meet in at
@@ -378,24 +399,13 @@ def _walk(masks, ell: int, r: int, load=None, *, target=None):
     the best so far is cut and only strict improvements are kept, so the
     attainer returned is the colex-least maximizer.  Returns (value,
     attainer) with the attainer as an index tuple.
-
-    A caller that already knows the maximum passes it as target.  The walk
-    then starts from best = target - 1 and returns at its first attainer,
-    without proving that nothing beats it.  Every node it cuts has a bound
-    below the target, so no family reaching the target lies under it, and
-    the leaves come in colex order: the first leaf whose best completion
-    reaches the target holds the colex-least family that does, and its
-    least last member is the one taken.  When the target is the true
-    maximum that family is the colex-least maximizer, and the value
-    returned is the target; when no family reaches the target the walk
-    returns target - 1 and None.
     """
     if r == 0:
         return 0, ()
     k = len(masks)
     lm1 = ell - 1
     chosen: list[int] = []
-    best = -1 if target is None else target - 1
+    best = -1
     found = None
 
     def go(start: int, cur: int, load: list[int]) -> None:
@@ -406,8 +416,6 @@ def _walk(masks, ell: int, r: int, load=None, *, target=None):
             return
         if s == 1:
             best, found = ub, (*chosen, start + load.index(ub - cur))
-            if target is not None:
-                raise _FirstHit
             return
         for off in range(k - s + 1 - start):
             j = start + off
@@ -417,10 +425,7 @@ def _walk(masks, ell: int, r: int, load=None, *, target=None):
             go(j + 1, cur + load[off], [c + (a & b).bit_count() for c, b in later])
             chosen.pop()
 
-    try:
-        go(0, 0, [0] * k if load is None else load)
-    except _FirstHit:
-        pass
+    go(0, 0, [0] * k)
     return best, found
 
 
@@ -530,35 +535,26 @@ def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
     return idx.masks
 
 
-def _member0_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
-    """Brute-force record (1 <= r < k) with its value from the shifted
-    families and its witness from the families through colex member 0,
-    and the maximizer count when the lattice has at most _COUNT_CAP
-    subfamilies: the sum of the shifted maximizers' orbit sizes.
+def _shifted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
+    """Brute-force record (1 <= r < k) from the shifted families: K_r, the
+    colex-least maximizer as witness, and the maximizer count when the
+    lattice has at most _COUNT_CAP subfamilies, the sum of the shifted
+    maximizers' orbit sizes.
 
-    S_m acts on the ell-subsets transitively and maps maximizers to
-    maximizers, so some maximizer contains member 0, the set {1..ell}, and
-    every family through member 0 sorts before every family without it:
-    the colex-least maximizer is the least of those through member 0.  The
-    walk picks the other r-1 members from masks[1:], from a root whose load
-    is each candidate's tie to member 0, with K_r as its target.  It stops
-    at its first attainer, which is the colex-least maximizer (see _walk),
-    the one k_r_oracle returns.  A walk that ends at another value than the
-    target, because no family reaches it or the first that does exceeds
-    it, raises ArithmeticError.
+    The colex-least maximizer is shifted.  For i < j, S_ij moves t members
+    and changes K by t(t - (d_j - d_i)) >= 0 (see _shifted_maximizers):
+    each member with j and not i that stays has its image, a member with i
+    and not j, beside it, so d_j - d_i <= t.  It lowers every mask it
+    moves, so unless it moves nothing it turns a maximizer into a colex-
+    earlier one.  The witness is therefore the least shifted maximizer,
+    families compared as their sorted tuples of colex member indices (the
+    set bits of the ideal, ascending), the order k_r_oracle minimizes; the
+    ideals as integers compare in another order.
     """
     masks = _checked_masks(ell, m, r, budget)
     value, shifted = _shifted_maximizers(masks, m, r)
-    root = [(masks[0] & b).bit_count() for b in islice(masks, 1, None)]
-    reached, others = _walk(masks[1:], ell, r - 1, root, target=value)
-    if reached != value:
-        # the walk starts at value - 1: no attainer leaves it there
-        raise ArithmeticError(
-            f"member-0 walk reached {reached if others else 'no family'}, "
-            f"not the shifted-family maximum {value}, at "
-            f"(ell={ell}, m={m}, r={r})"
-        )
-    first = SubsetFamily(ell, m, (masks[0], *(masks[i + 1] for i in others)))
+    least = min(set_of(ideal) for ideal, _ in shifted)
+    first = SubsetFamily(ell, m, tuple(masks[i - 1] for i in least))
     _check_witness(first, value)
     # 2^k <= _COUNT_CAP without building the k-bit integer 2^k
     counted = len(masks) < _COUNT_CAP.bit_length()
@@ -622,15 +618,14 @@ def k_r(
     """K_r in one of four modes.
 
     "closed" returns the closed-form record, or None in the open middle
-    range; "auto" prefers it, then takes the value and, on a lattice of at
-    most _COUNT_CAP subfamilies, the maximizer count from the shifted
-    families and the witness from a walk through colex member 0
-    (_member0_record), with the value, maximizer and budget of k_r_oracle.
-    "oracle" forces the unreduced per-r search, k_r_oracle;
-    "both" runs it and raises ArithmeticError when a closed form disagrees
-    with it, or in the middle range when the auto search finds another
-    value or maximizer; it returns the closed-form record where one
-    applies and the oracle's otherwise.
+    range; "auto" prefers it, then takes the value, the witness and, on a
+    lattice of at most _COUNT_CAP subfamilies, the maximizer count from
+    the shifted families (_shifted_record), with the value, maximizer and
+    budget of k_r_oracle.  "oracle" forces the unreduced per-r search,
+    k_r_oracle; "both" runs it and raises ArithmeticError when a closed
+    form disagrees with it, or in the middle range when the shifted
+    families give another value or maximizer; it returns the closed-form
+    record where one applies and the oracle's otherwise.
     """
     if mode not in ("auto", "closed", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -638,15 +633,15 @@ def k_r(
     if mode == "closed" or (mode == "auto" and closed is not None):
         return closed
     if mode == "auto":
-        return _member0_record(ell, m, r, budget)
+        return _shifted_record(ell, m, r, budget)
     direct = k_r_oracle(ell, m, r, budget=budget)
     if mode == "oracle":
         return direct
     if closed is None:
-        auto = _member0_record(ell, m, r, budget)
+        auto = _shifted_record(ell, m, r, budget)
         if (auto.value, auto.maximizer) != (direct.value, direct.maximizer):
             raise ArithmeticError(
-                f"member-0 search {auto.value} {auto.maximizer.sets} disagrees "
+                f"shifted-family search {auto.value} {auto.maximizer.sets} disagrees "
                 f"with exhaustive search {direct.value} {direct.maximizer.sets} "
                 f"at (ell={ell}, m={m}, r={r})"
             )

@@ -46,9 +46,9 @@ def _closed_vs_search() -> bool:
 
 
 def _shifted_vs_oracle() -> bool:
-    # auto mode takes K_r from the shifted families and its witness from a
-    # walk stopped at the first attainer; mode "both" checks both against
-    # the unreduced search, here on rows above the count cap
+    # auto mode takes K_r and its witness, the least shifted maximizer, from
+    # the shifted families; mode "both" checks both against the unreduced
+    # search, here on rows above the count cap
     for r in range(6, 10):
         families.k_r(3, 7, r, "both")  # raises on a disagreement
     return True

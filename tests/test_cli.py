@@ -126,9 +126,9 @@ def test_kr_table_budget_exceeded_exits_1(capsys):
 
 
 def test_kr_table_auto_above_the_count_cap_prints_the_oracle_bytes(capsys):
-    # (2, 8) has 2^28 subfamilies, past the count cap: auto walks only the
-    # families through member 0, oracle walks them all, and both print the
-    # same rows
+    # (2, 8) has 2^28 subfamilies, past the count cap: auto takes the least
+    # shifted maximizer, oracle walks every family, and both print the same
+    # rows
     args = ("kr-table", "--ell", "2", "--m", "8", "--r", "9..10")
     auto = run(capsys, *args)
     assert auto == run(capsys, *args, "--mode", "oracle")
@@ -136,8 +136,8 @@ def test_kr_table_auto_above_the_count_cap_prints_the_oracle_bytes(capsys):
 
 
 def test_kr_table_auto_above_the_count_cap_charges_every_family(capsys):
-    # the budget counts all C(28, 14) candidate families, not those through
-    # member 0 the walk visits
+    # the budget counts all C(28, 14) candidate families, though auto mode
+    # builds only the shifted ones
     code, out, err = run(
         capsys, "kr-table", "--ell", "2", "--m", "8", "--r", "14",
         "--budget-families", "10",
@@ -162,8 +162,8 @@ def test_kr_table_refuses_a_count_too_long_to_print(capsys, mode):
 
 
 def test_kr_table_count_does_not_depend_on_the_budget(capsys):
-    # both walks refuse the same C(10, 5) = 252 candidates, so a budget that
-    # admits them changes nothing, the maximizer count included
+    # auto and oracle refuse the same C(10, 5) = 252 candidates, so a
+    # budget that admits them changes nothing, the maximizer count included
     args = ("kr-table", "--ell", "2", "--m", "5", "--r", "5", "--format", "json")
     default = run(capsys, *args)
     capped = run(capsys, *args, "--budget-families", "1000")

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from subclose import families
-from subclose.combinat import SubsetIndexer, mask_of
+from subclose.combinat import SubsetIndexer, mask_of, set_of
 from subclose.families import (
     BudgetError,
     CloseKind,
@@ -356,7 +356,7 @@ def middle_rows(lattices):
                 yield ell, m, r
 
 
-def test_member0_search_equals_the_oracle_above_the_cap(monkeypatch):
+def test_shifted_search_equals_the_oracle_above_the_cap(monkeypatch):
     # with no lattice under the count cap no auto row carries a count, and
     # every one, above k/2 too, is the oracle's record
     monkeypatch.setattr(families, "_COUNT_CAP", 1)
@@ -366,69 +366,44 @@ def test_member0_search_equals_the_oracle_above_the_cap(monkeypatch):
         assert k_r(ell, m, r) == k_r_oracle(ell, m, r)
 
 
-def _member0_walks(monkeypatch, cap):
-    # the walks each middle row of (3, 6) and (2, 7) makes under the count
-    # cap, with the oracle's values as the expected targets
+def test_auto_rows_make_no_walk(monkeypatch):
+    # every middle row of (3, 6) and (2, 7), on both sides of k/2, counted
+    # at the real count cap and uncounted at cap 1, takes its value, witness
+    # and count from the shifted families: a walk or an oracle call fails
     rows = list(middle_rows(((3, 6), (2, 7))))
-    values = [k_r_oracle(ell, m, r).value for ell, m, r in rows]
-    walks = []
-    sane = families._walk
-
-    def recording(masks, ell, r, load=None, *, target=None):
-        walks.append((len(masks), r, load is not None, target))
-        return sane(masks, ell, r, load, target=target)
+    oracle = [k_r_oracle(ell, m, r) for ell, m, r in rows]
 
     def refuse(*args, **kw):
-        raise AssertionError("auto mode ran k_r_oracle")
+        raise AssertionError("auto mode walked")
 
-    monkeypatch.setattr(families, "_COUNT_CAP", cap)
-    monkeypatch.setattr(families, "_walk", recording)
+    monkeypatch.setattr(families, "_walk", refuse)
     monkeypatch.setattr(families, "k_r_oracle", refuse)
-    for (ell, m, r), value in zip(rows, values):
-        walks.clear()
-        counted = k_r(ell, m, r).maximizer_count is not None
-        yield ell, m, r, value, counted, list(walks)
-
-
-def test_counted_rows_walk_at_most_half(monkeypatch):
-    # counted rows once took a complement walk over k - r members above k/2;
-    # now the count is an orbit sum of the shifted maximizers, and every
-    # counted row, on both sides of k/2, makes the one member-0 walk over the
-    # k - 1 masks after member 0 for the other r - 1 members, from a root
-    # holding their ties to member 0, with the oracle's value as its target
-    for ell, m, r, value, counted, walks in _member0_walks(
-        monkeypatch, families._COUNT_CAP
-    ):
-        assert counted
-        assert walks == [(math.comb(m, ell) - 1, r - 1, True, value)]
-
-
-def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
-    # above the cap every row, on both sides of k/2, makes the same single
-    # member-0 walk as a counted row, with the oracle's value as its target
-    for ell, m, r, value, counted, walks in _member0_walks(monkeypatch, 1):
-        assert not counted
-        assert walks == [(math.comb(m, ell) - 1, r - 1, True, value)]
+    for cap in (families._COUNT_CAP, 1):
+        monkeypatch.setattr(families, "_COUNT_CAP", cap)
+        for (ell, m, r), direct in zip(rows, oracle):
+            rec = k_r(ell, m, r)
+            assert (rec.value, rec.maximizer) == (direct.value, direct.maximizer)
+            assert (rec.maximizer_count is not None) == (cap > 1)
 
 
 def test_oracle_walks_take_no_target(monkeypatch):
-    # k_r_oracle proves its answer: a target would stop it at a first
-    # attainer and make it a reduced search; maximizer_families lists the
-    # relabelings of the shifted maximizers and walks nothing
-    targets = []
+    # k_r_oracle proves its answer with one walk over every candidate for
+    # all r members, which nothing stops early; maximizer_families lists
+    # the relabelings of the shifted maximizers and walks nothing
+    walks = []
     sane = families._walk
 
-    def recording(masks, ell, r, load=None, *, target=None):
-        targets.append(target)
-        return sane(masks, ell, r, load, target=target)
+    def recording(masks, ell, r):
+        walks.append((len(masks), r))
+        return sane(masks, ell, r)
 
     monkeypatch.setattr(families, "_walk", recording)
-    rows = list(middle_rows(((2, 5), (3, 5), (2, 6))))
+    rows = list(middle_rows(((2, 5), (3, 5), (2, 6)))) + [(2, 8, 9)]
     for ell, m, r in rows:
         k_r_oracle(ell, m, r)
+    for ell, m, r in rows[:-1]:
         maximizer_families(ell, m, r)
-    k_r_oracle(2, 8, 9)
-    assert targets == [None] * (len(rows) + 1)
+    assert walks == [(math.comb(m, ell), r) for ell, m, r in rows]
 
 
 LATTICE_BNB_ROWS = tuple((2, 8, r) for r in range(9, 13)) + tuple(
@@ -448,17 +423,6 @@ def test_shifted_value_equals_the_oracle():
         assert k_r(ell, m, r) == k_r_oracle(ell, m, r)
 
 
-def test_walk_with_a_target_returns_its_first_attainer():
-    # {1,2,3}, {1,4,5}, {4,5,6}, {4,5,7}: the pairs through {1,2,3} reach
-    # K = 1 at most and the later ones K = 2; given target 1 the walk stops
-    # at the first pair that reaches it, and given 3 it finds none
-    masks = (0b111, 0b11001, 0b111000, 0b1011000)
-    assert families._walk(masks, 3, 2) == (2, (1, 2))
-    assert families._walk(masks, 3, 2, target=2) == (2, (1, 2))
-    assert families._walk(masks, 3, 2, target=1) == (1, (0, 1))
-    assert families._walk(masks, 3, 2, target=3) == (2, None)
-
-
 def shifted_off_by(monkeypatch, shift):
     sane = families._shifted_maximizers
 
@@ -470,35 +434,79 @@ def shifted_off_by(monkeypatch, shift):
 
 
 def test_a_shifted_value_above_the_maximum_is_refused(monkeypatch):
-    # no family through member 0 reaches a target above K_r; the walk is
-    # left at target - 1, and an ArithmeticError, which python -O keeps,
-    # names the row
+    # the least shifted maximizer has K = 26, not the claimed 27; an
+    # ArithmeticError, which python -O keeps, names the row
     shifted_off_by(monkeypatch, 1)
     with pytest.raises(
         ArithmeticError,
-        match=r"^member-0 walk reached no family, not the shifted-family "
-        r"maximum 27, at \(ell=2, m=8, r=9\)$",
+        match=r"^witness for \(ell=2, m=8, r=9\) has K=26, not the claimed "
+        r"maximum 27$",
     ):
         k_r(2, 8, 9)
 
 
 def test_a_shifted_value_below_the_maximum_is_caught(monkeypatch):
-    # at (2, 8, 9) the first family to reach 25 has K = 26, which the walk
-    # reports; at (3, 7, 6) it has K = 26, a true witness of a wrong value,
-    # which only the oracle refutes, in "both" mode
+    # the witness recount refutes a value one too low, in auto mode and in
+    # "both" mode, after the oracle has run
     shifted_off_by(monkeypatch, -1)
     with pytest.raises(
         ArithmeticError,
-        match=r"^member-0 walk reached 26, not the shifted-family maximum 25, "
-        r"at \(ell=2, m=8, r=9\)$",
+        match=r"^witness for \(ell=2, m=8, r=9\) has K=26, not the claimed "
+        r"maximum 25$",
     ):
         k_r(2, 8, 9)
     with pytest.raises(
         ArithmeticError,
-        match=r"^member-0 search 26 .* disagrees with exhaustive search 27 .* "
-        r"at \(ell=3, m=7, r=6\)$",
+        match=r"^witness for \(ell=3, m=7, r=6\) has K=27, not the claimed "
+        r"maximum 26$",
     ):
         k_r(3, 7, 6, "both")
+
+
+def test_the_witness_is_the_least_listed_ideal_by_member_indices(monkeypatch):
+    # two Gale ideals of (3, 6, 6) with colex member indices (0,1,2,3,4,10)
+    # and (0,1,2,4,5,7): the first is the lesser family, though as an
+    # integer over the indices it is the greater ideal; listed as the
+    # shifted maximizers of value 26, the first is the witness, and the
+    # second, with K = 27, would fail the recount
+    first, second = (0, 1, 2, 3, 4, 10), (0, 1, 2, 4, 5, 7)
+    listed = (26, [
+        (sum(1 << i for i in second), (6, 3, 3, 3, 3, 0)),
+        (sum(1 << i for i in first), (5, 5, 3, 3, 1, 1)),
+    ])
+    monkeypatch.setattr(families, "_shifted_maximizers", lambda masks, m, r: listed)
+    masks = SubsetIndexer(3, 6).masks
+    rec = k_r(3, 6, 6)
+    assert rec.value == 26
+    assert rec.maximizer == SubsetFamily(3, 6, tuple(masks[i] for i in first))
+
+
+def test_a_witness_that_is_not_shifted_is_refused():
+    # {1,2} and {3,4} have K = 0, the claimed value, but no relabeling
+    # sorted by degree makes them a Gale ideal: K_2(2, 4) is 1
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^witness for \(ell=2, m=4, r=2\) is not shifted once its "
+        r"points are sorted by degree, so it is no maximizer$",
+    ):
+        families._check_witness(SubsetFamily(2, 4, (0b0011, 0b1100)), 0)
+
+
+def test_a_listed_family_that_is_not_an_ideal_is_refused(monkeypatch):
+    # a K_4 on {1..4} and a path 5-6-7-8, nine edges with K = 14, listed as
+    # the one shifted maximizer of (2, 8, 9): its K matches the listed
+    # value, and only the re-check of the Gale ideal refuses it
+    masks = SubsetIndexer(2, 8).masks
+    edges = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (5, 6), (6, 7), (7, 8)]
+    chosen = [mask_of(e) for e in edges]
+    ideal = sum(1 << masks.index(a) for a in chosen)
+    listed = (14, [(ideal, (3, 3, 3, 3, 1, 2, 2, 1))])
+    assert k_lambda(SubsetFamily(2, 8, tuple(chosen))) == 14
+    monkeypatch.setattr(families, "_shifted_maximizers", lambda masks, m, r: listed)
+    with pytest.raises(
+        ArithmeticError, match=r"^witness for \(ell=2, m=8, r=9\) is not shifted "
+    ):
+        k_r(2, 8, 9)
 
 
 def test_a_wrong_orbit_size_is_refused(monkeypatch):
@@ -623,29 +631,29 @@ def test_both_mode_raises_on_disagreement(monkeypatch):
         k_r(2, 5, 9, "both")
 
 
-def test_both_mode_checks_the_member0_search(monkeypatch):
-    # (2, 8) is above the count cap; a walk from a given root that sees only
-    # the later half of the candidates finds another witness, whose K it
-    # reports truly, and the oracle, which gives no root, is left alone
-    oracle = k_r_oracle(2, 8, 9)
-    assert k_r(2, 8, 9, "both") == oracle
-    sane = families._walk
+def test_both_mode_checks_the_shifted_search(monkeypatch):
+    # (3, 7, 6), above the count cap, has two shifted maximizers; a listing
+    # that drops the colex-least leaves auto mode the other, a true
+    # maximizer but not the oracle's witness, and "both" mode refuses it
+    oracle = k_r_oracle(3, 7, 6)
+    assert k_r(3, 7, 6, "both") == oracle
+    sane = families._shifted_maximizers
 
-    def half_blind(masks, ell, r, load=None, *, target=None):
-        if load is None:
-            return sane(masks, ell, r, load, target=target)
-        h = len(masks) // 2
-        value, found = sane(masks[h:], ell, r, load[h:], target=target)
-        return value, found and tuple(i + h for i in found)
+    def doctored(masks, m, r):
+        value, shifted = sane(masks, m, r)
+        assert len(shifted) == 2
+        least = min(shifted, key=lambda pair: set_of(pair[0]))
+        return value, [pair for pair in shifted if pair is not least]
 
-    monkeypatch.setattr(families, "_walk", half_blind)
-    assert k_r_oracle(2, 8, 9) == oracle
+    monkeypatch.setattr(families, "_shifted_maximizers", doctored)
+    other = k_r(3, 7, 6)
+    assert other.value == oracle.value and other.maximizer != oracle.maximizer
     with pytest.raises(
         ArithmeticError,
-        match=r"^member-0 search \d+ .* disagrees with exhaustive search 26 .* "
-        r"at \(ell=2, m=8, r=9\)$",
+        match=r"^shifted-family search 27 .* disagrees with exhaustive search "
+        r"27 .* at \(ell=3, m=7, r=6\)$",
     ):
-        k_r(2, 8, 9, "both")
+        k_r(3, 7, 6, "both")
 
 
 def test_closed_record_carries_witness():

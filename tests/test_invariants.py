@@ -1,5 +1,5 @@
 """Source invariants: load-bearing checks survive ``python -O``, and no
-import or command line option is dead."""
+import, private definition or command line option is dead."""
 
 import argparse
 import ast
@@ -119,6 +119,37 @@ def test_every_public_name_has_a_package_caller():
         if not attr.startswith("_") and attr not in named
     ]
     assert not unused, f"public names no package module uses: {', '.join(unused)}"
+
+
+def test_every_private_name_is_used():
+    # a private module-level function or class named nowhere in the package
+    # but in its own definition is a leftover of deleted code
+    uses = [
+        (name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for name, node in package_nodes()
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        private += [
+            (path.name, stmt)
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_")
+            and not stmt.name.endswith("__")
+        ]
+    unused = [
+        f"{name}:{stmt.name}"
+        for name, stmt in private
+        if not any(
+            used == stmt.name
+            and (where != name or not stmt.lineno <= line <= stmt.end_lineno)
+            for where, line, used in uses
+        )
+    ]
+    assert private, "no private definitions found"
+    assert not unused, f"private names nothing else uses: {', '.join(unused)}"
 
 
 def test_every_cli_option_is_read():

@@ -29,9 +29,8 @@ def test_suite_catches_a_wrong_closed_form(monkeypatch):
 
 def test_suite_catches_a_wrong_shifted_value(monkeypatch):
     # every auto middle row and every maximizer listing reads the shifted
-    # families, so one below K_r fails each check that takes one; at
-    # (3, 7, 6) the walk stops at a family of that K, which only the
-    # unreduced search in mode "both" refutes
+    # families, so one below K_r fails each check that takes one: the
+    # recount of the witness, a true maximizer, refutes it
     check = dict(CHECKS)["shifted-vs-oracle-3-7"]
     assert check()
     sane = families._shifted_maximizers
