@@ -366,10 +366,10 @@ def test_shifted_search_equals_the_oracle_above_the_cap(monkeypatch):
         assert k_r(ell, m, r) == k_r_oracle(ell, m, r)
 
 
-def test_auto_rows_make_no_walk(monkeypatch):
-    # every middle row of (3, 6) and (2, 7), on both sides of k/2, counted
-    # at the real count cap and uncounted at cap 1, takes its value, witness
-    # and count from the shifted families: a walk or an oracle call fails
+def _auto_rows_without_a_walk(monkeypatch, cap):
+    # every middle row of (3, 6) and (2, 7), on both sides of k/2, at the
+    # given count cap, with _walk and k_r_oracle patched to fail: auto mode
+    # takes value, witness and count from the shifted families
     rows = list(middle_rows(((3, 6), (2, 7))))
     oracle = [k_r_oracle(ell, m, r) for ell, m, r in rows]
 
@@ -378,12 +378,26 @@ def test_auto_rows_make_no_walk(monkeypatch):
 
     monkeypatch.setattr(families, "_walk", refuse)
     monkeypatch.setattr(families, "k_r_oracle", refuse)
-    for cap in (families._COUNT_CAP, 1):
-        monkeypatch.setattr(families, "_COUNT_CAP", cap)
-        for (ell, m, r), direct in zip(rows, oracle):
-            rec = k_r(ell, m, r)
-            assert (rec.value, rec.maximizer) == (direct.value, direct.maximizer)
-            assert (rec.maximizer_count is not None) == (cap > 1)
+    monkeypatch.setattr(families, "_COUNT_CAP", cap)
+    for (ell, m, r), direct in zip(rows, oracle):
+        rec = k_r(ell, m, r)
+        assert (rec.value, rec.maximizer) == (direct.value, direct.maximizer)
+        yield rec
+
+
+def test_counted_rows_walk_at_most_half(monkeypatch):
+    # counted rows once walked min(r, k - r) members, then only the members
+    # after colex member 0; the count is an orbit sum of the shifted
+    # maximizers and the witness the colex-least of them, so they walk none
+    for rec in _auto_rows_without_a_walk(monkeypatch, families._COUNT_CAP):
+        assert rec.maximizer_count is not None
+
+
+def test_uncounted_rows_walk_only_through_member_0(monkeypatch):
+    # above the cap every row once made one walk through colex member 0;
+    # the shifted families give its value and witness, so it walks none
+    for rec in _auto_rows_without_a_walk(monkeypatch, 1):
+        assert rec.maximizer_count is None
 
 
 def test_oracle_walks_take_no_target(monkeypatch):
