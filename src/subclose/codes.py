@@ -86,7 +86,7 @@ def enumerate_grassmannian(
         # a minor's columns, taken as rows, have the same determinant
         columns = tuple(zip(*mat))
         coords = tuple([det(F, pick(columns)) for pick in picks])
-        if next(c for c in coords if c) != 1:
+        if next(filter(None, coords), 0) != 1:
             raise ArithmeticError("echelon representative not normalized")
         points.append(coords)
     if len(points) != count:

@@ -2,7 +2,9 @@
 
 Matrices are tuples of row tuples of field elements (ints).  Row reduction
 is plain Gaussian elimination.  Determinants up to 3 x 3 are cofactor
-expansions over the field tables; larger ones eliminate.
+expansions over the field tables; larger ones eliminate in a function of
+their own, so that the cofactor paths, which run once per Schubert minor,
+carry no closure cells.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ def det(F: FieldTable, rows) -> int:
 
     A 2 x 2 or 3 x 3 matrix is unpacked straight into its entries, so a
     ragged row fails the unpacking rather than a separate length check.
+    Every other size goes to _det_by_elimination, whose generator and list
+    comprehension would otherwise turn this frame's locals into closure
+    cells that every 2 x 2 and 3 x 3 call pays to create and read.
     """
     n = len(rows)
     add, mul, neg = F.add, F.mul, F.neg
@@ -73,6 +78,10 @@ def det(F: FieldTable, rows) -> int:
         minor_b = add[mul[d][i]][neg[mul[f][g]]]
         minor_c = add[mul[d][h]][neg[mul[e][g]]]
         return add[add[mul[a][minor_a]][neg[mul[b][minor_b]]]][mul[c][minor_c]]
+    return _det_by_elimination(F, rows, n)
+
+
+def _det_by_elimination(F: FieldTable, rows, n: int) -> int:
     for row in rows:
         if len(row) != n:
             raise ValueError(_NOT_SQUARE)
@@ -80,6 +89,7 @@ def det(F: FieldTable, rows) -> int:
         return 1
     if n == 1:
         return rows[0][0]
+    mul = F.mul
     mat = [list(row) for row in rows]
     result = 1
     swaps = 0
@@ -96,7 +106,7 @@ def det(F: FieldTable, rows) -> int:
             if mat[i][col] != 0:
                 c = mul[mat[i][col]][scale]
                 mat[i] = [F.sub(x, mul[c][y]) for x, y in zip(mat[i], mat[col])]
-    return neg[result] if swaps % 2 else result
+    return F.neg[result] if swaps % 2 else result
 
 
 def rref_span_matrices(F: FieldTable, r: int, n: int):

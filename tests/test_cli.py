@@ -409,6 +409,17 @@ def test_verify_internal_check_failure_exits_1(capsys, monkeypatch):
     assert err == "error: generator rank 0 below row count 6\n"
 
 
+def test_verify_all_zero_minors_exit_1(capsys, monkeypatch):
+    # a point with no nonzero minor fails the normalization check, not
+    # next() on an empty generator with a bare StopIteration
+    monkeypatch.setattr(codes, "det", lambda F, rows: 0)
+    code, out, err = run(
+        capsys, "verify", "--ell", "2", "--m", "4", "--q", "2", "--r", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: echelon representative not normalized\n"
+
+
 # ---------------------------------------------------------------- selftest
 
 def test_selftest_passes(capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import subclose
 import subclose.cli as cli
+import subclose.linalg as linalg
 
 PACKAGE = Path(subclose.__file__).parent
 
@@ -33,6 +34,11 @@ def test_package_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert statements: {', '.join(found)}"
+
+
+def test_det_holds_no_closure_cells():
+    # the cofactor paths run once per Schubert minor; a cell costs every call
+    assert linalg.det.__code__.co_cellvars == ()
 
 
 def test_package_raises_no_assertion_error():

@@ -1,7 +1,7 @@
 """Tests for row reduction, determinants, and RREF enumeration."""
 
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from subclose.linalg import det, mat_rank, rref, rref_span_matrices
 F2 = field_from_order(2)
 F3 = field_from_order(3)
 F4 = field_from_order(4)
+ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def random_matrix(F, rng, rows, cols):
@@ -50,6 +51,20 @@ def det_by_elimination(F, rows):
             c = F.mul[mat[i][col]][scale]
             mat[i] = [F.sub(x, F.mul[c][y]) for x, y in zip(mat[i], mat[col])]
     return F.neg[result] if swaps % 2 else result
+
+
+def det_by_leibniz(F, rows):
+    # sum over permutations p of sign(p) * prod_i rows[i][p(i)]; shares
+    # nothing with det's cofactor expansions or its elimination
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = F.mul[term][rows[i][j]]
+        odd = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2)) % 2
+        total = F.add[total][F.neg[term] if odd else term]
+    return total
 
 
 def rref_span_reference(F, r, n):
@@ -186,6 +201,24 @@ def test_det_closed_forms_match_elimination_random():
             n = rng.randint(1, 3)
             rows = random_matrix(F, rng, n, n)
             assert det(F, rows) == det_by_elimination(F, rows), (q, rows)
+
+
+def test_det_matches_leibniz_on_every_2x2():
+    for q in ORDERS:
+        F = field_from_order(q)
+        for a, b, c, d in product(F.elements, repeat=4):
+            rows = ((a, b), (c, d))
+            assert det(F, rows) == det_by_leibniz(F, rows), (q, rows)
+
+
+def test_det_matches_leibniz_random_3x3_and_4x4():
+    rng = random.Random(29)
+    for q in ORDERS:
+        F = field_from_order(q)
+        for n in (3, 4):
+            for _ in range(100):
+                rows = random_matrix(F, rng, n, n)
+                assert det(F, rows) == det_by_leibniz(F, rows), (q, rows)
 
 
 def test_rref_span_enumeration_counts():
