@@ -1,7 +1,9 @@
-"""Batch command line front end.
+"""Batch command line front end: parse, compute, and emit once.
 
-Every subcommand is deterministic given its parameters: repeated runs
-produce identical bytes.  Exit status 0 means success (for verify:
+Each handler returns its text, laid out by serialize, and whether its
+checks held; main writes the text and maps that verdict to the exit
+status.  Every subcommand is deterministic given its parameters: repeated
+runs produce identical bytes.  Exit status 0 means success (for verify:
 every instance inside a proven regime checks out; open-regime verdicts are
 informational), 1 means a check failed or a budget was exceeded, 2 means
 the parameters were invalid.
@@ -21,7 +23,6 @@ from .codes import (
     verify_conjecture,
 )
 from .families import BudgetError
-from .graphs import is_threshold
 from .selftest import run_selftest
 
 
@@ -29,7 +30,10 @@ class CLIError(Exception):
     """Bad parameters; the command exits with status 2."""
 
 
-def _parse_r_spec(spec: str, upper: int, lower: int = 0) -> list[int]:
+def _parse_r_spec(spec: str | None, upper: int, lower: int = 0) -> list[int]:
+    """The r values of N or A..B within lower..upper; 1..upper when absent."""
+    if spec is None:
+        return list(range(1, upper + 1))
     s = spec.strip()
     try:
         if ".." in s:
@@ -66,13 +70,11 @@ def _emit(text: str, out: str | None) -> None:
             raise CLIError(f"cannot write {out}: {e.strerror or e}") from None
 
 
-def _cmd_kr_table(args) -> int:
+def _cmd_kr_table(args) -> tuple[str, bool]:
     if not 0 <= args.ell <= args.m:
         raise CLIError(f"need 0 <= ell <= m, got ell={args.ell}, m={args.m}")
-    k = math.comb(args.m, args.ell)
-    rs = _parse_r_spec(args.r, k) if args.r is not None else list(range(1, k + 1))
     records = []
-    for r in rs:
+    for r in _parse_r_spec(args.r, math.comb(args.m, args.ell)):
         rec = families.k_r(
             args.ell, args.m, r, args.mode, budget=args.budget_families
         )
@@ -82,110 +84,62 @@ def _cmd_kr_table(args) -> int:
                 f"r={r}); use --mode oracle"
             )
         records.append(rec)
-    if args.format == "table":
-        text = serialize.kr_table_text(records)
-    elif args.format == "csv":
-        text = serialize.kr_table_csv(records)
-    else:
-        text = serialize.to_jsonl(serialize.kr_record_doc(rec) for rec in records)
-    _emit(text, args.out)
-    return 0
+    return serialize.kr_table_output(records, args.format), True
 
 
-def _fmt_bound(value, tight: bool | None) -> str:
-    return f"{value}{' (tight)' if tight else ''}"
-
-
-def _sigma_line(rec) -> str:
-    edges = ",".join(f"{u}-{v}" for u, v in rec.maximizer.edge_pairs) or "-"
-    th = is_threshold(rec.maximizer).is_threshold
-    parts = [
-        f"m={rec.m}",
-        f"r={rec.r}",
-        f"sigma_max={rec.sigma_max}",
-        f"edges={edges}",
-        f"threshold={'yes' if th else 'NO'}",
-        f"de_caen={_fmt_bound(rec.de_caen_bound, rec.de_caen_bound == rec.sigma_max)}",
-    ]
-    if rec.trivial_bound is not None:
-        parts.append(
-            f"trivial={_fmt_bound(rec.trivial_bound, rec.trivial_bound == rec.sigma_max)}"
-        )
-    if rec.dual_bound is not None:
-        parts.append(
-            f"dual={_fmt_bound(rec.dual_bound, rec.dual_bound == rec.sigma_max)}"
-        )
-    return " ".join(parts) + "\n"
-
-
-def _cmd_optimal(args) -> int:
+def _cmd_optimal(args) -> tuple[str, bool]:
     if args.m < 2:
         raise CLIError(f"need m >= 2, got m={args.m}")
-    k = math.comb(args.m, 2)
-    rs = _parse_r_spec(args.r, k)
-    records = [
-        graphs.optimal_graphs(args.m, r, budget=args.budget_families) for r in rs
+    docs = [
+        serialize.sigma_record_doc(
+            graphs.optimal_graphs(args.m, r, budget=args.budget_families)
+        )
+        for r in _parse_r_spec(args.r, math.comb(args.m, 2))
     ]
-    if args.format == "json":
-        text = serialize.to_jsonl(serialize.sigma_record_doc(rec) for rec in records)
-    else:
-        text = "".join(_sigma_line(rec) for rec in records)
-    _emit(text, args.out)
-    return 0
+    return serialize.docs_output(docs, args.format, serialize.sigma_text), True
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, bool]:
     F = gf.field_from_order(args.q)
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         code = schubert_code(F, alpha, args.ell, args.m, budget=args.budget_subspaces)
     else:
         code = grassmann_code(F, args.ell, args.m, budget=args.budget_subspaces)
-    rs = (
-        _parse_r_spec(args.r, code.kdim, lower=1)
-        if args.r is not None
-        else list(range(1, code.kdim + 1))
-    )
-    reports = [
-        verify_conjecture(
-            code,
-            r,
-            family_budget=args.budget_families,
-            subcode_budget=args.budget_subspaces,
-        )
-        for r in rs
-    ]
-    if args.format == "json":
-        text = serialize.to_jsonl(
-            serialize.conjecture_report_doc(rep) for rep in reports
-        )
-    else:
-        lines = []
-        for rep in reports:
-            rhs = "-" if rep.rhs_subclose is None else str(rep.rhs_subclose)
-            tag = "proven" if rep.proven else "open"
-            lines.append(
-                f"r={rep.r} d_r={rep.d_r} rhs_subclose={rhs} "
-                f"rhs_all_coordinate={rep.rhs_all_coordinate} "
-                f"verdict={rep.verdict} [{tag}]\n"
+    docs = [
+        serialize.conjecture_report_doc(
+            verify_conjecture(
+                code,
+                r,
+                family_budget=args.budget_families,
+                subcode_budget=args.budget_subspaces,
             )
-        text = "".join(lines)
-    _emit(text, args.out)
-    return 0 if all(rep.verdict == "equal" for rep in reports if rep.proven) else 1
+        )
+        for r in _parse_r_spec(args.r, code.kdim, lower=1)
+    ]
+    # open-regime verdicts are informational
+    ok = all(doc["verdict"] == "equal" for doc in docs if doc["proven"])
+    return serialize.docs_output(docs, args.format, serialize.verify_text), ok
 
 
-def _cmd_selftest(args) -> int:
-    results = run_selftest()
-    if args.format == "json":
-        text = serialize.canonical_json(serialize.selftest_report_doc(results))
-        text += "\n"
-    else:
-        lines = [f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok in results]
-        passed = sum(1 for _, ok in results if ok)
-        lines.append(f"{passed}/{len(results)} checks passed\n")
-        text = "".join(lines)
-    _emit(text, args.out)
-    return 0 if all(ok for _, ok in results) else 1
+def _cmd_selftest(args) -> tuple[str, bool]:
+    doc = serialize.selftest_report_doc(run_selftest())
+    return serialize.docs_output([doc], args.format, serialize.selftest_text), doc["ok"]
+
+
+def _add_shared(parser, func, formats, default="table", search=True) -> None:
+    """The options every command declares alike, and its handler."""
+    parser.add_argument("--format", choices=formats, default=default)
+    if search:
+        parser.add_argument(
+            "--budget-families",
+            type=int,
+            default=families.DEFAULT_FAMILY_BUDGET,
+            metavar="N",
+            help="largest candidate-family count the search may enumerate",
+        )
+    parser.add_argument("--out", metavar="FILE", help="write to FILE instead of stdout")
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,16 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="closed forms only, exhaustive search only, cross-checked, or automatic",
     )
-    kr.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    kr.add_argument(
-        "--budget-families",
-        type=int,
-        default=families.DEFAULT_FAMILY_BUDGET,
-        metavar="N",
-        help="largest candidate-family count the search may enumerate",
-    )
-    kr.add_argument("--out", metavar="FILE", help="write to FILE instead of stdout")
-    kr.set_defaults(func=_cmd_kr_table)
+    _add_shared(kr, _cmd_kr_table, ("table", "json", "csv"))
 
     opt = sub.add_parser(
         "optimal", help="maximum degree square sum with witness graph and bounds"
@@ -239,15 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="edge count N or inclusive range A..B",
     )
-    opt.add_argument("--format", choices=("table", "json"), default="table")
-    opt.add_argument(
-        "--budget-families",
-        type=int,
-        default=families.DEFAULT_FAMILY_BUDGET,
-        metavar="N",
-    )
-    opt.add_argument("--out", metavar="FILE")
-    opt.set_defaults(func=_cmd_optimal)
+    _add_shared(opt, _cmd_optimal, ("table", "json"))
 
     ver = sub.add_parser(
         "verify",
@@ -268,13 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A1,A2,...",
         help="strictly increasing column bounds restricting to a subvariety",
     )
-    ver.add_argument("--format", choices=("table", "json"), default="json")
-    ver.add_argument(
-        "--budget-families",
-        type=int,
-        default=families.DEFAULT_FAMILY_BUDGET,
-        metavar="N",
-    )
     ver.add_argument(
         "--budget-subspaces",
         type=int,
@@ -282,20 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="largest subspace/subcode count an enumeration may visit",
     )
-    ver.add_argument("--out", metavar="FILE")
-    ver.set_defaults(func=_cmd_verify)
+    _add_shared(ver, _cmd_verify, ("table", "json"), default="json")
 
     st = sub.add_parser("selftest", help="run the built-in consistency checks")
-    st.add_argument("--format", choices=("table", "json"), default="table")
-    st.add_argument("--out", metavar="FILE")
-    st.set_defaults(func=_cmd_selftest)
+    _add_shared(st, _cmd_selftest, ("table", "json"), search=False)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, ok = args.func(args)
+        _emit(text, args.out)
+        return 0 if ok else 1
     except (CLIError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -352,12 +352,12 @@ def _check_witness(fam: SubsetFamily, value: int) -> None:
     moved to the point y just before it in that order when y is absent,
     must be a member.  One pass over the members' elements, O(r*ell)."""
     where = f"(ell={fam.ell}, m={fam.m}, r={fam.size})"
-    got = k_lambda(fam)
+    degrees = _degrees(fam)
+    got = sum(d * (d - 1) // 2 for d in degrees)  # K by points, as in k_lambda
     if got != value:
         raise ArithmeticError(
             f"witness for {where} has K={got}, not the claimed maximum {value}"
         )
-    degrees = _degrees(fam)
     order = sorted(range(fam.m), key=degrees.__getitem__, reverse=True)
     before = [0] * fam.m  # the bit of y for each point x, 0 for the first
     for y, x in zip(order, order[1:]):

@@ -1,10 +1,12 @@
-"""Stable output formats: JSON documents, JSONL streams, text tables, CSV.
+"""Every output layout: JSON documents, JSONL streams, text rows, CSV.
 
 Every JSON document carries schema_version and a type discriminator and is
 emitted in canonical form (sorted keys, compact separators), so identical
 inputs serialize to identical bytes.  The bundled JSON Schema, shipped as
 package data, is the one description of every document type: validate_doc
-interprets it directly, without external dependencies.
+interprets it directly, without external dependencies.  The optimal,
+verify and selftest text rows read the same documents, so every fact they
+print has one source; kr-table's rows and CSV read its records.
 """
 
 from __future__ import annotations
@@ -132,6 +134,67 @@ def kr_table_csv(records) -> str:
     for rec in records:
         writer.writerow([rec.ell, rec.m, rec.r, rec.value, rec.method])
     return buf.getvalue()
+
+
+def kr_table_output(records, fmt: str) -> str:
+    """kr-table's output: aligned rows, CSV, or one kr_record per line.
+
+    The row and CSV layouts read the records, so they never build a
+    document for a witness they do not print.
+    """
+    if fmt == "table":
+        return kr_table_text(records)
+    if fmt == "csv":
+        return kr_table_csv(records)
+    return to_jsonl(kr_record_doc(rec) for rec in records)
+
+
+def docs_output(docs, fmt: str, text) -> str:
+    """One canonical JSON line per document, or text(doc) for each."""
+    if fmt == "json":
+        return to_jsonl(docs)
+    return "".join(map(text, docs))
+
+
+def sigma_text(doc: dict) -> str:
+    """An optimal row: the maximum, its witness graph and the bounds that
+    apply, each marked where it is tight."""
+    edges = ",".join(f"{u}-{v}" for u, v in doc["maximizer"]["edges"]) or "-"
+    de_caen = doc["de_caen_bound"]
+    bounds = {
+        "de_caen": Fraction(de_caen["num"], de_caen["den"]),
+        "trivial": doc["trivial_bound"],
+        "dual": doc["dual_bound"],
+    }
+    parts = [
+        f"m={doc['m']} r={doc['r']} sigma_max={doc['sigma_max']} edges={edges}",
+        f"threshold={'yes' if doc['maximizer_is_threshold'] else 'NO'}",
+    ]
+    parts += [
+        f"{name}={bound}{' (tight)' if doc[name + '_tight'] else ''}"
+        for name, bound in bounds.items()
+        if bound is not None
+    ]
+    return " ".join(parts) + "\n"
+
+
+def verify_text(doc: dict) -> str:
+    """A verify row: d_r against both sections, and its verdict's regime."""
+    rhs = "-" if doc["rhs_subclose"] is None else doc["rhs_subclose"]
+    regime = "proven" if doc["proven"] else "open"
+    return (
+        f"r={doc['r']} d_r={doc['d_r']} rhs_subclose={rhs} "
+        f"rhs_all_coordinate={doc['rhs_all_coordinate']} "
+        f"verdict={doc['verdict']} [{regime}]\n"
+    )
+
+
+def selftest_text(doc: dict) -> str:
+    """One row per check, then the tally."""
+    checks = doc["checks"]
+    rows = [f"{'ok  ' if c['ok'] else 'FAIL'} {c['name']}\n" for c in checks]
+    passed = sum(c["ok"] for c in checks)
+    return "".join(rows) + f"{passed}/{len(checks)} checks passed\n"
 
 
 def load_schema() -> dict:

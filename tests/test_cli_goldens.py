@@ -5,7 +5,9 @@ Each case runs one cheap command in process and compares the sha256 of its
 stdout, and its exit status, with the value recorded before a refactor.
 The cases cover every output format, every kr-table mode, maximizer counts
 on both sides of the counting cap, a budget refusal and bad parameters, so
-a change meant to keep the output must leave every hash in place.
+a change meant to keep the output must leave every hash in place.  A
+guard test reads the parser and requires a case for every --format
+choice of every command, and one that leaves --format at its default.
 
 The two selftest hashes were recorded when selftest became one suite of
 17 checks, which changed its output by design: the table lists every check,
@@ -24,6 +26,7 @@ checked in process, so an output drift on a benchmark command fails this
 suite and not only the benchmark.
 """
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -98,6 +101,32 @@ def test_cli_output_is_pinned(capsys, command, status, digest):
     assert cli.main(command.split()) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_format_has_a_golden():
+    # every layout, each command's default among them, meets a byte pin,
+    # so moving a layout cannot leave its output unchecked
+    parser = cli.build_parser()
+    (subparsers,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    wanted = {
+        (command, choice)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.dest == "format"
+        for choice in (*action.choices, "default")
+    }
+    pinned = set()
+    for command, _, digest in GOLDENS:
+        if digest != EMPTY:
+            argv = command.split()
+            pinned.add((argv[0], parser.parse_args(argv).format))
+            if "--format" not in argv:
+                pinned.add((argv[0], "default"))
+    assert not wanted - pinned, f"formats without a golden: {sorted(wanted - pinned)}"
 
 
 BENCHMARK_GOLDENS = json.loads(

@@ -566,9 +566,11 @@ def test_exhaustive_routes_agree(monkeypatch):
 
 
 def test_witness_check_survives_optimization(monkeypatch):
-    # an ArithmeticError, not an assert that python -O would strip
-    sane = families.k_lambda
-    monkeypatch.setattr(families, "k_lambda", lambda fam: sane(fam) + 1)
+    # an ArithmeticError, not an assert that python -O would strip; a
+    # phantom point of degree 2 adds 1 to the witness's K, and the degree
+    # sort over range(m) never reads it
+    sane = families._degrees
+    monkeypatch.setattr(families, "_degrees", lambda fam: sane(fam) + [2])
     with pytest.raises(ArithmeticError, match="witness"):
         k_r_oracle(2, 5, 4)
     with pytest.raises(ArithmeticError):

@@ -22,9 +22,12 @@ from subclose.serialize import (
     kr_table_text,
     load_schema,
     selftest_report_doc,
+    selftest_text,
     sigma_record_doc,
+    sigma_text,
     to_jsonl,
     validate_doc,
+    verify_text,
 )
 
 F2 = field_from_order(2)
@@ -237,6 +240,91 @@ def test_kr_table_csv():
         "2,5,4,6,closed_form_low\n"
         "2,5,5,8,brute_force\n"
     )
+
+
+# The text layouts of optimal, verify and selftest read the documents that
+# --format json prints; these are built by hand, so no search runs.
+
+SIGMA_DOC = {
+    "schema_version": SCHEMA_VERSION,
+    "type": "sigma_record",
+    "m": 4,
+    "r": 0,
+    "sigma_max": 0,
+    "maximizer": {"m": 4, "edges": []},
+    "maximizer_is_threshold": False,
+    "de_caen_bound": {"num": 7, "den": 2},
+    "de_caen_tight": False,
+    "trivial_bound": None,
+    "trivial_tight": None,
+    "dual_bound": None,
+    "dual_tight": None,
+}
+
+
+def test_sigma_text_reads_the_document():
+    validate_doc(SIGMA_DOC)
+    assert sigma_text(SIGMA_DOC) == (
+        "m=4 r=0 sigma_max=0 edges=- threshold=NO de_caen=7/2\n"
+    )
+    doc = dict(
+        SIGMA_DOC,
+        r=2,
+        sigma_max=6,
+        maximizer={"m": 4, "edges": [[1, 2], [1, 3]]},
+        maximizer_is_threshold=True,
+        de_caen_bound={"num": 6, "den": 1},
+        de_caen_tight=True,
+        trivial_bound=6,
+        trivial_tight=True,
+        dual_bound=8,
+        dual_tight=False,
+    )
+    validate_doc(doc)
+    assert sigma_text(doc) == (
+        "m=4 r=2 sigma_max=6 edges=1-2,1-3 threshold=yes de_caen=6 (tight) "
+        "trivial=6 (tight) dual=8\n"
+    )
+
+
+def test_verify_text_reads_the_document():
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "type": "conjecture_report",
+        "ell": 2,
+        "m": 4,
+        "q": 2,
+        "alpha": [2, 4],
+        "r": 3,
+        "n": 7,
+        "code_dimension": 5,
+        "d_r": 6,
+        "k_r_target": 2,
+        "rhs_subclose": None,
+        "rhs_all_coordinate": 5,
+        "verdict": "no_subclose",
+        "witness_lambda": None,
+        "proven": False,
+    }
+    validate_doc(doc)
+    assert verify_text(doc) == (
+        "r=3 d_r=6 rhs_subclose=- rhs_all_coordinate=5 verdict=no_subclose [open]\n"
+    )
+    proven = dict(doc, rhs_subclose=6, verdict="equal", proven=True)
+    assert verify_text(proven) == (
+        "r=3 d_r=6 rhs_subclose=6 rhs_all_coordinate=5 verdict=equal [proven]\n"
+    )
+
+
+def test_selftest_text_reads_the_document():
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "type": "selftest_report",
+        "ok": False,
+        "checks": [{"name": "boom", "ok": False}, {"name": "fine", "ok": True}],
+    }
+    validate_doc(doc)
+    assert selftest_text(doc) == "FAIL boom\nok   fine\n1/2 checks passed\n"
 
 
 def test_serialization_is_deterministic():
