@@ -24,12 +24,11 @@ generator-row masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 from operator import itemgetter
 
-from .combinat import SubsetIndexer, gaussian_binom, mask_of, set_of
+from .combinat import Record, SubsetIndexer, gaussian_binom, mask_of, set_of
 from . import families
 from .families import (
     DEFAULT_FAMILY_BUDGET,
@@ -178,8 +177,7 @@ def schubert_membership_flag(F: FieldTable, matrix: Matrix, alpha) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CodeSystem:
+class CodeSystem(Record, uncompared=("F", "points")):
     """A linear code presented by a generator matrix whose columns are the
     points of a projective system.
 
@@ -190,14 +188,14 @@ class CodeSystem:
     points holds each point's minor tuple.
     """
 
-    F: FieldTable = field(compare=False)
+    F: FieldTable
     ell: int
     m: int
     alpha: tuple[int, ...] | None
     generator: Matrix
     row_labels: tuple[tuple[int, ...], ...]
     row_positions: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...] = field(compare=False)
+    points: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -368,8 +366,7 @@ def weight_hierarchy(
     return weights
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     """One (parameters, r) comparison of d_r against the best section cut
     out by an intersection-maximal family of generator-row labels.
 

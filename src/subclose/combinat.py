@@ -9,8 +9,8 @@ here is exact integer arithmetic; nothing ever goes through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 
 def binom_ext(a: int, b: int) -> int:
@@ -31,7 +31,72 @@ def binom_ext(a: int, b: int) -> int:
     return num // math.factorial(b)
 
 
-@dataclass
+class Record:
+    """Base of the package's immutable records, used in place of frozen
+    dataclasses: every CLI command is a process of its own, and importing
+    ``dataclasses`` (which pulls in inspect, ast, dis and tokenize) and
+    generating each record's methods at import added about 20 ms to the
+    start-up of every one of them.
+
+    A subclass's fields are its own annotations, in order, and a class
+    attribute named like a field is that field's default.  Instances are
+    built positionally or by keyword, run ``__post_init__`` when the class
+    defines one, refuse assignment and deletion, and compare, hash and
+    print by field in the dataclass format.  Fields named in the class
+    keyword ``uncompared`` stay out of == and hash.  Fields are set through
+    object.__setattr__ in field order, so instances share one key layout.
+    """
+
+    def __init_subclass__(cls, uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        # an attrgetter is no descriptor: self._key is the getter itself
+        cls._key = attrgetter(*(n for n in cls._fields if n not in uncompared))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        setattr_ = object.__setattr__
+        for name, value in zip(names, args):
+            setattr_(self, name, value)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value, from positional and keyword arguments and
+        the class defaults."""
+        name, names = type(self).__name__, self._fields
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{name} takes the fields {', '.join(names)}")
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        missing = [n for n in names if n not in values]
+        if missing:
+            raise TypeError(f"{name} is missing {', '.join(missing)}")
+        return tuple(values[n] for n in names)
+
+    def __post_init__(self):
+        """Check or normalize the fields once they are set."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
 class IdentityReport:
     """Outcome of a pointwise sweep over the four binomial identities.
 
@@ -39,8 +104,9 @@ class IdentityReport:
     (identity name, argument tuple); it is data, not an exception.
     """
 
-    checked: dict[str, int] = field(default_factory=dict)
-    counterexamples: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
+    def __init__(self):
+        self.checked: dict[str, int] = {}
+        self.counterexamples: list[tuple[str, tuple[int, ...]]] = []
 
     @property
     def ok(self) -> bool:

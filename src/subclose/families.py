@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import combinations, groupby, islice
 
-from .combinat import SubsetIndexer, mask_of, set_of
+from .combinat import Record, SubsetIndexer, mask_of, set_of
 
 
 class BudgetError(RuntimeError):
@@ -71,8 +70,7 @@ class CloseKind(enum.Enum):
     NOT_CLOSE = "NotClose"
 
 
-@dataclass(frozen=True)
-class CloseFamilyWitness:
+class CloseFamilyWitness(Record):
     """Certificate for the close-family recognizer.
 
     ``core`` and ``tail`` are element tuples (1-based): a TypeI family is
@@ -86,8 +84,7 @@ class CloseFamilyWitness:
     tail: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class SubsetFamily(Record):
     """A set of distinct ell-subsets of {1..m}, stored as sorted masks.
 
     Sorting masks numerically is exactly colex order on equal-size subsets,
@@ -298,8 +295,7 @@ def k_r_closed(ell: int, m: int, r: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class KrRecord:
+class KrRecord(Record):
     """One computed K_r value with its provenance and a witness family.
 
     method is one of closed_form_low, closed_form_high, brute_force.  The

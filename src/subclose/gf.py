@@ -11,8 +11,9 @@ we do exactly that rather than trust the table generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
+
+from .combinat import Record
 
 # Irreducible monic polynomials over GF(p), ascending coefficients, one per
 # (p, e) we support.  x^2+x+1, x^3+x+1, x^4+x+1 over GF(2); x^2+2x+1 would
@@ -27,8 +28,7 @@ _IRREDUCIBLE: dict[tuple[int, int], tuple[int, ...]] = {
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-@dataclass(frozen=True)
-class FieldTable:
+class FieldTable(Record):
     """Arithmetic tables for GF(q).  Build through build_field()."""
 
     p: int
@@ -38,7 +38,7 @@ class FieldTable:
     mul: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
     inv: tuple[int, ...]  # inv[0] unused, kept as 0
-    modulus: tuple[int, ...] | None = field(default=None)
+    modulus: tuple[int, ...] | None = None
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]

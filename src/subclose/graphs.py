@@ -12,9 +12,9 @@ Ahlswede-Katona closed form checks every maximum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .combinat import Record
 from .families import (
     DEFAULT_FAMILY_BUDGET,
     SubsetFamily,
@@ -25,8 +25,7 @@ from .families import (
 )
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple graph: ground set {1..m} plus an edge family with ell = 2."""
 
     m: int
@@ -83,8 +82,7 @@ def is_triangle(g: Graph) -> bool:
     return sorted(g.degrees, reverse=True) == expected
 
 
-@dataclass(frozen=True)
-class ThresholdCertificate:
+class ThresholdCertificate(Record):
     """Outcome of threshold recognition.
 
     When the graph is threshold, build_sequence lists (tag, vertex) steps
@@ -184,8 +182,7 @@ def sigma_max_closed(m: int, r: int) -> int:
     return 2 * max(_quasi_complete_k(r), quasi_star) + 2 * r
 
 
-@dataclass(frozen=True)
-class SigmaRecord:
+class SigmaRecord(Record):
     """Maximum Sigma for (m, r) with witness and the applicable bounds."""
 
     m: int
@@ -232,8 +229,7 @@ def optimal_graphs(
     return SigmaRecord(m, r, direct, maximizer, de_caen_bound(m, r), trivial, dual)
 
 
-@dataclass(frozen=True)
-class TrivialBoundReport:
+class TrivialBoundReport(Record):
     """Audit of the sparse-range bound Sigma <= r*(r+1) on every maximizer."""
 
     m: int
@@ -287,8 +283,7 @@ def complement_sigma_check(g: Graph) -> bool:
     return sigma(g.complement()) == co + 2 * (math.comb(m, 2) - r)
 
 
-@dataclass(frozen=True)
-class DualBoundReport:
+class DualBoundReport(Record):
     """Exhaustive audit of the dense-range bound."""
 
     m: int

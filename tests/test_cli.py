@@ -1,6 +1,5 @@
 """End-to-end tests of the command line front end."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -95,13 +94,13 @@ def test_kr_table_both_mode_cross_checks(capsys):
     assert out == GOLDEN_TABLE_2_5
 
 
-def test_kr_table_both_mode_detects_disagreement(capsys, monkeypatch):
+def test_kr_table_both_mode_detects_disagreement(capsys, monkeypatch, replace):
     sane = families._closed_record
 
     def doctored(ell, m, r):
         rec = sane(ell, m, r)
         if rec is not None and r == 3:
-            return dataclasses.replace(rec, value=rec.value + 1, maximizer=None)
+            return replace(rec, value=rec.value + 1, maximizer=None)
         return rec
 
     monkeypatch.setattr(families, "_closed_record", doctored)
@@ -308,11 +307,11 @@ def test_verify_table_format(capsys):
     ]
 
 
-def test_verify_proven_failure_exits_1(capsys, monkeypatch):
+def test_verify_proven_failure_exits_1(capsys, monkeypatch, replace):
     sane = cli.verify_conjecture
 
     def doctored(*a, **kw):
-        return dataclasses.replace(sane(*a, **kw), verdict="lhs_less")
+        return replace(sane(*a, **kw), verdict="lhs_less")
 
     monkeypatch.setattr(cli, "verify_conjecture", doctored)
     code, out, _ = run(
@@ -322,14 +321,14 @@ def test_verify_proven_failure_exits_1(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "lhs_less"
 
 
-def test_verify_open_regime_verdicts_are_informational(capsys, monkeypatch):
+def test_verify_open_regime_verdicts_are_informational(capsys, monkeypatch, replace):
     # a non-equal verdict outside the proven range must not flip the exit
     sane = cli.verify_conjecture
 
     def doctored(*a, **kw):
         rep = sane(*a, **kw)
         if not rep.proven:
-            rep = dataclasses.replace(rep, verdict="lhs_greater")
+            rep = replace(rep, verdict="lhs_greater")
         return rep
 
     monkeypatch.setattr(cli, "verify_conjecture", doctored)

@@ -1,6 +1,5 @@
 """Tests for intersection sums, close families, and the K_r machinery."""
 
-import dataclasses
 import functools
 import math
 import random
@@ -628,13 +627,13 @@ def test_both_mode_returns_closed_record_else_oracle():
                 assert rec.maximizer_count is None
 
 
-def test_both_mode_raises_on_disagreement(monkeypatch):
+def test_both_mode_raises_on_disagreement(monkeypatch, replace):
     sane = families._closed_record
 
     def doctored(ell, m, r):
         rec = sane(ell, m, r)
         if rec is not None and r == 9:
-            return dataclasses.replace(rec, value=rec.value - 1)
+            return replace(rec, value=rec.value - 1)
         return rec
 
     monkeypatch.setattr(families, "_closed_record", doctored)

@@ -3,6 +3,8 @@ import, private definition or command line option is dead."""
 
 import argparse
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import subclose
@@ -34,6 +36,26 @@ def test_package_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert statements: {', '.join(found)}"
+
+
+def loaded_modules(code: str) -> set[str]:
+    """Names in sys.modules after a fresh interpreter runs code."""
+    listing = "import sys; print(chr(10).join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}; {listing}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_start_up_skips_dataclasses():
+    # every command is its own process: dataclasses pulls in inspect, ast,
+    # dis and tokenize, and each decorated class execs its methods again
+    added = loaded_modules("import subclose.cli") - loaded_modules("pass")
+    assert "subclose.codes" in added
+    assert "dataclasses" not in added
 
 
 def test_det_holds_no_closure_cells():

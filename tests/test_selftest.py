@@ -1,7 +1,5 @@
 """The built-in consistency suite must be green and catch broken answers."""
 
-import dataclasses
-
 from subclose import codes, families, selftest
 from subclose.selftest import CHECKS, run_selftest
 
@@ -13,13 +11,13 @@ def test_suite_all_green():
     assert all(ok for _, ok in results), [n for n, ok in results if not ok]
 
 
-def test_suite_catches_a_wrong_closed_form(monkeypatch):
+def test_suite_catches_a_wrong_closed_form(monkeypatch, replace):
     sane = families._closed_record
 
     def doctored(ell, m, r):
         rec = sane(ell, m, r)
         if rec is not None and r == 3:
-            return dataclasses.replace(rec, value=rec.value + 1, maximizer=None)
+            return replace(rec, value=rec.value + 1, maximizer=None)
         return rec
 
     monkeypatch.setattr(families, "_closed_record", doctored)
@@ -53,12 +51,12 @@ def test_suite_catches_a_wrong_shifted_value(monkeypatch):
     }
 
 
-def test_full_suite_catches_a_wrong_close_witness(monkeypatch):
+def test_full_suite_catches_a_wrong_close_witness(monkeypatch, replace):
     sane = families.classify_close
 
     def doctored(fam):
         w = sane(fam)
-        return dataclasses.replace(w, tail=w.tail[:-1]) if fam.size == 3 else w
+        return replace(w, tail=w.tail[:-1]) if fam.size == 3 else w
 
     check = dict(CHECKS)["close-families"]
     assert check()
