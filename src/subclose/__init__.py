@@ -9,9 +9,9 @@ families conjecturally govern the higher weights (gf, linalg, codes).
 
 from .combinat import (
     IdentityReport,
-    SubsetIndexer,
     binom_ext,
     check_binomial_identities,
+    colex_masks,
     gaussian_binom,
     mask_of,
     set_of,

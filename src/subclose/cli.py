@@ -59,6 +59,15 @@ def _parse_alpha(spec: str) -> tuple[int, ...]:
         ) from None
 
 
+def _check_budgets(args) -> None:
+    """Refuse a negative budget; 0 is valid and refuses all work."""
+    for option in ("budget_families", "budget_subspaces"):
+        budget = getattr(args, option, 0)
+        if budget < 0:
+            flag = "--" + option.replace("_", "-")
+            raise CLIError(f"{flag} must be at least 0, got {budget}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -222,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_budgets(args)
         text, ok = args.func(args)
         _emit(text, args.out)
         return 0 if ok else 1

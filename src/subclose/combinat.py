@@ -1,15 +1,15 @@
 """Exact combinatorial primitives.
 
 Binomial coefficients extended to arbitrary integer arguments, their
-Gaussian (q-analog) counterparts, and a colexicographic bijection between
-fixed-size subsets of {1..m} and the integers 0..C(m,ell)-1.  Everything
-here is exact integer arithmetic; nothing ever goes through floats.
+Gaussian (q-analog) counterparts, and ``colex_masks``, the fixed-size
+subsets of {1..m} as bitmasks in colex order, so that a subset's colex rank
+is its position in that tuple.  Everything here is exact integer
+arithmetic; nothing ever goes through floats.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from operator import attrgetter
 
 
@@ -201,74 +201,27 @@ def set_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gosper_next(v: int) -> int:
-    # next integer with the same popcount (Gosper's hack)
-    c = v & -v
-    r = v + c
-    return (((r ^ v) >> 2) // c) | r
+def colex_masks(ell: int, m: int) -> tuple[int, ...]:
+    """Every ell-subset of {1..m} as a bitmask, in colex order.
 
-
-class SubsetIndexer:
-    """Colexicographic bijection between ell-subsets of {1..m} and ranks.
-
-    Subsets are bitmasks with bit i-1 standing for element i.  Among masks
-    of equal popcount, colex order coincides with numeric order, so the
-    rank of a subset is just its position in the mask sequence that
-    Gosper's hack walks in increasing order; both directions look it up.
-    Masks stay within machine words for m <= 62, but the first lookup lists
-    all C(m, ell) masks, so the indexer is meant for lattices small enough
-    to list.
-
-    >>> SubsetIndexer(2, 4).subset_at(0)
-    (1, 2)
-    >>> SubsetIndexer(2, 4).index_of((3, 4))
-    5
+    Bit i-1 stands for element i.  Among masks of equal popcount colex
+    order is numeric order, so a subset's colex rank is its position in
+    the tuple.  Masks stay within machine words for m <= 62, but all
+    C(m, ell) of them are listed, so this is meant for lattices small
+    enough to list.
     """
-
-    def __init__(self, ell: int, m: int):
-        if not 0 <= ell <= m:
-            raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
-        if m > 62:
-            raise ValueError(f"ground set too large for mask words (m={m} > 62)")
-        self.ell = ell
-        self.m = m
-        self.size = math.comb(m, ell)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """All ell-subset masks in colex (= numeric) order."""
-        if self.ell == 0:
-            return (0,)
-        v = (1 << self.ell) - 1
-        out = [v]
-        for _ in range(self.size - 1):
-            v = _gosper_next(v)
-            out.append(v)
-        return tuple(out)
-
-    def _check_mask(self, mask: int) -> None:
-        if mask >> self.m:
-            raise ValueError(f"mask {mask:#x} leaves the ground set [{self.m}]")
-        if mask.bit_count() != self.ell:
-            raise ValueError(
-                f"mask has {mask.bit_count()} elements, expected {self.ell}"
-            )
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {mask: i for i, mask in enumerate(self.masks)}
-
-    def index_of_mask(self, mask: int) -> int:
-        self._check_mask(mask)
-        return self._index[mask]
-
-    def mask_at(self, index: int) -> int:
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} outside 0..{self.size - 1}")
-        return self.masks[index]
-
-    def index_of(self, subset) -> int:
-        return self.index_of_mask(mask_of(subset))
-
-    def subset_at(self, index: int) -> tuple[int, ...]:
-        return set_of(self.mask_at(index))
+    if not 0 <= ell <= m:
+        raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
+    if m > 62:
+        raise ValueError(f"ground set too large for mask words (m={m} > 62)")
+    if ell == 0:
+        return (0,)
+    v = (1 << ell) - 1
+    out = [v]
+    for _ in range(math.comb(m, ell) - 1):
+        # the next integer with the same popcount (Gosper's hack)
+        c = v & -v
+        r = v + c
+        v = (((r ^ v) >> 2) // c) | r
+        out.append(v)
+    return tuple(out)

@@ -25,7 +25,7 @@ import enum
 import math
 from itertools import combinations, groupby, islice
 
-from .combinat import Record, SubsetIndexer, mask_of, set_of
+from .combinat import Record, colex_masks, mask_of, set_of
 
 
 class BudgetError(RuntimeError):
@@ -128,10 +128,10 @@ def k_lambda(fam: SubsetFamily) -> int:
     pairs, so one pass over the members' elements suffices, not one over
     the pairs.
     """
-    return sum(d * (d - 1) // 2 for d in _degrees(fam))
+    return sum(d * (d - 1) // 2 for d in point_degrees(fam))
 
 
-def _degrees(fam: SubsetFamily) -> list[int]:
+def point_degrees(fam: SubsetFamily) -> list[int]:
     """The number of members through each point, by one pass over the
     members' elements."""
     degrees = [0] * fam.m
@@ -226,7 +226,7 @@ def dual_star(fam: SubsetFamily) -> SubsetFamily:
 def complement_family(fam: SubsetFamily) -> SubsetFamily:
     """All ell-subsets of {1..m} that are not members."""
     have = set(fam.members)
-    rest = tuple(a for a in SubsetIndexer(fam.ell, fam.m).masks if a not in have)
+    rest = tuple(a for a in colex_masks(fam.ell, fam.m) if a not in have)
     return SubsetFamily(fam.ell, fam.m, rest)
 
 
@@ -236,9 +236,9 @@ def sum_intersections_fixed(ell: int, m: int, a) -> int:
     Equals ell * (through_point_count(ell, m) - 1) for every choice of A.
     """
     a_mask = mask_of(a) if not isinstance(a, int) else a
-    idx = SubsetIndexer(ell, m)
-    idx._check_mask(a_mask)
-    return sum((a_mask & b).bit_count() for b in idx.masks) - ell
+    masks = colex_masks(ell, m)
+    SubsetFamily(ell, m, (a_mask,))  # refuses an a that is no ell-subset of [m]
+    return sum((a_mask & b).bit_count() for b in masks) - ell
 
 
 def complement_value(ell: int, m: int, r: int, value: int) -> int:
@@ -254,7 +254,7 @@ def total_intersection_sum(ell: int, m: int) -> int:
 
     Equals m * through_point_count(ell, m)^2.
     """
-    masks = SubsetIndexer(ell, m).masks
+    masks = colex_masks(ell, m)
     return sum((a & b).bit_count() for a in masks for b in masks)
 
 
@@ -348,7 +348,7 @@ def _check_witness(fam: SubsetFamily, value: int) -> None:
     moved to the point y just before it in that order when y is absent,
     must be a member.  One pass over the members' elements, O(r*ell)."""
     where = f"(ell={fam.ell}, m={fam.m}, r={fam.size})"
-    degrees = _degrees(fam)
+    degrees = point_degrees(fam)
     got = sum(d * (d - 1) // 2 for d in degrees)  # K by points, as in k_lambda
     if got != value:
         raise ArithmeticError(
@@ -521,14 +521,15 @@ def _relabelings(degrees) -> list[tuple[int, ...]]:
 def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
     """The colex masks of the ell-subsets, once r passes the range check,
     the candidate budget and the walk's depth cap."""
-    idx = SubsetIndexer(ell, m)
-    k = idx.size
+    if not 0 <= ell <= m or m > 62:
+        colex_masks(ell, m)  # refuses the lattice before listing anything
+    k = math.comb(m, ell)
     if not 0 <= r <= k:
         raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
     what = f"for (ell={ell}, m={m}, r={r})"
     check_budget(math.comb(k, r), f"candidate families {what}", budget)
     check_budget(r, f"walk levels {what}", _WALK_DEPTH_CAP)
-    return idx.masks
+    return colex_masks(ell, m)
 
 
 def _shifted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:

@@ -22,6 +22,7 @@ from .families import (
     complement_value,
     k_r_oracle,
     maximizer_families,
+    point_degrees,
 )
 
 
@@ -43,13 +44,7 @@ class Graph(Record):
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.m
-        for mask in self.edges.members:
-            u = (mask & -mask).bit_length() - 1
-            v = mask.bit_length() - 1
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+        return tuple(point_degrees(self.edges))
 
     def complement(self) -> "Graph":
         return Graph(self.m, complement_family(self.edges))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .combinat import SubsetIndexer
+from .combinat import colex_masks
 from .gf import FieldTable
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -119,7 +119,7 @@ def rref_span_matrices(F: FieldTable, r: int, n: int):
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    for mask in SubsetIndexer(r, n).masks:
+    for mask in colex_masks(r, n):
         options = []
         for p in (t for t in range(n) if mask >> t & 1):
             free = [c for c in range(p + 1, n) if not mask >> c & 1]

@@ -196,7 +196,7 @@ def _sum_identities() -> bool:
         nu = families.through_point_count(ell, m)
         if families.total_intersection_sum(ell, m) != m * nu * nu:
             return False
-        for a in combinat.SubsetIndexer(ell, m).masks:
+        for a in combinat.colex_masks(ell, m):
             if families.sum_intersections_fixed(ell, m, a) != ell * (nu - 1):
                 return False
     return True

@@ -15,7 +15,7 @@ import time
 from functools import lru_cache
 from itertools import combinations
 
-from subclose.combinat import SubsetIndexer, gaussian_binom
+from subclose.combinat import colex_masks, gaussian_binom, set_of
 from subclose.families import (
     SubsetFamily,
     complement_family,
@@ -148,14 +148,14 @@ def test_criterion_05_second_duality():
     problems = []
     rng = random.Random(20260819)
     for ell, m in ((2, 5), (2, 6)):
-        idx = SubsetIndexer(ell, m)
-        k = idx.size
+        masks = colex_masks(ell, m)
+        k = len(masks)
         nu = through_point_count(ell, m)
         base = m * math.comb(nu, 2)
         for _ in range(1000):
             r = rng.randint(0, k)
             fam = SubsetFamily(
-                ell, m, tuple(idx.mask_at(i) for i in rng.sample(range(k), r))
+                ell, m, tuple(masks[i] for i in rng.sample(range(k), r))
             )
             lhs = k_lambda(complement_family(fam))
             rhs = base - r * ell * (nu - 1) + k_lambda(fam)
@@ -180,11 +180,11 @@ def test_criterion_06_sum_identities():
         nu = through_point_count(ell, m)
         note(problems, total_intersection_sum(ell, m) == m * nu * nu,
              f"total sum wrong at (ell={ell}, m={m})")
-        idx = SubsetIndexer(ell, m)
-        for i in range(idx.size):
-            got = sum_intersections_fixed(ell, m, idx.subset_at(i))
+        masks = colex_masks(ell, m)
+        for i in range(len(masks)):
+            got = sum_intersections_fixed(ell, m, set_of(masks[i]))
             note(problems, got == ell * (nu - 1),
-                 f"fixed-member sum wrong at (ell={ell}, m={m}, A={idx.subset_at(i)})")
+                 f"fixed-member sum wrong at (ell={ell}, m={m}, A={set_of(masks[i])})")
     finish(6, "sum-identities", t0, problems)
 
 
@@ -192,7 +192,7 @@ def test_criterion_07_degree_square_identity():
     t0 = time.perf_counter()
     problems = []
     for m in range(2, 6):
-        masks = SubsetIndexer(2, m).masks
+        masks = colex_masks(2, m)
         for size in range(len(masks) + 1):
             for chosen in combinations(masks, size):
                 fam = SubsetFamily(2, m, chosen)
@@ -202,10 +202,10 @@ def test_criterion_07_degree_square_identity():
     rng = random.Random(97)
     for _ in range(10**4):
         m = rng.randint(2, 12)
-        idx = SubsetIndexer(2, m)
-        r = rng.randint(0, idx.size)
+        masks = colex_masks(2, m)
+        r = rng.randint(0, len(masks))
         fam = SubsetFamily(
-            2, m, tuple(idx.mask_at(i) for i in rng.sample(range(idx.size), r))
+            2, m, tuple(masks[i] for i in rng.sample(range(len(masks)), r))
         )
         note(problems, sigma(Graph(m, fam)) == 2 * k_lambda(fam) + 2 * r,
              f"identity fails on a random {r}-edge graph, m={m}")

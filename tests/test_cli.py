@@ -124,6 +124,34 @@ def test_kr_table_budget_exceeded_exits_1(capsys):
     assert "6435" in err and "budget 100" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("kr-table", "--ell", "2", "--m", "5"), "--budget-families"),
+        (("optimal", "--m", "4", "--r", "3"), "--budget-families"),
+        (("verify", "--ell", "2", "--m", "4", "--q", "2"), "--budget-families"),
+        (("verify", "--ell", "2", "--m", "4", "--q", "2"), "--budget-subspaces"),
+    ],
+)
+def test_negative_budgets_exit_2(capsys, argv, flag):
+    # a negative budget is no budget at all; 0 is one, and refuses all work
+    for value in ("-1", "-5"):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be at least 0, got {value}\n"
+    code, out, err = run(capsys, *argv, flag, "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(" exceed budget 0\n")
+
+
+def test_kr_table_refuses_a_wide_ground_set_before_the_budget(capsys):
+    # the lattice check comes before the candidate count, which here is
+    # far over the default budget
+    code, out, err = run(capsys, "kr-table", "--ell", "2", "--m", "63", "--r", "100")
+    assert (code, out) == (2, "")
+    assert err == "error: ground set too large for mask words (m=63 > 62)\n"
+
+
 def test_kr_table_auto_above_the_count_cap_prints_the_oracle_bytes(capsys):
     # (2, 8) has 2^28 subfamilies, past the count cap: auto takes the least
     # shifted maximizer, oracle walks every family, and both print the same

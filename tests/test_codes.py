@@ -4,13 +4,13 @@ import inspect
 import math
 import random
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import subclose.cli as cli
 from subclose import codes
-from subclose.combinat import SubsetIndexer, gaussian_binom, mask_of
+from subclose.combinat import colex_masks, gaussian_binom, mask_of
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r
 from subclose.gf import field_from_order
 from subclose.linalg import det, mat_rank, rref_span_matrices
@@ -144,7 +144,7 @@ def minor_vectors_reference(F, ell, m):
     # per minor, column sets in colex order
     col_sets = [
         tuple(t for t in range(m) if mask >> t & 1)
-        for mask in SubsetIndexer(ell, m).masks
+        for mask in colex_masks(ell, m)
     ]
     return [
         tuple(det(F, [[row[c] for c in cols] for row in basis]) for cols in col_sets)
@@ -247,6 +247,25 @@ def test_validate_alpha():
         validate_alpha((4, 2), 2, 4)
     with pytest.raises(ValueError):
         validate_alpha((2, 5), 2, 4)
+
+
+def test_validate_alpha_accepts_exactly_the_increasing_tuples():
+    # alpha_1 >= 1 and strict increase give alpha_i >= i, so no accepted
+    # tuple cuts out an empty variety
+    def accepts(alpha, ell, m):
+        try:
+            return validate_alpha(alpha, ell, m) == alpha
+        except ValueError:
+            return False
+
+    for m in range(7):
+        for ell in range(m + 1):
+            accepted = {
+                alpha
+                for alpha in product(range(m + 2), repeat=ell)
+                if accepts(alpha, ell, m)
+            }
+            assert accepted == set(combinations(range(1, m + 1), ell))
 
 
 def test_schubert_support_and_counts():

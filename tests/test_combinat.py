@@ -8,9 +8,9 @@ from itertools import combinations, product
 import pytest
 
 from subclose.combinat import (
-    SubsetIndexer,
     binom_ext,
     check_binomial_identities,
+    colex_masks,
     gaussian_binom,
     mask_of,
     set_of,
@@ -121,69 +121,43 @@ def test_gaussian_binom_edges():
 
 
 def test_indexer_colex_goldens():
-    idx = SubsetIndexer(2, 5)
-    assert idx.size == 10
-    assert idx.subset_at(0) == (1, 2)
-    assert idx.subset_at(1) == (1, 3)
-    assert idx.subset_at(2) == (2, 3)
-    assert idx.subset_at(9) == (4, 5)
-    assert idx.index_of((3, 4)) == 5
+    masks = colex_masks(2, 5)
+    assert len(masks) == 10
+    assert set_of(masks[0]) == (1, 2)
+    assert set_of(masks[1]) == (1, 3)
+    assert set_of(masks[2]) == (2, 3)
+    assert set_of(masks[5]) == (3, 4)
+    assert set_of(masks[9]) == (4, 5)
 
 
 def test_indexer_round_trip_and_order():
-    for ell, m in ((1, 6), (2, 5), (3, 6), (4, 4)):
-        idx = SubsetIndexer(ell, m)
-        assert idx.size == math.comb(m, ell)
-        seen = set()
-        prev_mask = -1
-        for i in range(idx.size):
-            s = idx.subset_at(i)
-            assert len(s) == ell
-            assert all(1 <= x <= m for x in s)
-            assert idx.index_of(s) == i
-            mask = idx.mask_at(i)
-            assert mask == mask_of(s)
-            assert idx.index_of_mask(mask) == i
-            # colex order is strictly increasing as integers
-            assert mask > prev_mask
-            prev_mask = mask
-            seen.add(s)
-        assert len(seen) == idx.size
+    for ell, m in ((1, 6), (2, 5), (3, 6), (4, 4), (0, 4)):
+        masks = colex_masks(ell, m)
+        assert len(masks) == math.comb(m, ell)
+        assert all(mask_of(set_of(mask)) == mask for mask in masks)
+        # colex order is strictly increasing as integers
+        assert all(a < b for a, b in zip(masks, masks[1:]))
 
 
 def test_indexer_colex_matches_sorted_reversed_tuples():
     # colex = sort by reversed tuple
-    idx = SubsetIndexer(3, 6)
-    expected = sorted(combinations(range(1, 7), 3), key=lambda s: s[::-1])
-    assert [idx.subset_at(i) for i in range(idx.size)] == expected
+    for ell, m in ((1, 6), (2, 5), (3, 6), (4, 4), (0, 4)):
+        subsets = sorted(combinations(range(1, m + 1), ell), key=lambda s: s[::-1])
+        assert list(colex_masks(ell, m)) == [mask_of(s) for s in subsets]
 
 
 def test_indexer_empty_subsets():
-    idx = SubsetIndexer(0, 4)
-    assert idx.size == 1
-    assert idx.subset_at(0) == ()
-    assert idx.index_of(()) == 0
-    assert idx.masks == (0,)
+    assert colex_masks(0, 4) == (0,)
+    assert colex_masks(0, 0) == (0,)
 
 
 def test_indexer_rejects_bad_input():
-    idx = SubsetIndexer(2, 5)
-    with pytest.raises(ValueError):
-        idx.subset_at(10)
-    with pytest.raises(ValueError):
-        idx.subset_at(-1)
-    with pytest.raises(ValueError):
-        idx.index_of((1, 2, 3))
-    with pytest.raises(ValueError):
-        idx.index_of((0, 1))
-    with pytest.raises(ValueError):
-        idx.index_of((5, 6))
-    with pytest.raises(ValueError):
-        idx.index_of_mask(0b111)
-    with pytest.raises(ValueError):
-        SubsetIndexer(3, 2)
-    with pytest.raises(ValueError):
-        SubsetIndexer(-1, 2)
+    with pytest.raises(ValueError, match=r"need 0 <= ell <= m, got ell=3, m=2"):
+        colex_masks(3, 2)
+    with pytest.raises(ValueError, match=r"need 0 <= ell <= m, got ell=-1, m=2"):
+        colex_masks(-1, 2)
+    with pytest.raises(ValueError, match=r"for mask words \(m=63 > 62\)"):
+        colex_masks(1, 63)
 
 
 def test_mask_set_round_trip():

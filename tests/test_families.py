@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from subclose import families
-from subclose.combinat import SubsetIndexer, mask_of, set_of
+from subclose.combinat import colex_masks, mask_of, set_of
 from subclose.families import (
     BudgetError,
     CloseKind,
@@ -54,8 +54,8 @@ def fam(ell, m, *sets):
 
 
 def all_families(ell, m, size):
-    idx = SubsetIndexer(ell, m)
-    for chosen in combinations(idx.masks, size):
+    masks = colex_masks(ell, m)
+    for chosen in combinations(masks, size):
         yield SubsetFamily(ell, m, chosen)
 
 
@@ -75,10 +75,10 @@ def test_k_lambda_against_set_arithmetic():
     for _ in range(200):
         m = rng.randint(2, 9)
         ell = rng.randint(1, m)
-        idx = SubsetIndexer(ell, m)
-        size = rng.randint(0, min(idx.size, 6))
-        chosen = rng.sample(range(idx.size), size)
-        f = SubsetFamily(ell, m, tuple(idx.mask_at(i) for i in chosen))
+        masks = colex_masks(ell, m)
+        size = rng.randint(0, min(len(masks), 6))
+        chosen = rng.sample(range(len(masks)), size)
+        f = SubsetFamily(ell, m, tuple(masks[i] for i in chosen))
         expected = sum(
             len(set(a) & set(b)) for a, b in combinations(f.sets, 2)
         )
@@ -140,8 +140,8 @@ def test_classify_witness_rebuilds_family_exhaustively():
     # exists, must reproduce the family, and closeness must match the
     # direct pairwise test
     for ell, m in ((1, 4), (2, 4), (2, 5), (3, 4), (3, 5)):
-        idx = SubsetIndexer(ell, m)
-        for size in range(min(idx.size, 4) + 1):
+        masks = colex_masks(ell, m)
+        for size in range(min(len(masks), 4) + 1):
             for f in all_families(ell, m, size):
                 w = classify_close(f)
                 pairwise = all(
@@ -167,8 +167,8 @@ def test_classify_witness_rebuilds_family_exhaustively():
 def test_close_sizes_never_exceed_cap():
     for ell, m in ((2, 4), (2, 5), (3, 5)):
         cap = close_size_cap(ell, m)
-        idx = SubsetIndexer(ell, m)
-        for size in range(min(idx.size, cap + 2) + 1):
+        masks = colex_masks(ell, m)
+        for size in range(min(len(masks), cap + 2) + 1):
             for f in all_families(ell, m, size):
                 if classify_close(f).kind is not CloseKind.NOT_CLOSE:
                     assert f.size <= cap
@@ -200,11 +200,11 @@ def test_dual_star_swaps_types():
 def test_sum_identities_by_direct_summation():
     for ell in range(1, 4):
         for m in range(ell, 9):
-            idx = SubsetIndexer(ell, m)
-            if idx.size > 60:
+            masks = colex_masks(ell, m)
+            if len(masks) > 60:
                 continue
             nu = through_point_count(ell, m)
-            subsets = [idx.subset_at(i) for i in range(idx.size)]
+            subsets = [set_of(masks[i]) for i in range(len(masks))]
             # ordered pairs, diagonal included
             total = sum(
                 len(set(a) & set(b)) for a in subsets for b in subsets
@@ -429,7 +429,7 @@ def test_shifted_value_equals_the_oracle():
     # above the count cap, whose auto records match the oracle's in full
     rows = list(middle_rows(MIDDLE_LATTICES)) + list(LATTICE_BNB_ROWS)
     for ell, m, r in rows:
-        masks = SubsetIndexer(ell, m).masks
+        masks = colex_masks(ell, m)
         value, _ = families._shifted_maximizers(masks, m, r)
         assert value == k_r_oracle(ell, m, r).value
     for ell, m, r in LATTICE_BNB_ROWS:
@@ -488,7 +488,7 @@ def test_the_witness_is_the_least_listed_ideal_by_member_indices(monkeypatch):
         (sum(1 << i for i in first), (5, 5, 3, 3, 1, 1)),
     ])
     monkeypatch.setattr(families, "_shifted_maximizers", lambda masks, m, r: listed)
-    masks = SubsetIndexer(3, 6).masks
+    masks = colex_masks(3, 6)
     rec = k_r(3, 6, 6)
     assert rec.value == 26
     assert rec.maximizer == SubsetFamily(3, 6, tuple(masks[i] for i in first))
@@ -509,7 +509,7 @@ def test_a_listed_family_that_is_not_an_ideal_is_refused(monkeypatch):
     # a K_4 on {1..4} and a path 5-6-7-8, nine edges with K = 14, listed as
     # the one shifted maximizer of (2, 8, 9): its K matches the listed
     # value, and only the re-check of the Gale ideal refuses it
-    masks = SubsetIndexer(2, 8).masks
+    masks = colex_masks(2, 8)
     edges = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (5, 6), (6, 7), (7, 8)]
     chosen = [mask_of(e) for e in edges]
     ideal = sum(1 << masks.index(a) for a in chosen)
@@ -568,8 +568,8 @@ def test_witness_check_survives_optimization(monkeypatch):
     # an ArithmeticError, not an assert that python -O would strip; a
     # phantom point of degree 2 adds 1 to the witness's K, and the degree
     # sort over range(m) never reads it
-    sane = families._degrees
-    monkeypatch.setattr(families, "_degrees", lambda fam: sane(fam) + [2])
+    sane = families.point_degrees
+    monkeypatch.setattr(families, "point_degrees", lambda fam: sane(fam) + [2])
     with pytest.raises(ArithmeticError, match="witness"):
         k_r_oracle(2, 5, 4)
     with pytest.raises(ArithmeticError):
@@ -699,13 +699,13 @@ def test_second_duality_pointwise_any_family():
     # maximizer or not
     rng = random.Random(23)
     for ell, m in ((2, 5), (3, 5), (2, 6)):
-        idx = SubsetIndexer(ell, m)
-        k = idx.size
+        masks = colex_masks(ell, m)
+        k = len(masks)
         nu = through_point_count(ell, m)
         for _ in range(300):
             size = rng.randint(0, k)
             chosen = rng.sample(range(k), size)
-            f = SubsetFamily(ell, m, tuple(idx.mask_at(i) for i in chosen))
+            f = SubsetFamily(ell, m, tuple(masks[i] for i in chosen))
             co = complement_family(f)
             assert co.size == k - size
             assert k_lambda(co) == (

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from subclose.combinat import SubsetIndexer, mask_of
+from subclose.combinat import colex_masks, mask_of
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r
 from subclose.graphs import (
     Graph,
@@ -36,7 +36,7 @@ def graph(m, *pairs):
 
 
 def all_graphs(m):
-    masks = SubsetIndexer(2, m).masks
+    masks = colex_masks(2, m)
     for size in range(len(masks) + 1):
         for chosen in combinations(masks, size):
             yield Graph(m, SubsetFamily(2, m, chosen))
@@ -73,11 +73,11 @@ def test_sigma_from_k_exhaustive_m4():
 
 def test_sigma_from_k_random_m12():
     rng = random.Random(31)
-    idx = SubsetIndexer(2, 12)
+    masks = colex_masks(2, 12)
     for _ in range(500):
         size = rng.randint(0, 20)
-        chosen = rng.sample(range(idx.size), size)
-        f = SubsetFamily(2, 12, tuple(idx.mask_at(i) for i in chosen))
+        chosen = rng.sample(range(len(masks)), size)
+        f = SubsetFamily(2, 12, tuple(masks[i] for i in chosen))
         assert 2 * k_lambda(f) + 2 * f.size == sigma(Graph(12, f))
 
 
@@ -313,10 +313,10 @@ def test_complement_sigma_identity():
         assert complement_sigma_check(g)
     for _ in range(200):
         m = rng.randint(2, 10)
-        idx = SubsetIndexer(2, m)
-        size = rng.randint(0, idx.size)
-        chosen = rng.sample(range(idx.size), size)
-        g = Graph(m, SubsetFamily(2, m, tuple(idx.mask_at(i) for i in chosen)))
+        masks = colex_masks(2, m)
+        size = rng.randint(0, len(masks))
+        chosen = rng.sample(range(len(masks)), size)
+        g = Graph(m, SubsetFamily(2, m, tuple(masks[i] for i in chosen)))
         assert complement_sigma_check(g)
 
 

@@ -95,6 +95,24 @@ def test_budget_errors_come_from_one_gate():
     assert len(gate) == 1, "families.check_budget is missing"
 
 
+def test_module_caches_are_the_field_tables():
+    # a module-level cache keeps its entries for the life of the process
+    # and hands every caller the same result; the field tables are the one
+    # cache the package keeps
+    found = []
+    for name, node in package_nodes():
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if getattr(target, "id", getattr(target, "attr", None)) in (
+                "cache",
+                "lru_cache",
+            ):
+                found.append(f"{name}:{node.name}")
+    assert found == ["gf.py:field_from_order"], f"cached: {', '.join(found)}"
+
+
 def unused_imports(path: Path) -> list[str]:
     """file:line of each module-level imported name the module never uses."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

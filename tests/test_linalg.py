@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from subclose.combinat import SubsetIndexer, gaussian_binom
+from subclose.combinat import colex_masks, gaussian_binom
 from subclose.gf import field_from_order
 from subclose.linalg import det, mat_rank, rref, rref_span_matrices
 
@@ -53,7 +53,7 @@ def rref_span_reference(F, r, n):
     if r == 0:
         yield ()
         return
-    for mask in SubsetIndexer(r, n).masks:
+    for mask in colex_masks(r, n):
         pivots = [t for t in range(n) if mask >> t & 1]
         free = [
             (i, c)
