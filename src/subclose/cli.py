@@ -30,10 +30,14 @@ class CLIError(Exception):
     """Bad parameters; the command exits with status 2."""
 
 
-def _parse_r_spec(spec: str | None, upper: int, lower: int = 0) -> list[int]:
-    """The r values of N or A..B within lower..upper; 1..upper when absent."""
+def _parse_r_spec(spec: str | None, upper: int, lower: int = 0) -> range:
+    """The r values of N or A..B within lower..upper; 1..upper when absent.
+
+    A range, not a list: the default range of a large lattice has more
+    values than memory holds, and a budget refuses a row long before.
+    """
     if spec is None:
-        return list(range(1, upper + 1))
+        return range(1, upper + 1)
     s = spec.strip()
     try:
         if ".." in s:
@@ -47,7 +51,7 @@ def _parse_r_spec(spec: str | None, upper: int, lower: int = 0) -> list[int]:
         raise CLIError(f"empty r range {spec!r}")
     if lo < lower or hi > upper:
         raise CLIError(f"r range {spec!r} outside {lower}..{upper}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _parse_alpha(spec: str) -> tuple[int, ...]:

@@ -201,6 +201,15 @@ def set_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_ground_set(ell: int, m: int) -> None:
+    """The one rule for ell-subsets of {1..m} as masks: 0 <= ell <= m, and
+    m <= 62 so that every mask fits a machine word."""
+    if not 0 <= ell <= m:
+        raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
+    if m > 62:
+        raise ValueError(f"ground set too large for mask words (m={m} > 62)")
+
+
 def colex_masks(ell: int, m: int) -> tuple[int, ...]:
     """Every ell-subset of {1..m} as a bitmask, in colex order.
 
@@ -210,10 +219,7 @@ def colex_masks(ell: int, m: int) -> tuple[int, ...]:
     C(m, ell) of them are listed, so this is meant for lattices small
     enough to list.
     """
-    if not 0 <= ell <= m:
-        raise ValueError(f"need 0 <= ell <= m, got ell={ell}, m={m}")
-    if m > 62:
-        raise ValueError(f"ground set too large for mask words (m={m} > 62)")
+    check_ground_set(ell, m)
     if ell == 0:
         return (0,)
     v = (1 << ell) - 1

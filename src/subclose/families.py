@@ -25,7 +25,7 @@ import enum
 import math
 from itertools import combinations, groupby, islice
 
-from .combinat import Record, colex_masks, mask_of, set_of
+from .combinat import Record, check_ground_set, colex_masks, mask_of, set_of
 
 
 class BudgetError(RuntimeError):
@@ -97,10 +97,7 @@ class SubsetFamily(Record):
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.ell <= self.m:
-            raise ValueError(f"need 0 <= ell <= m, got ell={self.ell}, m={self.m}")
-        if self.m > 62:
-            raise ValueError(f"ground set too large (m={self.m} > 62)")
+        check_ground_set(self.ell, self.m)
         seen = set()
         for mask in self.members:
             if mask >> self.m:
@@ -520,15 +517,15 @@ def _relabelings(degrees) -> list[tuple[int, ...]]:
 
 def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
     """The colex masks of the ell-subsets, once r passes the range check,
-    the candidate budget and the walk's depth cap."""
-    if not 0 <= ell <= m or m > 62:
-        colex_masks(ell, m)  # refuses the lattice before listing anything
+    the walk's depth cap and the candidate budget.  The cap comes first:
+    on a large lattice C(k, r) alone takes seconds once r nears 10^5."""
+    check_ground_set(ell, m)
     k = math.comb(m, ell)
     if not 0 <= r <= k:
         raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
     what = f"for (ell={ell}, m={m}, r={r})"
-    check_budget(math.comb(k, r), f"candidate families {what}", budget)
     check_budget(r, f"walk levels {what}", _WALK_DEPTH_CAP)
+    check_budget(math.comb(k, r), f"candidate families {what}", budget)
     return colex_masks(ell, m)
 
 

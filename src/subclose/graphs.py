@@ -49,10 +49,6 @@ class Graph(Record):
     def complement(self) -> "Graph":
         return Graph(self.m, complement_family(self.edges))
 
-    @property
-    def edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        return self.edges.sets
-
 
 def sigma(g: Graph) -> int:
     """Sum of squared vertex degrees."""

@@ -4,7 +4,9 @@ Every JSON document carries schema_version and a type discriminator and is
 emitted in canonical form (sorted keys, compact separators), so identical
 inputs serialize to identical bytes.  The bundled JSON Schema, shipped as
 package data, is the one description of every document type: validate_doc
-interprets it directly, without external dependencies.  The optimal,
+interprets it directly, without external dependencies.  A record's
+document is its fields, laid out by to_json, plus the keys derived from
+them, so no field list is written out here.  The optimal,
 verify and selftest text rows read the same documents, so every fact they
 print has one source; kr-table's rows and CSV read its records.
 """
@@ -18,8 +20,9 @@ from fractions import Fraction
 from importlib.resources import files
 
 from .codes import ConjectureReport
+from .combinat import Record
 from .families import KrRecord, SubsetFamily
-from .graphs import Graph, SigmaRecord, is_threshold
+from .graphs import SigmaRecord, is_threshold
 
 SCHEMA_VERSION = "1"
 
@@ -32,80 +35,48 @@ def to_jsonl(docs) -> str:
     return "".join(canonical_json(d) + "\n" for d in docs)
 
 
-def family_json(fam: SubsetFamily | None) -> list[list[int]] | None:
-    """A family as sorted 1-based member lists, colex member order."""
-    if fam is None:
-        return None
-    return [list(s) for s in fam.sets]
+def to_json(value):
+    """One value as JSON data: a family as its sorted 1-based member lists
+    in colex member order, any other record as an object of its fields, a
+    fraction as {num, den}, a tuple as a list, anything else unchanged."""
+    # a family is a record too, so it is matched first
+    if isinstance(value, SubsetFamily):
+        return [list(s) for s in value.sets]
+    if isinstance(value, Record):
+        return {name: to_json(getattr(value, name)) for name in value._fields}
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, tuple):
+        return [to_json(x) for x in value]
+    return value
 
 
-def graph_json(g: Graph) -> dict:
-    return {"m": g.m, "edges": [list(e) for e in g.edge_pairs]}
-
-
-def fraction_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+def record_doc(kind: str, rec: Record, **derived) -> dict:
+    """The document of type kind laying out rec: its fields, then the keys
+    derived from them."""
+    return {"schema_version": SCHEMA_VERSION, "type": kind, **to_json(rec), **derived}
 
 
 def kr_record_doc(rec: KrRecord) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "kr_record",
-        "ell": rec.ell,
-        "m": rec.m,
-        "r": rec.r,
-        "value": rec.value,
-        "method": rec.method,
-        "maximizer": family_json(rec.maximizer),
-        "maximizer_count": rec.maximizer_count,
-    }
+    return record_doc("kr_record", rec)
 
 
 def sigma_record_doc(rec: SigmaRecord) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "sigma_record",
-        "m": rec.m,
-        "r": rec.r,
-        "sigma_max": rec.sigma_max,
-        "maximizer": graph_json(rec.maximizer),
-        "maximizer_is_threshold": is_threshold(rec.maximizer).is_threshold,
-        "de_caen_bound": fraction_json(rec.de_caen_bound),
-        "de_caen_tight": rec.de_caen_bound == rec.sigma_max,
-        "trivial_bound": rec.trivial_bound,
-        "trivial_tight": (
-            None if rec.trivial_bound is None else rec.trivial_bound == rec.sigma_max
-        ),
-        "dual_bound": rec.dual_bound,
-        "dual_tight": (
-            None if rec.dual_bound is None else rec.dual_bound == rec.sigma_max
-        ),
-    }
+    """A sigma_record, with the maximizer's threshold flag and whether each
+    bound is tight (None where the bound does not apply)."""
+    top = rec.sigma_max
+    return record_doc(
+        "sigma_record",
+        rec,
+        maximizer_is_threshold=is_threshold(rec.maximizer).is_threshold,
+        de_caen_tight=rec.de_caen_bound == top,
+        trivial_tight=None if rec.trivial_bound is None else rec.trivial_bound == top,
+        dual_tight=None if rec.dual_bound is None else rec.dual_bound == top,
+    )
 
 
 def conjecture_report_doc(rep: ConjectureReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": "conjecture_report",
-        "ell": rep.ell,
-        "m": rep.m,
-        "q": rep.q,
-        "alpha": list(rep.alpha) if rep.alpha is not None else None,
-        "r": rep.r,
-        "n": rep.n,
-        "code_dimension": rep.code_dimension,
-        "d_r": rep.d_r,
-        "k_r_target": rep.k_r_target,
-        "rhs_subclose": rep.rhs_subclose,
-        "rhs_all_coordinate": rep.rhs_all_coordinate,
-        "verdict": rep.verdict,
-        "witness_lambda": (
-            [list(s) for s in rep.witness_lambda]
-            if rep.witness_lambda is not None
-            else None
-        ),
-        "proven": rep.proven,
-    }
+    return record_doc("conjecture_report", rep)
 
 
 def selftest_report_doc(checks: list[tuple[str, bool]]) -> dict:

@@ -248,7 +248,7 @@ def test_criterion_08_bounds_suite():
                 note(problems, rep.all_stars,
                      f"equality not stars-only at (m={m}, r={r}): "
                      f"{len(extra)} of {len(rep.maximizers)} maximizers are "
-                     f"{shapes}, e.g. edges {extra[0].edge_pairs}")
+                     f"{shapes}, e.g. edges {extra[0].edges.sets}")
     finish(8, "bounds-suite", t0, problems)
 
 
@@ -259,7 +259,7 @@ def test_criterion_09_maximizers_are_threshold():
         for r in range(math.comb(m, 2) + 1):
             for g in sigma_maximizers(m, r):
                 note(problems, is_threshold(g).is_threshold,
-                     f"non-threshold maximizer at (m={m}, r={r}): {g.edge_pairs}")
+                     f"non-threshold maximizer at (m={m}, r={r}): {g.edges.sets}")
     finish(9, "maximizers-threshold", t0, problems)
 
 

@@ -145,11 +145,20 @@ def test_negative_budgets_exit_2(capsys, argv, flag):
 
 
 def test_kr_table_refuses_a_wide_ground_set_before_the_budget(capsys):
-    # the lattice check comes before the candidate count, which here is
-    # far over the default budget
-    code, out, err = run(capsys, "kr-table", "--ell", "2", "--m", "63", "--r", "100")
-    assert (code, out) == (2, "")
-    assert err == "error: ground set too large for mask words (m=63 > 62)\n"
+    # the lattice check comes before the candidate count, which at r = 100
+    # is far over the default budget; the closed-form row at r = 1 builds
+    # its witness family instead, which meets the same ground-set rule
+    for r in ("100", "1"):
+        code, out, err = run(capsys, "kr-table", "--ell", "2", "--m", "63", "--r", r)
+        assert (code, out) == (2, "")
+        assert err == "error: ground set too large for mask words (m=63 > 62)\n"
+
+
+def test_kr_table_answers_a_closed_row_past_the_mask_words(capsys):
+    # C(2000, 2) is past the witness cap, so the closed-form row builds no
+    # family and needs no mask words; the CLI refuses no wide m up front
+    code, out, err = run(capsys, "kr-table", "--ell", "2", "--m", "2000", "--r", "1")
+    assert (code, out, err) == (0, "  r  1\nK_r  0\n", "")
 
 
 def test_kr_table_auto_above_the_count_cap_prints_the_oracle_bytes(capsys):
@@ -487,9 +496,10 @@ def test_selftest_has_one_suite(capsys, option):
 # ------------------------------------------------------------------ shared
 
 def test_parse_r_spec():
-    assert cli._parse_r_spec("3", 10) == [3]
-    assert cli._parse_r_spec("2..5", 10) == [2, 3, 4, 5]
-    assert cli._parse_r_spec("1..1", 10, lower=1) == [1]
+    assert list(cli._parse_r_spec("3", 10)) == [3]
+    assert list(cli._parse_r_spec("2..5", 10)) == [2, 3, 4, 5]
+    assert list(cli._parse_r_spec("1..1", 10, lower=1)) == [1]
+    assert list(cli._parse_r_spec(None, 3)) == [1, 2, 3]
     for bad in ("x", "4..2", "-1..3", "3..11"):
         with pytest.raises(cli.CLIError):
             cli._parse_r_spec(bad, 10)
@@ -527,6 +537,38 @@ def test_deep_walk_is_refused_without_a_traceback(argv):
         "error: 1174 walk levels for (ell=2, m=49, r=1174) exceed budget 900\n"
     )
     assert "Traceback" not in proc.stderr
+
+
+def test_huge_r_meets_the_depth_cap_before_the_count():
+    # C(C(62, 31), r) alone takes seconds to compute at r = 10^5, so the
+    # depth cap must refuse the row before the candidate count is formed
+    proc = subprocess.run(
+        [sys.executable, "-m", "subclose.cli", "kr-table", "--ell", "31",
+         "--m", "62", "--r", "1000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: 1000000 walk levels for (ell=31, m=62, r=1000000) exceed budget 900\n"
+    )
+
+
+def test_default_r_range_of_a_huge_lattice_meets_the_budget():
+    # r runs to C(62, 31), about 4.7e17 values, which no list of them could
+    # hold; the rows are taken one by one until the budget refuses one
+    proc = subprocess.run(
+        [sys.executable, "-m", "subclose.cli", "kr-table", "--ell", "31",
+         "--m", "62"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "candidate families for (ell=31, m=62, r=33)" in proc.stderr
 
 
 def test_closed_form_row_of_a_large_lattice_answers_quickly():

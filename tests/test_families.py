@@ -96,6 +96,22 @@ def test_subset_family_validation():
         SubsetFamily(3, 2, ())
 
 
+def test_families_and_lattices_share_one_ground_set_rule():
+    # a family, the colex listing and the row check refuse a bad (ell, m)
+    # with the same message
+    for ell, m in ((3, 2), (-1, 2), (1, 63), (2, 2000)):
+        refusals = set()
+        for build in (
+            lambda: SubsetFamily(ell, m, ()),
+            lambda: colex_masks(ell, m),
+            lambda: families._checked_masks(ell, m, 1, 10),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build()
+            refusals.add(str(exc.value))
+        assert len(refusals) == 1, refusals
+
+
 def test_family_members_are_colex_sorted():
     f = fam(2, 5, (4, 5), (1, 2), (1, 3))
     assert f.sets == ((1, 2), (1, 3), (4, 5))

@@ -108,7 +108,7 @@ def test_pairwise_incident_edges_mean_star_or_triangle():
                 continue
             pairwise = all(
                 len(set(a) & set(b)) == 1
-                for a, b in combinations(g.edge_pairs, 2)
+                for a, b in combinations(g.edges.sets, 2)
             )
             assert pairwise == (is_star(g) or is_triangle(g))
 
@@ -144,7 +144,7 @@ def test_threshold_goldens():
 def threshold_by_forbidden(g):
     # independent recognizer: no induced P4, C4, or 2K2; the three shapes
     # are pinned down inside a 4-set by (edge count, degree multiset)
-    edges = set(g.edge_pairs)
+    edges = set(g.edges.sets)
     for quad in combinations(range(1, g.m + 1), 4):
         inside = [e for e in edges if e[0] in quad and e[1] in quad]
         degs = sorted(

@@ -14,9 +14,6 @@ from subclose.serialize import (
     SCHEMA_VERSION,
     canonical_json,
     conjecture_report_doc,
-    family_json,
-    fraction_json,
-    graph_json,
     kr_record_doc,
     kr_table_csv,
     kr_table_text,
@@ -25,6 +22,7 @@ from subclose.serialize import (
     selftest_text,
     sigma_record_doc,
     sigma_text,
+    to_json,
     to_jsonl,
     validate_doc,
     verify_text,
@@ -65,12 +63,34 @@ def test_to_jsonl_round_trips():
 
 
 def test_leaf_converters():
-    assert fraction_json(Fraction(20, 3)) == {"num": 20, "den": 3}
-    assert family_json(None) is None
+    assert to_json(Fraction(20, 3)) == {"num": 20, "den": 3}
+    assert to_json(None) is None
     fam = family(2, 5, [(4, 5), (1, 2)])
-    assert family_json(fam) == [[1, 2], [4, 5]]
+    assert to_json(fam) == [[1, 2], [4, 5]]
     g = Graph(4, family(2, 4, [(1, 2), (3, 4)]))
-    assert graph_json(g) == {"m": 4, "edges": [[1, 2], [3, 4]]}
+    assert to_json(g) == {"m": 4, "edges": [[1, 2], [3, 4]]}
+
+
+def test_documents_are_their_records_fields():
+    # a document's keys are its record's fields plus the envelope and the
+    # keys derived from the fields, and its schema alternative requires and
+    # allows exactly those
+    alternatives = {
+        alt["properties"]["type"]["const"]: alt for alt in load_schema()["oneOf"]
+    }
+    tightness = ("maximizer_is_threshold", "de_caen_tight", "trivial_tight",
+                 "dual_tight")
+    for rec, build, derived in (
+        (k_r(2, 5, 5), kr_record_doc, ()),
+        (optimal_graphs(5, 4), sigma_record_doc, tightness),
+        (verify_conjecture(grassmann_code(F2, 2, 4), 2), conjecture_report_doc, ()),
+    ):
+        doc = build(rec)
+        keys = {*rec._fields, "schema_version", "type", *derived}
+        alt = alternatives[doc["type"]]
+        assert set(doc) == keys
+        assert set(alt["required"]) == keys
+        assert set(alt["properties"]) == keys
 
 
 def test_kr_record_doc_shape():
