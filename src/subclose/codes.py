@@ -9,9 +9,12 @@ supported on a Schubert subvariety gives the subvariety's code.
 A point is the tuple of its minors.
 
 Higher weights d_r are computed by exhausting rank-r subcodes.  The support
-of a subcode is the union of the supports of any basis, so each subcode
-costs one OR per basis row over a support table.  The table belongs to the
-code: it is built once, on first use, and every rank r shares it.
+of a subcode is the union of the supports of any basis.  A support table
+maps each normalized message to its codeword's support; the enumeration
+hands each basis over as its rows' table entries, looked up once per row
+option, so each subcode costs one reduce of ORs and one bit count, with no
+Python per row.  The table belongs to the code: it is built once, on first
+use, and every rank r shares it.
 
 The conjecture harness compares d_r against the section counts of
 coordinate subspaces cut out by size-r families of column subsets, with the
@@ -24,9 +27,9 @@ generator-row masks.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .combinat import Record, colex_masks, gaussian_binom, set_of
 from . import families
@@ -210,25 +213,46 @@ class CodeSystem(Record, uncompared=("F", "points")):
         normalized message (first nonzero entry 1).
 
         The messages are walked depth first, one coordinate at a time, so
-        each codeword is its parent's plus one pre-scaled generator row.
+        each codeword is its parent's plus one pre-scaled generator row.  A
+        codeword is packed into one int, coordinate j in byte j, with the
+        element's e base-p digits in lanes of w = 8 // e bits.  A digit sum
+        is at most 2p - 2 and fits its lane for every q <= 16, so one int
+        add adds every digit; adding 2^(w-1) - p to each lane then sets its
+        high bit exactly where the sum reaches p, and that bit, shifted
+        down and times p, takes p off.  A word's support is its nonzero
+        bytes.
         """
-        F, k = self.F, self.kdim
-        add = F.add
+        F, k, n = self.F, self.kdim, self.n
+        p, w = F.p, 8 // F.e
+        lanes = range(0, F.e * w, w)
+        high = 1 << w - 1
+        # a one-byte value times ones repeats in every coordinate's byte
+        ones = int.from_bytes(b"\1" * n, "little")
+        bias = ones * sum(high - p << s for s in lanes)
+        top = ones * sum(high << s for s in lanes)
+        lane_byte = [
+            sum(x // p**i % p << s for i, s in enumerate(lanes))
+            for x in F.elements
+        ]
         scaled = [
-            [[F.mul[c][x] for x in row] for c in F.elements]
+            [
+                int.from_bytes(bytes([lane_byte[times[x]] for x in row]), "little")
+                for times in F.mul
+            ]
             for row in self.generator
         ]
         table = {}
 
         def walk(msg, word, j):
             if j == k:
-                table[tuple(msg)] = _nonzero_mask(word)
+                digits = word.to_bytes(n, "big").translate(_NONZERO_DIGIT)
+                table[tuple(msg)] = int(digits, 2)
                 return
             for c in F.elements:
                 msg[j] = c
                 if c:
-                    word_c = [add[x][y] for x, y in zip(word, scaled[j][c])]
-                    walk(msg, word_c, j + 1)
+                    s = word + scaled[j][c]
+                    walk(msg, s - (((s + bias) & top) >> w - 1) * p, j + 1)
                 else:
                     walk(msg, word, j + 1)
 
@@ -327,15 +351,10 @@ def higher_weight(
             tuple(int(j == i) for j in range(code.kdim)): mask
             for i, mask in enumerate(code.row_masks)
         }
-    best = None
-    for basis in rref_span_matrices(code.F, r, code.kdim):
-        mask = 0
-        for row in basis:
-            mask |= supports[row]
-        size = mask.bit_count()
-        if best is None or size < best:
-            best = size
-    return best
+    # each basis comes as its rows' support masks, looked up once per row
+    # option rather than once per basis row
+    bases = rref_span_matrices(code.F, r, code.kdim, key=supports.__getitem__)
+    return min(map(int.bit_count, map(partial(reduce, or_), bases)))
 
 
 def weight_hierarchy(

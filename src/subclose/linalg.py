@@ -109,13 +109,18 @@ def _det_by_elimination(F: FieldTable, rows, n: int) -> int:
     return F.neg[result] if swaps % 2 else result
 
 
-def rref_span_matrices(F: FieldTable, r: int, n: int):
+def rref_span_matrices(F: FieldTable, r: int, n: int, key=None):
     """Yield every r x n RREF matrix of rank r over F, each exactly once.
 
     These are canonical representatives of the r-dimensional subspaces of
     F^n.  Pivot column sets run in colex order; for a fixed pivot set the
     free entries run lexicographically in row-major order, which is the
     product order over each row's own options.
+
+    With a key, each matrix is yielded as the tuple of its rows' keys, in
+    the same order.  The key runs once per row option per pivot set, not
+    once per matrix row: on (GF(3), r=2, n=4) that is 52 calls for the 130
+    matrices.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
@@ -130,5 +135,7 @@ def rref_span_matrices(F: FieldTable, r: int, n: int):
                 for c, v in zip(free, vals):
                     row[c] = v
                 row_options.append(tuple(row))
+            if key is not None:
+                row_options = list(map(key, row_options))
             options.append(row_options)
         yield from product(*options)

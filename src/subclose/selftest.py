@@ -3,7 +3,8 @@
 One suite touches every module, including the exhaustions behind the
 paper's dualities, close-family certificates, proven cases and the
 shifted-family K_r route, in under a second.  Each check is a named
-zero-argument callable returning a bool; an exception counts as failure.
+zero-argument callable returning a bool; an exception counts as failure,
+and a failed check carries its reason.
 """
 
 from __future__ import annotations
@@ -224,13 +225,21 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_selftest() -> list[tuple[str, bool]]:
-    """Run every check; exceptions count as failures."""
+def run_selftest() -> list[tuple[str, bool, str | None]]:
+    """Run every check and give its name, whether it passed and, if it
+    failed, why.
+
+    The reason is "ExceptionType: message" for a check that raised, with
+    the message on one line, or "returned False".
+    """
     results = []
     for name, fn in CHECKS:
         try:
             ok = bool(fn())
-        except Exception:
-            ok = False
-        results.append((name, ok))
+        except Exception as exc:
+            message = " ".join(str(exc).split())
+            reason = type(exc).__name__ + (f": {message}" if message else "")
+            results.append((name, False, reason))
+        else:
+            results.append((name, ok, None if ok else "returned False"))
     return results

@@ -79,12 +79,20 @@ def conjecture_report_doc(rep: ConjectureReport) -> dict:
     return record_doc("conjecture_report", rep)
 
 
-def selftest_report_doc(checks: list[tuple[str, bool]]) -> dict:
+def selftest_report_doc(checks: list[tuple[str, bool, str | None]]) -> dict:
+    """A selftest_report from (name, ok, reason) triples; a check's item
+    has a reason only when it failed with one."""
+    items = []
+    for name, ok, reason in checks:
+        item = {"name": name, "ok": ok}
+        if reason is not None:
+            item["reason"] = reason
+        items.append(item)
     return {
         "schema_version": SCHEMA_VERSION,
         "type": "selftest_report",
-        "ok": all(ok for _, ok in checks),
-        "checks": [{"name": name, "ok": ok} for name, ok in checks],
+        "ok": all(ok for _, ok, _ in checks),
+        "checks": items,
     }
 
 
@@ -161,9 +169,15 @@ def verify_text(doc: dict) -> str:
 
 
 def selftest_text(doc: dict) -> str:
-    """One row per check, then the tally."""
+    """One row per check, a failed one followed by its reason, then the
+    tally."""
     checks = doc["checks"]
-    rows = [f"{'ok  ' if c['ok'] else 'FAIL'} {c['name']}\n" for c in checks]
+    rows = [
+        f"{'ok  ' if c['ok'] else 'FAIL'} {c['name']}"
+        + (f": {c['reason']}" if "reason" in c else "")
+        + "\n"
+        for c in checks
+    ]
     passed = sum(c["ok"] for c in checks)
     return "".join(rows) + f"{passed}/{len(checks)} checks passed\n"
 

@@ -476,11 +476,13 @@ def test_selftest_json_document(capsys):
 
 def test_selftest_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_selftest", lambda: [("boom", False), ("fine", True)]
+        cli,
+        "run_selftest",
+        lambda: [("boom", False, "KeyError: 3"), ("fine", True, None)],
     )
     code, out, _ = run(capsys, "selftest")
     assert code == 1
-    assert "FAIL boom" in out
+    assert "FAIL boom: KeyError: 3\nok   fine\n" in out
     assert "1/2 checks passed" in out
 
 

@@ -501,6 +501,51 @@ def test_support_table_covers_every_normalized_message():
         assert mask == word_support(F3, msg, code.generator)
 
 
+def test_support_table_matches_word_support_on_every_field():
+    # the packed table adds digits in lanes of 8 // e bits: every field, a
+    # one-point code, and lengths that are not a multiple of 8
+    rng = random.Random(37)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        F = field_from_order(q)
+        codes_q = [random_code(F, rng, min(n, 3), n) for n in (1, 5, 8, 13)]
+        if q == 13:
+            # message (1, 1) adds 12 + 12 at point 0: the widest digit sum
+            codes_q.append(
+                build_code(F, 1, 2, None, ((12, 12), (12, 1), (1, 12)), (0, 1))
+            )
+        for code in codes_q:
+            table = code.support_table
+            assert len(table) == gaussian_binom(code.kdim, 1, q)
+            for msg, mask in table.items():
+                assert mask == word_support(F, msg, code.generator), (
+                    q,
+                    code.generator,
+                    msg,
+                )
+
+
+def test_higher_weight_visits_every_subcode(monkeypatch):
+    # The visited-count contract (ROADMAP items 1 and 4): higher_weight
+    # draws every rank-r subcode, [k, r]_q bases, from
+    # codes.rref_span_matrices, and the benchmark's counts pin the same
+    # number.  A search that prunes or uses symmetry must restate this.
+    drawn = []
+    sane = codes.rref_span_matrices
+
+    def counted(*args, **kwargs):
+        drawn.append(0)
+        for basis in sane(*args, **kwargs):
+            drawn[-1] += 1
+            yield basis
+
+    # the enumeration of the points draws from it too, so it comes first
+    code = grassmann_code(F3, 2, 4)
+    monkeypatch.setattr(codes, "rref_span_matrices", counted)
+    for r in range(1, 7):
+        higher_weight(code, r)
+    assert drawn == [gaussian_binom(6, r, 3) for r in range(1, 7)]
+
+
 def test_hierarchy_checks_survive_optimization(monkeypatch):
     code = grassmann_code(F2, 2, 3)
     monkeypatch.setattr(codes, "higher_weight", lambda code, r, budget: 5)

@@ -231,6 +231,32 @@ def test_rref_span_order_matches_reference():
                 )
 
 
+def test_rref_span_key_maps_each_row_in_order():
+    # a keyed matrix is the tuple of its rows' keys, in the plain order
+    for F, top in ((F2, 4), (F3, 4), (F4, 3)):
+        for n in range(top + 1):
+            for r in range(n + 1):
+                plain = [
+                    tuple(map(str, mat)) for mat in rref_span_matrices(F, r, n)
+                ]
+                keyed = list(rref_span_matrices(F, r, n, key=str))
+                assert keyed == plain, (F.q, r, n)
+
+
+def test_rref_span_key_runs_once_per_row_option():
+    # 52 row options over the six pivot sets of (GF(3), 2, 4), where the
+    # 130 matrices have 260 rows
+    calls = []
+
+    def key(row):
+        calls.append(row)
+        return row
+
+    mats = list(rref_span_matrices(F3, 2, 4, key=key))
+    assert len(mats) == 130
+    assert len(calls) == 52
+
+
 def test_rref_span_zero_dimension():
     assert list(rref_span_matrices(F2, 0, 3)) == [()]
 

@@ -1,14 +1,16 @@
 """The built-in consistency suite must be green and catch broken answers."""
 
 from subclose import codes, families, selftest
+from subclose.serialize import selftest_report_doc, selftest_text, validate_doc
 from subclose.selftest import CHECKS, run_selftest
 
 
 def test_suite_all_green():
     results = run_selftest()
-    assert [name for name, _ in results] == [name for name, _ in CHECKS]
+    assert [name for name, _, _ in results] == [name for name, _ in CHECKS]
     assert len(results) == 18
-    assert all(ok for _, ok in results), [n for n, ok in results if not ok]
+    assert all(ok for _, ok, _ in results), [r for r in results if not r[1]]
+    assert all(reason is None for _, _, reason in results)
 
 
 def test_suite_catches_a_wrong_closed_form(monkeypatch, replace):
@@ -21,7 +23,7 @@ def test_suite_catches_a_wrong_closed_form(monkeypatch, replace):
         return rec
 
     monkeypatch.setattr(families, "_closed_record", doctored)
-    failed = {name for name, ok in run_selftest() if not ok}
+    failed = {name for name, ok, _ in run_selftest() if not ok}
     assert {"golden-kr-2-5", "closed-vs-search"} <= failed
 
 
@@ -38,7 +40,7 @@ def test_suite_catches_a_wrong_shifted_value(monkeypatch):
         return value - 1, shifted
 
     monkeypatch.setattr(families, "_shifted_maximizers", doctored)
-    failed = {name for name, ok in run_selftest() if not ok}
+    failed = {name for name, ok, _ in run_selftest() if not ok}
     assert failed == {
         "golden-kr-2-5",
         "closed-vs-search",
@@ -90,3 +92,38 @@ def test_schubert_check_catches_a_wrong_flag_or_basis_order(monkeypatch):
         lambda F, r, n: reversed(list(sane_bases(F, r, n))),
     )
     assert not check()
+
+
+def test_failed_checks_say_why(monkeypatch):
+    def raises():
+        raise ValueError("no\n  such   point")
+
+    def raises_bare():
+        raise ArithmeticError
+
+    checks = (
+        ("raises", raises),
+        ("raises-bare", raises_bare),
+        ("false", lambda: 0),
+        ("passes", lambda: True),
+    )
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    results = run_selftest()
+    assert results == [
+        ("raises", False, "ValueError: no such point"),
+        ("raises-bare", False, "ArithmeticError"),
+        ("false", False, "returned False"),
+        ("passes", True, None),
+    ]
+    doc = selftest_report_doc(results)
+    validate_doc(doc)
+    assert doc["ok"] is False
+    assert doc["checks"][2] == {"name": "false", "ok": False, "reason": "returned False"}
+    assert doc["checks"][3] == {"name": "passes", "ok": True}
+    assert selftest_text(doc) == (
+        "FAIL raises: ValueError: no such point\n"
+        "FAIL raises-bare: ArithmeticError\n"
+        "FAIL false: returned False\n"
+        "ok   passes\n"
+        "1/4 checks passed\n"
+    )

@@ -46,7 +46,7 @@ def all_example_docs():
         conjecture_report_doc(
             verify_conjecture(schubert_code(F2, (2, 4), 2, 4), 1)
         ),
-        selftest_report_doc([("a", True), ("b", False)]),
+        selftest_report_doc([("a", True, None), ("b", False, "returned False")]),
     ]
 
 
