@@ -1,10 +1,11 @@
 """Exact linear algebra over the small finite fields.
 
-Matrices are tuples of row tuples of field elements (ints).  Row reduction
-is plain Gaussian elimination.  Determinants up to 3 x 3 are cofactor
-expansions over the field tables; larger ones eliminate in a function of
-their own, so that the cofactor paths, which run once per Schubert minor,
-carry no closure cells.
+Matrices are tuples of row tuples of field elements (ints).  One forward
+Gaussian elimination, _eliminate, serves rank, RREF and every determinant
+past 3 x 3: rref finishes it with a back-substitution pass, and a
+determinant is its signed pivot product.  Determinants of 2 x 2 and 3 x 3
+matrices, one per Schubert minor, are cofactor expansions over the field
+tables, in a det frame that creates no closure cells.
 """
 
 from __future__ import annotations
@@ -19,32 +20,48 @@ Matrix = tuple[tuple[int, ...], ...]
 _NOT_SQUARE = "determinant needs a square matrix"
 
 
-def rref(F: FieldTable, rows) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns (0-based)."""
+def _eliminate(F: FieldTable, rows) -> tuple[list[list[int]], list[int], int]:
+    """Forward elimination: the echelon rows, their pivot columns, and the
+    product of the pivots negated once per row swap."""
+    add, mul, neg = F.add, F.mul, F.neg
     mat = [list(row) for row in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
     pivots = []
-    rank = 0
-    for col in range(ncols):
+    signed = 1
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
         pivot_row = next(
             (i for i in range(rank, len(mat)) if mat[i][col] != 0), None
         )
         if pivot_row is None:
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        scale = F.inv[mat[rank][col]]
-        mat[rank] = [F.mul[x][scale] for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                c = mat[i][col]
-                mat[i] = [
-                    F.sub(x, F.mul[c][y]) for x, y in zip(mat[i], mat[rank])
-                ]
+        if pivot_row != rank:
+            mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+            signed = neg[signed]
+        top = mat[rank]
+        signed = mul[signed][top[col]]
+        scale = F.inv[top[col]]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][col] != 0:
+                minus_c = mul[neg[mul[mat[i][col]][scale]]]
+                mat[i] = [add[x][minus_c[y]] for x, y in zip(mat[i], top)]
         pivots.append(col)
-        rank += 1
-    return tuple(tuple(row) for row in mat), tuple(pivots)
+    return mat, pivots, signed
+
+
+def rref(F: FieldTable, rows) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and its pivot columns (0-based):
+    elimination, then each pivot row scaled to 1 and cleared above."""
+    add, mul, neg = F.add, F.mul, F.neg
+    mat, pivots, _ = _eliminate(F, rows)
+    for rank in range(len(pivots) - 1, -1, -1):
+        col = pivots[rank]
+        scale = mul[F.inv[mat[rank][col]]]
+        top = mat[rank] = [scale[x] for x in mat[rank]]
+        for i in range(rank):
+            if mat[i][col] != 0:
+                minus_c = mul[neg[mat[i][col]]]
+                mat[i] = [add[x][minus_c[y]] for x, y in zip(mat[i], top)]
+    return tuple(map(tuple, mat)), tuple(pivots)
 
 
 def mat_rank(F: FieldTable, rows) -> int:
@@ -52,14 +69,14 @@ def mat_rank(F: FieldTable, rows) -> int:
 
 
 def det(F: FieldTable, rows) -> int:
-    """Determinant of a square matrix: cofactor expansion up to 3 x 3,
-    elimination beyond.
+    """Determinant of a square matrix: cofactor expansion for 2 x 2 and
+    3 x 3, the signed pivot product of _eliminate for every other size.
 
     A 2 x 2 or 3 x 3 matrix is unpacked straight into its entries, so a
     ragged row fails the unpacking rather than a separate length check.
-    Every other size goes to _det_by_elimination, whose generator and list
-    comprehension would otherwise turn this frame's locals into closure
-    cells that every 2 x 2 and 3 x 3 call pays to create and read.
+    Every other size goes to _det_by_elimination, which checks the rows'
+    lengths.  The elimination's generator and comprehensions stay out of
+    this frame, so a 2 x 2 or 3 x 3 call creates no closure cells.
     """
     n = len(rows)
     add, mul, neg = F.add, F.mul, F.neg
@@ -82,31 +99,12 @@ def det(F: FieldTable, rows) -> int:
 
 
 def _det_by_elimination(F: FieldTable, rows, n: int) -> int:
+    """The signed pivot product, or 0 below full rank."""
     for row in rows:
         if len(row) != n:
             raise ValueError(_NOT_SQUARE)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    mul = F.mul
-    mat = [list(row) for row in rows]
-    result = 1
-    swaps = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            swaps += 1
-        result = mul[result][mat[col][col]]
-        scale = F.inv[mat[col][col]]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                c = mul[mat[i][col]][scale]
-                mat[i] = [F.sub(x, mul[c][y]) for x, y in zip(mat[i], mat[col])]
-    return F.neg[result] if swaps % 2 else result
+    _, pivots, signed = _eliminate(F, rows)
+    return signed if len(pivots) == n else 0
 
 
 def rref_span_matrices(F: FieldTable, r: int, n: int, key=None):

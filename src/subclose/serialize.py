@@ -13,8 +13,6 @@ print has one source; kr-table's rows and CSV read its records.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from importlib.resources import files
@@ -107,12 +105,11 @@ def kr_table_text(records) -> str:
 
 
 def kr_table_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ell", "m", "r", "value", "method"])
-    for rec in records:
-        writer.writerow([rec.ell, rec.m, rec.r, rec.value, rec.method])
-    return buf.getvalue()
+    """A header and one row per record; the cells are ints and method
+    names, which never need quoting."""
+    rows = [("ell", "m", "r", "value", "method")]
+    rows += [(rec.ell, rec.m, rec.r, rec.value, rec.method) for rec in records]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def kr_table_output(records, fmt: str) -> str:

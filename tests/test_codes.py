@@ -179,6 +179,17 @@ def test_enumeration_checks_survive_optimization(monkeypatch):
     monkeypatch.setattr(codes, "det", lambda F, mat: F.mul[sane(F, mat)][2])
     with pytest.raises(ArithmeticError, match="not normalized"):
         enumerate_grassmannian(F3, 1, 2)
+    monkeypatch.undo()
+    bases = list(codes.rref_span_matrices(F3, 2, 4))
+    monkeypatch.setattr(codes, "rref_span_matrices", lambda F, r, n: bases[:-1])
+    with pytest.raises(
+        ArithmeticError, match="^129 subspaces enumerated, expected 130$"
+    ):
+        enumerate_grassmannian(F3, 2, 4)
+    repeated = bases[:-1] + bases[:1]
+    monkeypatch.setattr(codes, "rref_span_matrices", lambda F, r, n: repeated)
+    with pytest.raises(ArithmeticError, match="^coordinate vectors collide$"):
+        enumerate_grassmannian(F3, 2, 4)
 
 
 def test_budget_error_on_enumeration():
@@ -551,6 +562,12 @@ def test_hierarchy_checks_survive_optimization(monkeypatch):
     monkeypatch.setattr(codes, "higher_weight", lambda code, r, budget: 5)
     with pytest.raises(ArithmeticError, match="not strictly increasing"):
         weight_hierarchy(code)
+    # growing, but short of n = 7
+    monkeypatch.setattr(codes, "higher_weight", lambda code, r, budget: r)
+    with pytest.raises(
+        ArithmeticError, match=r"^hierarchy must end at n=7: \(1, 2, 3\)$"
+    ):
+        weight_hierarchy(code)
 
 
 def test_section_count_edges():
@@ -587,6 +604,22 @@ def test_conjecture_schubert_2_4():
     rep2 = verify_conjecture(code, 2)
     assert not rep2.proven
     assert rep2.verdict == "equal"
+
+
+def test_conjecture_verdicts_compare_d_r_with_the_subclose_bound(
+    monkeypatch, capsys
+):
+    # on G(2, 4)/F2 at r = 1 the bound is 16, and the row is proven, so a
+    # d_r on either side of it is a failed check and exit 1
+    code = grassmann_code(F2, 2, 4)
+    assert verify_conjecture(code, 1).rhs_subclose == 16
+    argv = ["verify", "--ell", "2", "--m", "4", "--q", "2", "--r", "1"]
+    for d_r, verdict in ((15, "lhs_less"), (17, "lhs_greater")):
+        monkeypatch.setattr(codes, "higher_weight", lambda code, r, budget: d_r)
+        rep = verify_conjecture(code, 1)
+        assert (rep.d_r, rep.verdict, rep.proven) == (d_r, verdict, True)
+        assert cli.main(argv) == 1
+        assert f'"verdict":"{verdict}"' in capsys.readouterr().out
 
 
 def test_conjecture_reuses_prebuilt_code():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from subclose import gf
 from subclose.gf import build_field, field_from_order
 
 ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -93,3 +94,25 @@ def test_build_field_rejects_bad_shapes():
         build_field(4, 1)  # not prime
     with pytest.raises(ValueError):
         build_field(2, 5)  # q = 32 out of range
+
+
+def corrupted(table, a, b, value):
+    rows = [list(row) for row in table]
+    rows[a][b] = value
+    return tuple(map(tuple, rows))
+
+
+def test_verify_axioms_rejects_one_corrupted_gf4_entry(replace):
+    # each corruption passes every check before the one it names
+    F = field_from_order(4)
+    gf._verify_axioms(F)
+    cases = (
+        ({"add": corrupted(F.add, 2, 3, 0)}, r"commutativity fails at \(2,3\)"),
+        ({"mul": corrupted(F.mul, 2, 2, 0)}, r"zero divisors at \(2,2\)"),
+        ({"mul": corrupted(F.mul, 3, 3, 3)}, r"\* not associative"),
+        ({"mul": corrupted(F.mul, 2, 2, 2)}, "distributivity fails"),
+        ({"inv": (0, 1, 2, 2)}, "inversion fails at 2"),
+    )
+    for changes, message in cases:
+        with pytest.raises(ArithmeticError, match=message + r" in GF\(4\)$"):
+            gf._verify_axioms(replace(F, **changes))

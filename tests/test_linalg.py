@@ -201,6 +201,40 @@ def test_det_matches_leibniz_random_3x3_and_4x4():
                 assert det(F, rows) == det_by_leibniz(F, rows), (q, rows)
 
 
+def test_det_of_permutation_matrices_is_their_sign():
+    # every row swap the elimination makes must flip the sign once
+    for q in ORDERS:
+        F = field_from_order(q)
+        for n in (4, 5):
+            for perm in permutations(range(n)):
+                rows = tuple(
+                    tuple(int(j == perm[i]) for j in range(n)) for i in range(n)
+                )
+                odd = sum(
+                    perm[a] > perm[b] for a, b in combinations(range(n), 2)
+                ) % 2
+                sign = F.neg[1] if odd else 1
+                assert det(F, rows) == sign == det_by_leibniz(F, rows), (q, perm)
+
+
+def test_det_of_rank_deficient_matrices_is_zero():
+    # one row a combination of the others: the elimination runs out of
+    # pivots and must not return the product of those it found
+    rng = random.Random(31)
+    for q in ORDERS:
+        F = field_from_order(q)
+        for n in (1, 4, 5):
+            for _ in range(20):
+                rows = list(random_matrix(F, rng, n - 1, n))
+                combo = (0,) * n
+                for row in rows:
+                    c = rng.randrange(q)
+                    combo = tuple(F.add[x][F.mul[c][y]] for x, y in zip(combo, row))
+                rows.insert(rng.randrange(n), combo)
+                rows = tuple(rows)
+                assert det(F, rows) == 0 == det_by_leibniz(F, rows), (q, rows)
+
+
 def test_rref_span_enumeration_counts():
     for q in (2, 3):
         F = field_from_order(q)
