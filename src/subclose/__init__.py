@@ -63,7 +63,6 @@ from .linalg import det, mat_rank, rref, rref_span_matrices
 from .codes import (
     CodeSystem,
     ConjectureReport,
-    build_code,
     check_plucker_relations,
     enumerate_grassmannian,
     grassmann_code,

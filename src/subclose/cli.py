@@ -172,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     kr.add_argument("--m", type=int, required=True, help="ground set size")
     kr.add_argument(
         "--r",
-        "--r-range",
-        dest="r",
         metavar="R",
         help="single value N or inclusive range A..B (default 1..C(m,ell))",
     )
@@ -191,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--m", type=int, required=True, help="vertex count")
     opt.add_argument(
         "--r",
-        "--r-range",
-        dest="r",
         required=True,
         metavar="R",
         help="edge count N or inclusive range A..B",
@@ -208,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--q", type=int, required=True, help="field order (prime power <= 16)")
     ver.add_argument(
         "--r",
-        "--r-range",
-        dest="r",
         metavar="R",
         help="subcode rank N or inclusive range A..B (default 1..k)",
     )

@@ -172,33 +172,60 @@ def schubert_membership_flag(F: FieldTable, matrix: Matrix, alpha) -> bool:
     return True
 
 
-class CodeSystem(Record, uncompared=("F", "points")):
+class CodeSystem(Record):
     """A linear code presented by a generator matrix whose columns are the
     points of a projective system.
 
     The system is G(ell, m) over F, or its Schubert subvariety for alpha
-    when alpha is not None.  row_labels names each generator row by the
-    column subset (1-based) whose minor it reads off; row_positions gives
-    the same rows as coordinate indices into the full minor vector.
-    points holds each point's minor tuple.
+    when alpha is not None.  points holds each point's minor tuple, and
+    row_positions the coordinate indices, into that minor vector, that the
+    generator rows read off; row_labels names the same rows by their
+    column subsets (1-based).  Construction checks that the system is
+    nondegenerate: at least one point, no point vanishing on every chosen
+    row, and a generator of full row rank.
     """
 
     F: FieldTable
     ell: int
     m: int
     alpha: tuple[int, ...] | None
-    generator: Matrix
-    row_labels: tuple[tuple[int, ...], ...]
-    row_positions: tuple[int, ...]
     points: tuple[tuple[int, ...], ...]
+    row_positions: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "row_positions", tuple(self.row_positions))
+        if not self.points:
+            raise ValueError("a code needs at least one point")
+        take = _taker(self.row_positions)
+        for j, pt in enumerate(self.points):
+            if not any(take(pt)):
+                raise ArithmeticError(f"point {j} vanishes on every chosen row")
+        rank = mat_rank(self.F, self.generator)
+        if rank != self.kdim:
+            raise ArithmeticError(
+                f"generator rank {rank} below row count {self.kdim}"
+            )
 
     @property
     def n(self) -> int:
-        return len(self.generator[0]) if self.generator else 0
+        return len(self.points)
 
     @property
     def kdim(self) -> int:
-        return len(self.generator)
+        return len(self.row_positions)
+
+    @property
+    def row_labels(self) -> tuple[tuple[int, ...], ...]:
+        masks = colex_masks(self.ell, self.m)
+        return tuple(set_of(masks[pos]) for pos in self.row_positions)
+
+    @cached_property
+    def generator(self) -> Matrix:
+        """One row per chosen position, one column per point."""
+        return tuple(
+            tuple(pt[pos] for pt in self.points) for pos in self.row_positions
+        )
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
@@ -263,39 +290,13 @@ class CodeSystem(Record, uncompared=("F", "points")):
         return table
 
 
-def build_code(
-    F: FieldTable, ell: int, m: int, alpha, points, row_positions
-) -> CodeSystem:
-    """Assemble the generator matrix and insist it is full rank with no
-    identically-zero position."""
-    points = tuple(points)
-    if not points:
-        raise ValueError("a code needs at least one point")
-    generator = tuple(
-        tuple(pt[pos] for pt in points) for pos in row_positions
-    )
-    for j in range(len(points)):
-        if all(row[j] == 0 for row in generator):
-            raise ArithmeticError(f"point {j} vanishes on every chosen row")
-    rank = mat_rank(F, generator)
-    if rank != len(generator):
-        raise ArithmeticError(
-            f"generator rank {rank} below row count {len(generator)}"
-        )
-    masks = colex_masks(ell, m)
-    labels = tuple(set_of(masks[pos]) for pos in row_positions)
-    return CodeSystem(
-        F, ell, m, alpha, generator, labels, tuple(row_positions), points
-    )
-
-
 def grassmann_code(
     F: FieldTable, ell: int, m: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> CodeSystem:
     """Code of the full subspace system: n = number of subspaces, one row
     per minor coordinate."""
     points = enumerate_grassmannian(F, ell, m, budget=budget)
-    return build_code(F, ell, m, None, points, tuple(range(math.comb(m, ell))))
+    return CodeSystem(F, ell, m, None, points, tuple(range(math.comb(m, ell))))
 
 
 def schubert_code(
@@ -318,7 +319,7 @@ def schubert_code(
         tuple(i for i in range(math.comb(m, ell)) if i not in allowed)
     )
     points = [pt for pt in points if not any(outside(pt))]
-    return build_code(F, ell, m, alpha, points, positions)
+    return CodeSystem(F, ell, m, alpha, points, positions)
 
 
 def higher_weight(
@@ -361,7 +362,8 @@ def weight_hierarchy(
     code: CodeSystem, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> tuple[int, ...]:
     """(d_1, ..., d_k).  Strict growth and d_k = n hold for any code built
-    here (no repeated zero positions), so both are checked; a failed check
+    here, since construction checks its nondegeneracy (no point vanishing
+    on every row, full rank); both are still checked, and a failed check
     raises ArithmeticError."""
     total = sum(
         gaussian_binom(code.kdim, r, code.F.q) for r in range(1, code.kdim + 1)

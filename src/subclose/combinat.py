@@ -42,17 +42,16 @@ class Record:
     attribute named like a field is that field's default.  Instances are
     built positionally or by keyword, run ``__post_init__`` when the class
     defines one, refuse assignment and deletion, and compare, hash and
-    print by field in the dataclass format.  Fields named in the class
-    keyword ``uncompared`` stay out of == and hash.  Fields are set through
+    print by field in the dataclass format.  Fields are set through
     object.__setattr__ in field order, so instances share one key layout.
     """
 
-    def __init_subclass__(cls, uncompared=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
         # an attrgetter is no descriptor: self._key is the getter itself
-        cls._key = attrgetter(*(n for n in cls._fields if n not in uncompared))
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         names = self._fields

@@ -40,9 +40,6 @@ class FieldTable(Record):
     inv: tuple[int, ...]  # inv[0] unused, kept as 0
     modulus: tuple[int, ...] | None = None
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
-
     @property
     def elements(self) -> range:
         return range(self.q)

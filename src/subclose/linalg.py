@@ -70,13 +70,14 @@ def mat_rank(F: FieldTable, rows) -> int:
 
 def det(F: FieldTable, rows) -> int:
     """Determinant of a square matrix: cofactor expansion for 2 x 2 and
-    3 x 3, the signed pivot product of _eliminate for every other size.
+    3 x 3, the signed pivot product of _eliminate, or 0 below full rank,
+    for every other size.
 
     A 2 x 2 or 3 x 3 matrix is unpacked straight into its entries, so a
-    ragged row fails the unpacking rather than a separate length check.
-    Every other size goes to _det_by_elimination, which checks the rows'
-    lengths.  The elimination's generator and comprehensions stay out of
-    this frame, so a 2 x 2 or 3 x 3 call creates no closure cells.
+    ragged row fails the unpacking rather than a separate length check;
+    every other size checks its rows' lengths in a plain loop.  The
+    elimination's generator and comprehensions live in _eliminate, so no
+    call creates closure cells in this frame.
     """
     n = len(rows)
     add, mul, neg = F.add, F.mul, F.neg
@@ -95,11 +96,6 @@ def det(F: FieldTable, rows) -> int:
         minor_b = add[mul[d][i]][neg[mul[f][g]]]
         minor_c = add[mul[d][h]][neg[mul[e][g]]]
         return add[add[mul[a][minor_a]][neg[mul[b][minor_b]]]][mul[c][minor_c]]
-    return _det_by_elimination(F, rows, n)
-
-
-def _det_by_elimination(F: FieldTable, rows, n: int) -> int:
-    """The signed pivot product, or 0 below full rank."""
     for row in rows:
         if len(row) != n:
             raise ValueError(_NOT_SQUARE)

@@ -16,7 +16,6 @@ from subclose.gf import field_from_order
 from subclose.linalg import det, mat_rank, rref_span_matrices
 from subclose.codes import (
     CodeSystem,
-    build_code,
     check_plucker_relations,
     enumerate_grassmannian,
     grassmann_code,
@@ -96,13 +95,13 @@ def section_count(points, coordinate_positions):
 
 
 def random_code(F, rng, k, n):
-    # build_code refuses a zero column or a rank below k; draw again
+    # a code refuses a zero column or a rank below k; draw again
     while True:
         points = tuple(
             tuple(rng.randrange(F.q) for _ in range(k)) for _ in range(n)
         )
         try:
-            return build_code(F, 1, k, None, points, tuple(range(k)))
+            return CodeSystem(F, 1, k, None, points, tuple(range(k)))
         except ArithmeticError:
             continue
 
@@ -344,24 +343,41 @@ def test_schubert_code_shape():
     assert all(len(pt) == 6 for pt in code.points)
 
 
-def test_build_code_rejects_zero_position():
+def test_code_system_rejects_a_point_vanishing_on_every_row():
     pts = enumerate_grassmannian(F2, 2, 4)
     with pytest.raises(ArithmeticError, match="vanishes on every chosen row"):
-        build_code(F2, 2, 4, None, pts, (5,))
+        CodeSystem(F2, 2, 4, None, pts, (5,))
+    # points 0 and 2 are nonzero on row 0; point 1 is the first off it
+    pts = ((1, 0), (0, 1), (1, 1), (0, 1))
+    with pytest.raises(ArithmeticError, match="^point 1 vanishes on every chosen row$"):
+        CodeSystem(F2, 1, 2, None, pts, (0,))
+    # with no rows at all, every point vanishes on every one of them
+    with pytest.raises(ArithmeticError, match="^point 0 vanishes on every chosen row$"):
+        CodeSystem(F2, 1, 2, None, pts, ())
 
 
-def test_build_code_rejects_rank_deficiency():
+def test_code_system_rejects_rank_deficiency():
     pts = enumerate_grassmannian(F2, 2, 4)
     # every minor position once, then position 0 again: no point vanishes
     # on every row, so the rank check is the one that fires
     positions = (0, 1, 2, 3, 4, 5, 0)
     with pytest.raises(ArithmeticError, match="generator rank 6 below row count 7"):
-        build_code(F2, 2, 4, None, pts, positions)
+        CodeSystem(F2, 2, 4, None, pts, positions)
 
 
-def test_build_code_rejects_empty():
-    with pytest.raises(ValueError):
-        build_code(F2, 2, 4, None, (), (0,))
+def test_code_system_rejects_empty():
+    with pytest.raises(ValueError, match="^a code needs at least one point$"):
+        CodeSystem(F2, 2, 4, None, (), (0,))
+
+
+def test_code_system_derives_its_generator_and_sizes():
+    pts = ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
+    code = CodeSystem(F2, 2, 4, None, list(pts), [0, 5])
+    assert (code.points, code.row_positions) == (pts, (0, 5))
+    assert code.generator == ((1, 0, 1), (0, 1, 1))
+    assert code.generator is code.generator
+    assert (code.n, code.kdim) == (3, 2)
+    assert code.row_labels == ((1, 2), (3, 4))
 
 
 # ----------------------------------------------------------------- weights
@@ -522,7 +538,7 @@ def test_support_table_matches_word_support_on_every_field():
         if q == 13:
             # message (1, 1) adds 12 + 12 at point 0: the widest digit sum
             codes_q.append(
-                build_code(F, 1, 2, None, ((12, 12), (12, 1), (1, 12)), (0, 1))
+                CodeSystem(F, 1, 2, None, ((12, 12), (12, 1), (1, 12)), (0, 1))
             )
         for code in codes_q:
             table = code.support_table
@@ -637,7 +653,7 @@ def test_conjecture_no_subclose_verdict():
     # a hand-built system on the rows (1,2) and (3,4), whose labels are
     # disjoint: no pair of rows can attain K_2(2,4) = 1
     pts = ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
-    code = build_code(F2, 2, 4, None, pts, (0, 5))
+    code = CodeSystem(F2, 2, 4, None, pts, (0, 5))
     assert code.row_labels == ((1, 2), (3, 4))
     rep = verify_conjecture(code, 2)
     assert rep.verdict == "no_subclose"

@@ -139,30 +139,36 @@ def test_no_unused_imports():
 
 def test_every_public_name_has_a_package_caller():
     # code that only tests call is code the package does not need: every
-    # public function, class and method must be named by some module other
-    # than the re-exporting __init__.py
-    named = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for name, node in package_nodes()
-        if name != "__init__.py" and isinstance(node, (ast.Name, ast.Attribute))
-    }
+    # public function and class must be named by some module other than the
+    # re-exporting __init__.py, and every public method must be named there
+    # as an attribute, since a bare name of the same spelling (a local, a
+    # parameter) never calls it
+    names, attrs = set(), set()
+    for name, node in package_nodes():
+        if name == "__init__.py":
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+    named = names | attrs
     public = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            public.append((f"{path.name}:{stmt.name}", stmt.name))
+            public.append((f"{path.name}:{stmt.name}", stmt.name, named))
             if isinstance(stmt, ast.ClassDef):
                 public += [
-                    (f"{path.name}:{stmt.name}.{item.name}", item.name)
+                    (f"{path.name}:{stmt.name}.{item.name}", item.name, attrs)
                     for item in stmt.body
                     if isinstance(item, ast.FunctionDef)
                 ]
     unused = [
         where
-        for where, attr in public
-        if not attr.startswith("_") and attr not in named
+        for where, attr, used in public
+        if not attr.startswith("_") and attr not in used
     ]
     assert not unused, f"public names no package module uses: {', '.join(unused)}"
 

@@ -72,24 +72,15 @@ def test_unequal_fields_give_unequal_records():
     assert len({SubsetFamily(2, 4, (3,)), SubsetFamily(2, 4, (3,))}) == 1
 
 
-def test_code_system_equality_ignores_field_and_points():
+def test_code_system_equality_compares_every_field():
     code = small_code()
-    other = type(code)(
-        field_from_order(3),
-        code.ell,
-        code.m,
-        code.alpha,
-        code.generator,
-        code.row_labels,
-        code.row_positions,
-        (),
-    )
-    assert other == code and hash(other) == hash(code)
-    changed = type(code)(
-        code.F, code.ell, code.m, (1, 4), code.generator, code.row_labels,
-        code.row_positions, code.points,
-    )
-    assert changed != code
+    fields = (code.F, code.ell, code.m, code.alpha, code.points, code.row_positions)
+    same = type(code)(*fields)
+    assert same == code and hash(same) == hash(code)
+    # a field of another order, an alpha, or one point fewer: each differs
+    assert type(code)(field_from_order(3), *fields[1:]) != code
+    assert type(code)(*fields[:3], (1, 4), *fields[4:]) != code
+    assert type(code)(*fields[:4], code.points[1:], code.row_positions) != code
 
 
 def test_code_system_keeps_cached_properties():
