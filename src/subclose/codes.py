@@ -6,7 +6,9 @@ ell-subsets of columns.  Those coordinate vectors, one per subspace, are the
 columns of a generator matrix; restricting the row set to the coordinates
 supported on a Schubert subvariety gives the subvariety's code.
 
-A point is the tuple of its minors.
+A point is the bytes of its minors, one byte per coordinate: every element
+of GF(q <= 16) fits in a byte, and a bytes object costs a fraction of a
+tuple of ints.  The generator rows are bytes the same way.
 
 Higher weights d_r are computed by exhausting rank-r subcodes.  The support
 of a subcode is the union of the supports of any basis.  A support table
@@ -66,8 +68,9 @@ def _taker(positions: tuple[int, ...]):
 
 def enumerate_grassmannian(
     F: FieldTable, ell: int, m: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
-) -> tuple[tuple[int, ...], ...]:
-    """All ell-subspaces of F^m as minor-coordinate points.
+) -> tuple[bytes, ...]:
+    """All ell-subspaces of F^m as minor-coordinate points, each the bytes
+    of its minors in colex column order.
 
     Echelon representatives come out already normalized: the colex-least
     nonzero minor sits at the pivot column set, which echelon form
@@ -87,7 +90,7 @@ def enumerate_grassmannian(
     for mat in rref_span_matrices(F, ell, m):
         # a minor's columns, taken as rows, have the same determinant
         columns = tuple(zip(*mat))
-        coords = tuple([det(F, pick(columns)) for pick in picks])
+        coords = bytes([det(F, pick(columns)) for pick in picks])
         if next(filter(None, coords), 0) != 1:
             raise ArithmeticError("echelon representative not normalized")
         points.append(coords)
@@ -98,10 +101,9 @@ def enumerate_grassmannian(
     return tuple(points)
 
 
-def check_plucker_relations(
-    F: FieldTable, coords: tuple[int, ...], ell: int, m: int
-) -> bool:
-    """Quadratic exchange relations on a coordinate vector.
+def check_plucker_relations(F: FieldTable, coords: bytes, ell: int, m: int) -> bool:
+    """Quadratic exchange relations on a coordinate vector: a point's bytes,
+    or any sequence of field elements in colex column order.
 
     For every (ell-1)-subset A and (ell+1)-subset B of columns the
     alternating sum over t in B of p_{A+t} * p_{B-t} must vanish.  For
@@ -177,23 +179,41 @@ class CodeSystem(Record):
     points of a projective system.
 
     The system is G(ell, m) over F, or its Schubert subvariety for alpha
-    when alpha is not None.  points holds each point's minor tuple, and
-    row_positions the coordinate indices, into that minor vector, that the
-    generator rows read off; row_labels names the same rows by their
-    column subsets (1-based).  Construction checks that the system is
-    nondegenerate: at least one point, no point vanishing on every chosen
-    row, and a generator of full row rank.
+    when alpha is not None.  points holds each point's minors as bytes, one
+    byte per coordinate (any sequences of field elements are converted),
+    and row_positions the coordinate indices, into that minor vector, that
+    the generator rows read off; row_labels names the same rows by their
+    column subsets (1-based).  Construction refuses a coordinate outside
+    the field with ValueError, and checks that the system is nondegenerate:
+    at least one point, no point vanishing on every chosen row, and a
+    generator of full row rank.
     """
 
     F: FieldTable
     ell: int
     m: int
     alpha: tuple[int, ...] | None
-    points: tuple[tuple[int, ...], ...]
+    points: tuple[bytes, ...]
     row_positions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        q = self.F.q
+        given = tuple(self.points)
+        try:
+            # bytes() passes a bytes point through without a copy
+            points = tuple(map(bytes, given))
+        except ValueError:  # a coordinate outside 0..255
+            points = None
+        # deleting the field's bytes leaves just the coordinates outside it
+        if points is None or b"".join(points).translate(None, bytes(range(q))):
+            j, i, x = next(
+                (j, i, x)
+                for j, pt in enumerate(given)
+                for i, x in enumerate(pt)
+                if not 0 <= x < q
+            )
+            raise ValueError(f"point {j} coordinate {i} is {x}, outside 0..{q - 1}")
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "row_positions", tuple(self.row_positions))
         if not self.points:
             raise ValueError("a code needs at least one point")
@@ -221,10 +241,11 @@ class CodeSystem(Record):
         return tuple(set_of(masks[pos]) for pos in self.row_positions)
 
     @cached_property
-    def generator(self) -> Matrix:
-        """One row per chosen position, one column per point."""
+    def generator(self) -> tuple[bytes, ...]:
+        """One row per chosen position, one column per point, each row the
+        bytes of its entries."""
         return tuple(
-            tuple(pt[pos] for pt in self.points) for pos in self.row_positions
+            bytes(map(itemgetter(pos), self.points)) for pos in self.row_positions
         )
 
     @cached_property
@@ -261,10 +282,16 @@ class CodeSystem(Record):
             sum(x // p**i % p << s for i, s in enumerate(lanes))
             for x in F.elements
         ]
+        # per scalar c, a bytes.translate table sending x to the lane byte
+        # of c * x; bytes past the field never occur in a generator row
+        times_tables = [
+            bytes([lane_byte[x] for x in times]).ljust(256, b"\0")
+            for times in F.mul
+        ]
         scaled = [
             [
-                int.from_bytes(bytes([lane_byte[times[x]] for x in row]), "little")
-                for times in F.mul
+                int.from_bytes(row.translate(table), "little")
+                for table in times_tables
             ]
             for row in self.generator
         ]

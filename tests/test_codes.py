@@ -3,6 +3,8 @@
 import inspect
 import math
 import random
+import sys
+import tracemalloc
 from functools import cached_property
 from itertools import combinations, product
 
@@ -130,7 +132,7 @@ def test_points_are_normalized_with_witness_bases():
         assert first == 1
         assert len(pt) == 6
         assert mat_rank(F3, basis) == 2
-        minors = tuple(
+        minors = bytes(
             det(F3, [[row[a], row[b]] for row in basis])
             for b in range(4)
             for a in range(b)
@@ -146,7 +148,7 @@ def minor_vectors_reference(F, ell, m):
         for mask in colex_masks(ell, m)
     ]
     return [
-        tuple(det(F, [[row[c] for c in cols] for row in basis]) for cols in col_sets)
+        bytes(det(F, [[row[c] for c in cols] for row in basis]) for cols in col_sets)
         for basis in rref_span_matrices(F, ell, m)
     ]
 
@@ -223,12 +225,31 @@ def test_plucker_relations_hold_everywhere():
             assert check_plucker_relations(F, pt, ell, m)
 
 
-def test_every_point_is_a_plain_tuple_of_ints():
-    # a Grassmannian holds one point per subspace, each just its minors
+def test_every_point_is_the_bytes_of_its_minors():
+    # a Grassmannian holds one point per subspace, each just its minors,
+    # one byte per minor
     for F, ell, m in ((F2, 2, 4), (F3, 1, 3), (F4, 2, 4)):
         for pt in enumerate_grassmannian(F, ell, m):
-            assert type(pt) is tuple and len(pt) == math.comb(m, ell)
-            assert all(type(c) is int for c in pt) and any(pt)
+            assert type(pt) is bytes and len(pt) == math.comb(m, ell)
+            assert max(pt) < F.q and any(pt)
+
+
+def test_a_point_costs_under_64_bytes():
+    # a tuple of the 15 minors of a G(2, 6) point takes 160 bytes
+    for pt in enumerate_grassmannian(F3, 2, 6):
+        assert sys.getsizeof(pt) < 64
+
+
+def test_schubert_code_peak_memory():
+    # the whole Grassmannian is held while it is filtered; as tuples of
+    # ints this peaked at 2.37 MB
+    tracemalloc.start()
+    try:
+        schubert_code(F3, (1, 6), 2, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8e6
 
 
 def test_plucker_relations_reject_corruption():
@@ -365,6 +386,25 @@ def test_code_system_rejects_rank_deficiency():
         CodeSystem(F2, 2, 4, None, pts, positions)
 
 
+def test_code_system_keeps_bytes_points_without_a_copy():
+    pts = enumerate_grassmannian(F2, 2, 4)
+    code = CodeSystem(F2, 2, 4, None, pts, range(6))
+    assert all(a is b for a, b in zip(code.points, pts, strict=True))
+
+
+def test_code_system_refuses_a_coordinate_outside_the_field():
+    # 5 is a byte but not an element of GF(2); 256 and -1 are neither
+    for bad, where in (
+        (((1, 5), (0, 1)), "^point 0 coordinate 1 is 5, outside 0..1$"),
+        (((1, 0), (0, 1), (256, 1)), "^point 2 coordinate 0 is 256, outside 0..1$"),
+        (((1, 0), (-1, 1)), "^point 1 coordinate 0 is -1, outside 0..1$"),
+    ):
+        with pytest.raises(ValueError, match=where):
+            CodeSystem(F2, 1, 2, None, bad, (0, 1))
+    with pytest.raises(ValueError, match="^point 0 coordinate 0 is 3, outside 0..2$"):
+        CodeSystem(F3, 1, 2, None, (b"\3\1",), (0, 1))
+
+
 def test_code_system_rejects_empty():
     with pytest.raises(ValueError, match="^a code needs at least one point$"):
         CodeSystem(F2, 2, 4, None, (), (0,))
@@ -373,8 +413,8 @@ def test_code_system_rejects_empty():
 def test_code_system_derives_its_generator_and_sizes():
     pts = ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1))
     code = CodeSystem(F2, 2, 4, None, list(pts), [0, 5])
-    assert (code.points, code.row_positions) == (pts, (0, 5))
-    assert code.generator == ((1, 0, 1), (0, 1, 1))
+    assert (code.points, code.row_positions) == (tuple(map(bytes, pts)), (0, 5))
+    assert code.generator == (bytes([1, 0, 1]), bytes([0, 1, 1]))
     assert code.generator is code.generator
     assert (code.n, code.kdim) == (3, 2)
     assert code.row_labels == ((1, 2), (3, 4))
