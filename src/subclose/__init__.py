@@ -32,6 +32,7 @@ from .families import (
     k_r,
     k_r_closed,
     k_r_oracle,
+    k_r_shifted,
     maximizer_families,
     second_duality_check,
     sum_intersections_fixed,

@@ -184,9 +184,10 @@ class CodeSystem(Record):
     and row_positions the coordinate indices, into that minor vector, that
     the generator rows read off; row_labels names the same rows by their
     column subsets (1-based).  Construction refuses a coordinate outside
-    the field with ValueError, and checks that the system is nondegenerate:
-    at least one point, no point vanishing on every chosen row, and a
-    generator of full row rank.
+    the field, a point without exactly C(m, ell) coordinates and a row
+    position outside them with ValueError, and checks that the system is
+    nondegenerate: at least one point, no point vanishing on every chosen
+    row, and a generator of full row rank.
     """
 
     F: FieldTable
@@ -213,8 +214,18 @@ class CodeSystem(Record):
                 if not 0 <= x < q
             )
             raise ValueError(f"point {j} coordinate {i} is {x}, outside 0..{q - 1}")
+        width = math.comb(self.m, self.ell)
+        if set(map(len, points)) - {width}:
+            j, pt = next((j, pt) for j, pt in enumerate(points) if len(pt) != width)
+            raise ValueError(
+                f"point {j} has {len(pt)} coordinates, not C({self.m}, {self.ell}) "
+                f"= {width}"
+            )
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "row_positions", tuple(self.row_positions))
+        for pos in self.row_positions:
+            if not 0 <= pos < width:
+                raise ValueError(f"row position {pos} outside 0..{width - 1}")
         if not self.points:
             raise ValueError("a code needs at least one point")
         take = _taker(self.row_positions)

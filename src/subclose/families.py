@@ -300,7 +300,7 @@ class KrRecord(Record):
     and a canonical construction for closed-form ones; it is omitted only
     when the ground family is too large to enumerate.  k_r in auto mode
     takes every brute-force value and witness from the shifted families
-    (see _shifted_record).  maximizer_count is filled only in auto mode, on a
+    (see k_r_shifted).  maximizer_count is filled only by k_r_shifted, on a
     lattice of at most _COUNT_CAP subfamilies; it is None otherwise, and
     never depends on the budget.  It is the sum of the shifted maximizers'
     orbit sizes under S_m.
@@ -529,11 +529,14 @@ def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
     return colex_masks(ell, m)
 
 
-def _shifted_record(ell: int, m: int, r: int, budget: int) -> KrRecord:
-    """Brute-force record (1 <= r < k) from the shifted families: K_r, the
-    colex-least maximizer as witness, and the maximizer count when the
-    lattice has at most _COUNT_CAP subfamilies, the sum of the shifted
-    maximizers' orbit sizes.
+def k_r_shifted(
+    ell: int, m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
+) -> KrRecord:
+    """Brute-force record from the shifted families, for any 0 <= r <= k:
+    K_r, the colex-least maximizer as witness, and the maximizer count when
+    the lattice has at most _COUNT_CAP subfamilies, the sum of the shifted
+    maximizers' orbit sizes.  The range check, the depth cap and the budget
+    are k_r_oracle's, so both refuse the same rows.
 
     The colex-least maximizer is shifted.  For i < j, S_ij moves t members
     and changes K by t(t - (d_j - d_i)) >= 0 (see _shifted_maximizers):
@@ -614,7 +617,7 @@ def k_r(
     "closed" returns the closed-form record, or None in the open middle
     range; "auto" prefers it, then takes the value, the witness and, on a
     lattice of at most _COUNT_CAP subfamilies, the maximizer count from
-    the shifted families (_shifted_record), with the value, maximizer and
+    the shifted families (k_r_shifted), with the value, maximizer and
     budget of k_r_oracle.  "oracle" forces the unreduced per-r search,
     k_r_oracle; "both" runs it and raises ArithmeticError when a closed
     form disagrees with it, or in the middle range when the shifted
@@ -627,12 +630,12 @@ def k_r(
     if mode == "closed" or (mode == "auto" and closed is not None):
         return closed
     if mode == "auto":
-        return _shifted_record(ell, m, r, budget)
+        return k_r_shifted(ell, m, r, budget=budget)
     direct = k_r_oracle(ell, m, r, budget=budget)
     if mode == "oracle":
         return direct
     if closed is None:
-        auto = _shifted_record(ell, m, r, budget)
+        auto = k_r_shifted(ell, m, r, budget=budget)
         if (auto.value, auto.maximizer) != (direct.value, direct.maximizer):
             raise ArithmeticError(
                 f"shifted-family search {auto.value} {auto.maximizer.sets} disagrees "

@@ -3,10 +3,12 @@
 The degree square sum Sigma(G) = sum of deg(v)^2 links straight back to the
 intersection machinery: Sigma = 2*K + 2r for a graph with r edges, where K
 is the pairwise intersection sum of the edge family.  Maximizing Sigma over
-r-edge graphs is therefore the ell = 2 case of the K_r problem: the maximum
-and its witness come from the exhaustive search in ``families``, every
-labeled maximizer from the threshold graphs (its shifted families), and the
-Ahlswede-Katona closed form checks every maximum.
+r-edge graphs is therefore the ell = 2 case of the K_r problem.  Every
+maximizer is a relabeled threshold graph, and the threshold graphs are the
+shifted edge families, so the maximum, its colex-least witness and every
+labeled maximizer come from the shifted families in ``families``, and the
+Ahlswede-Katona closed form checks every maximum.  The exhaustive search,
+sigma_exhaustive, is kept only as the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .families import (
     complement_family,
     complement_value,
     k_r_oracle,
+    k_r_shifted,
     maximizer_families,
     point_degrees,
 )
@@ -137,7 +140,8 @@ def sigma_exhaustive(
     m: int, r: int, *, budget: int = DEFAULT_FAMILY_BUDGET
 ) -> tuple[int, Graph]:
     """Max Sigma over all r-edge graphs on {1..m} plus the colex-least
-    maximizer, from the exhaustive K_r search on edge families."""
+    maximizer, from the exhaustive K_r search on edge families: the
+    reference that optimal_graphs' shifted-family route is tested against."""
     rec = k_r_oracle(2, m, r, budget=budget)
     return 2 * rec.value + 2 * r, Graph(m, rec.maximizer)
 
@@ -200,19 +204,22 @@ def optimal_graphs(
 ) -> SigmaRecord:
     """Maximum Sigma computed two independent ways, which must agree.
 
-    Search route: 2*K_r(2, m) + 2r from the exhaustive family search, which
-    also gives the colex-least witness graph.
+    Search route: 2*K_r(2, m) + 2r over the shifted edge families, the
+    threshold graphs (k_r_shifted), which also gives the colex-least
+    witness graph, the one sigma_exhaustive returns.  Its budget and depth
+    refusals are the exhaustive search's.
     Closed route: the Ahlswede-Katona maximum, sigma_max_closed.
     Disagreement means a bug in one of them and raises ArithmeticError.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got m={m}")
-    direct, maximizer = sigma_exhaustive(m, r, budget=budget)
+    rec = k_r_shifted(2, m, r, budget=budget)
+    direct, maximizer = 2 * rec.value + 2 * r, Graph(m, rec.maximizer)
     closed = sigma_max_closed(m, r)
     if direct != closed:
         raise ArithmeticError(
-            f"exhaustive search gives {direct} but the Ahlswede-Katona closed "
-            f"form gives {closed} for (m={m}, r={r})"
+            f"shifted-family search gives {direct} but the Ahlswede-Katona "
+            f"closed form gives {closed} for (m={m}, r={r})"
         )
     trivial = r * (r + 1) if (m >= 4 and r <= m - 1) else None
     k = math.comb(m, 2)

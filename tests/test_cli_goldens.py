@@ -21,6 +21,11 @@ recorded while the witness still came from a walk, stopped at its first
 attainer, over the families through colex member 0, so it checks that
 taking the witness as the least shifted maximizer picks the same family.
 
+The optimal case on m = 8 at r = 0..28 pins every row of a lattice the
+exhaustive search took about 15 s to sweep.  It was recorded from that
+search, so it checks that the shifted-family route, which answers it in
+well under a second, gives the same maxima and the same witnesses.
+
 The benchmark's own goldens, perfbench/goldens.json, are read here too and
 checked in process, so an output drift on a benchmark command fails this
 suite and not only the benchmark.
@@ -73,6 +78,8 @@ GOLDENS = [
      "edec383f339fb9a8a91a920fd8cd23d9f8ab079f3ae10f1b2d66395aa302eac3"),
     ("optimal --m 6 --r 3..9 --format json", 0,
      "b63219b8e3721711c7f98b5207bf6a55706001e4d9bd8f7e759e2456400f938c"),
+    ("optimal --m 8 --r 0..28", 0,
+     "a89018b977e2d0f6ca1620de4aa3979e527bc7aa52c7e35f645709f65ee813f6"),
     ("verify --ell 2 --m 4 --q 2 --format table", 0,
      "01739f85d69fe3aac84f28d7e9802f1a4d13d01342a4eb4afddc46e445135c78"),
     ("verify --ell 2 --m 4 --q 2 --alpha 2,4", 0,

@@ -405,6 +405,25 @@ def test_code_system_refuses_a_coordinate_outside_the_field():
         CodeSystem(F3, 1, 2, None, (b"\3\1",), (0, 1))
 
 
+def test_code_system_refuses_a_point_of_the_wrong_length():
+    # G(2, 4) has C(4, 2) = 6 minors per point; a shorter point was once
+    # accepted, or failed with a bare IndexError on a row past its end
+    with pytest.raises(ValueError, match=r"^point 0 has 2 coordinates, not C\(4, 2\) = 6$"):
+        CodeSystem(F2, 2, 4, None, ((1, 0), (0, 1)), (0, 1))
+    with pytest.raises(ValueError, match=r"^point 0 has 1 coordinates, not C\(4, 2\) = 6$"):
+        CodeSystem(F2, 2, 4, None, ((1,),), (0, 5))
+    pts = ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 1, 0))
+    with pytest.raises(ValueError, match=r"^point 2 has 7 coordinates, not C\(4, 2\) = 6$"):
+        CodeSystem(F2, 2, 4, None, pts, (0, 5))
+
+
+def test_code_system_refuses_a_row_position_past_the_minors():
+    pts = ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1))
+    for bad in (6, -1):
+        with pytest.raises(ValueError, match=f"^row position {bad} outside 0..5$"):
+            CodeSystem(F2, 2, 4, None, pts, (0, bad))
+
+
 def test_code_system_rejects_empty():
     with pytest.raises(ValueError, match="^a code needs at least one point$"):
         CodeSystem(F2, 2, 4, None, (), (0,))

@@ -218,6 +218,37 @@ def test_optimal_routes_agree_everywhere_m5():
             assert sigma_max_closed(m, r) == rec.sigma_max
 
 
+def test_optimal_matches_the_exhaustive_oracle_m7():
+    # the shifted-family route gives the oracle's maximum and its colex-
+    # least witness on every (m, r) the oracle reaches quickly
+    for m in range(2, 8):
+        for r in range(math.comb(m, 2) + 1):
+            rec = optimal_graphs(m, r)
+            assert (rec.sigma_max, rec.maximizer) == sigma_exhaustive(m, r)
+
+
+def test_optimal_answers_without_the_exhaustive_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimal_graphs ran the exhaustive search")
+
+    monkeypatch.setattr("subclose.families.k_r_oracle", refuse)
+    monkeypatch.setattr("subclose.graphs.k_r_oracle", refuse)
+    for r in range(math.comb(7, 2) + 1):
+        assert optimal_graphs(7, r).sigma_max == sigma_max_closed(7, r)
+
+
+def test_optimal_refuses_what_the_oracle_refuses():
+    # the candidate budget, and the depth cap of 900 walk levels
+    for m, r, budget in ((8, 14, 1000), (6, 7, 5004), (43, 901, 10**9)):
+        with pytest.raises(BudgetError) as oracle:
+            sigma_exhaustive(m, r, budget=budget)
+        with pytest.raises(BudgetError) as shifted:
+            optimal_graphs(m, r, budget=budget)
+        assert str(shifted.value) == str(oracle.value)
+    # C(15, 7) = 6435 candidates fit a budget of exactly that many
+    assert optimal_graphs(6, 7, budget=6435).sigma_max == sigma_max_closed(6, 7)
+
+
 def test_sigma_max_closed_beyond_the_sweep():
     # K_r(2, 8) for r = 9..12 from the exhaustive kr-table
     for r, k in zip(range(9, 13), (26, 30, 35, 41)):

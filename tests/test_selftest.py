@@ -28,9 +28,9 @@ def test_suite_catches_a_wrong_closed_form(monkeypatch, replace):
 
 
 def test_suite_catches_a_wrong_shifted_value(monkeypatch):
-    # every auto middle row and every maximizer listing reads the shifted
-    # families, so one below K_r fails each check that takes one: the
-    # recount of the witness, a true maximizer, refutes it
+    # every auto middle row, every optimal graph and every maximizer listing
+    # reads the shifted families, so one below K_r fails each check that
+    # takes one: the recount of the witness, a true maximizer, refutes it
     check = dict(CHECKS)["shifted-vs-oracle-3-7"]
     assert check()
     sane = families._shifted_maximizers
@@ -50,6 +50,7 @@ def test_suite_catches_a_wrong_shifted_value(monkeypatch):
         "graph-bounds-m6",
         "close-families",
         "shifted-vs-oracle-3-7",
+        "serialization",
     }
 
 
