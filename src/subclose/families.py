@@ -323,18 +323,13 @@ def _closed_record(ell: int, m: int, r: int) -> KrRecord | None:
     if value is None:
         return None
     k = math.comb(m, ell)
-    mu = close_size_cap(ell, m)
-    if r <= mu:
-        method = "closed_form_low"
-        maximizer = canonical_close_family(ell, m, r) if k <= _MAXIMIZER_CAP else None
-    else:
-        method = "closed_form_high"
-        if k <= _MAXIMIZER_CAP:
-            maximizer = complement_family(canonical_close_family(ell, m, k - r))
-        else:
-            maximizer = None
-    if maximizer is not None:
+    low = r <= close_size_cap(ell, m)
+    maximizer = None
+    if k <= _MAXIMIZER_CAP:
+        close = canonical_close_family(ell, m, r if low else k - r)
+        maximizer = close if low else complement_family(close)
         _check_witness(maximizer, value)
+    method = "closed_form_low" if low else "closed_form_high"
     return KrRecord(ell, m, r, value, method, maximizer)
 
 

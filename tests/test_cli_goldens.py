@@ -21,6 +21,10 @@ recorded while the witness still came from a walk, stopped at its first
 attainer, over the families through colex member 0, so it checks that
 taking the witness as the least shifted maximizer picks the same family.
 
+The kr-table case on (2, 2000) at its top two rows pins the closed high
+range where the lattice has too many members to build a witness, so the
+rows carry the closed-form value with "maximizer":null.
+
 The optimal case on m = 8 at r = 0..28 pins every row of a lattice the
 exhaustive search took about 15 s to sweep.  It was recorded from that
 search, so it checks that the shifted-family route, which answers it in
@@ -68,6 +72,8 @@ GOLDENS = [
     ("kr-table --ell 2 --m 10 --r 23..24 --budget-families 100000000000000 "
      "--format json", 0,
      "191830feb5a83e340af1a0a67b916ba230ec821a19e3fabd01a1d4c7e0226b01"),
+    ("kr-table --ell 2 --m 2000 --r 1998999..1999000 --format json", 0,
+     "974cf05db5d961d6ce39fcc3ce050183ad02cebca7688bdf4fc0a5e393779fcb"),
     ("kr-table --ell 2 --m 6 --mode closed", 2,
      EMPTY),
     ("kr-table --ell 2 --m 9 --r 18 --budget-families 1000", 1,

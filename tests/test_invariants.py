@@ -131,7 +131,7 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     # an import nothing uses keeps a deleted or renamed name looking alive
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths = sorted(PACKAGE.glob("*.py"))
     paths += sorted(Path(__file__).parent.glob("*.py"))
     found = [entry for path in paths for entry in unused_imports(path)]
     assert not found, f"unused imports: {', '.join(found)}"
@@ -139,14 +139,11 @@ def test_no_unused_imports():
 
 def test_every_public_name_has_a_package_caller():
     # code that only tests call is code the package does not need: every
-    # public function and class must be named by some module other than the
-    # re-exporting __init__.py, and every public method must be named there
-    # as an attribute, since a bare name of the same spelling (a local, a
-    # parameter) never calls it
+    # public function and class must be named by some package module, and
+    # every public method must be named there as an attribute, since a bare
+    # name of the same spelling (a local, a parameter) never calls it
     names, attrs = set(), set()
-    for name, node in package_nodes():
-        if name == "__init__.py":
-            continue
+    for _, node in package_nodes():
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):

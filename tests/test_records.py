@@ -4,22 +4,22 @@ defaults and validation hold, and the repr format is unchanged."""
 
 import pytest
 
-from subclose import (
+from subclose.codes import grassmann_code, verify_conjecture
+from subclose.families import (
     CloseFamilyWitness,
     CloseKind,
-    Graph,
     KrRecord,
     SubsetFamily,
-    ThresholdCertificate,
-    build_field,
-    dual_bound_check,
-    field_from_order,
-    grassmann_code,
-    is_threshold,
     k_r,
+)
+from subclose.gf import build_field, field_from_order
+from subclose.graphs import (
+    Graph,
+    ThresholdCertificate,
+    dual_bound_check,
+    is_threshold,
     optimal_graphs,
     trivial_bound_check,
-    verify_conjecture,
 )
 
 
