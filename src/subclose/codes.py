@@ -8,7 +8,10 @@ supported on a Schubert subvariety gives the subvariety's code.
 
 A point is the bytes of its minors, one byte per coordinate: every element
 of GF(q <= 16) fits in a byte, and a bytes object costs a fraction of a
-tuple of ints.  The generator rows are bytes the same way.
+tuple of ints.  The generator rows are bytes the same way, each a strided
+slice of the points joined end to end, and a Schubert point is told by the
+position of its last nonzero minor alone (Gale 1968), so no step past the
+minors themselves reads a point one coordinate at a time.
 
 Higher weights d_r are computed by exhausting rank-r subcodes.  The support
 of a subcode is the union of the supports of any basis.  A support table
@@ -108,8 +111,11 @@ def check_plucker_relations(F: FieldTable, coords: bytes, ell: int, m: int) -> b
     For every (ell-1)-subset A and (ell+1)-subset B of columns the
     alternating sum over t in B of p_{A+t} * p_{B-t} must vanish.  For
     ell = 2 this is the classical three-term relation; for ell = 1 it is
-    vacuous.
+    vacuous, and for ell = 0 there is none.
     """
+    if ell == 0:
+        # no (ell-1)-subset A exists
+        return True
     rank = {mask: i for i, mask in enumerate(colex_masks(ell, m))}
 
     def signed(cols: tuple[int, ...]) -> int:
@@ -228,10 +234,11 @@ class CodeSystem(Record):
                 raise ValueError(f"row position {pos} outside 0..{width - 1}")
         if not self.points:
             raise ValueError("a code needs at least one point")
-        take = _taker(self.row_positions)
-        for j, pt in enumerate(self.points):
-            if not any(take(pt)):
-                raise ArithmeticError(f"point {j} vanishes on every chosen row")
+        covered = reduce(or_, map(_nonzero_mask, self.generator), 0)
+        # the lowest clear bit of covered is the first vanishing point
+        j = ((covered + 1) & ~covered).bit_length() - 1
+        if j < self.n:
+            raise ArithmeticError(f"point {j} vanishes on every chosen row")
         rank = mat_rank(self.F, self.generator)
         if rank != self.kdim:
             raise ArithmeticError(
@@ -254,10 +261,11 @@ class CodeSystem(Record):
     @cached_property
     def generator(self) -> tuple[bytes, ...]:
         """One row per chosen position, one column per point, each row the
-        bytes of its entries."""
-        return tuple(
-            bytes(map(itemgetter(pos), self.points)) for pos in self.row_positions
-        )
+        bytes of its entries: the points joined, read with the stride of
+        one point."""
+        joined = b"".join(self.points)
+        width = math.comb(self.m, self.ell)
+        return tuple(joined[pos::width] for pos in self.row_positions)
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
@@ -347,16 +355,24 @@ def schubert_code(
 ) -> CodeSystem:
     """Code of the subvariety's points, rows restricted to the allowed
     coordinates.  The points are exactly those of G(ell, m) whose
-    coordinates vanish outside the allowed positions."""
+    coordinates vanish outside the allowed positions, the column subsets
+    dominated entrywise by alpha.
+
+    That down-set needs only one minor per point.  A point's nonzero
+    minors are the bases of the matroid of its basis's columns, and by
+    Gale's greedy theorem (D. Gale, Optimal assignments in an ordered set,
+    1968) one of them dominates every other entrywise.  Colex order
+    extends the entrywise order, so that one is the last nonzero minor,
+    and the point lies on the subvariety exactly when its position is
+    allowed.  The whole Grassmannian is still enumerated and filtered.
+    """
     alpha = validate_alpha(alpha, ell, m)
     # the subspace budget refuses before any work per column subset
     points = enumerate_grassmannian(F, ell, m, budget=budget)
     positions = schubert_support(alpha, ell, m)
     allowed = set(positions)
-    outside = _taker(
-        tuple(i for i in range(math.comb(m, ell)) if i not in allowed)
-    )
-    points = [pt for pt in points if not any(outside(pt))]
+    # a point's last nonzero byte is its Gale-greatest minor
+    points = [pt for pt in points if len(pt.rstrip(b"\0")) - 1 in allowed]
     return CodeSystem(F, ell, m, alpha, points, positions)
 
 
@@ -466,7 +482,8 @@ def verify_conjecture(
     d_r = higher_weight(code, r, budget=subcode_budget)
     # looked up on the module, so a wrapper around families.k_r sees the call
     target = families.k_r(ell, m, r, budget=family_budget).value
-    masks = _taker(code.row_positions)(colex_masks(ell, m))
+    every = colex_masks(ell, m)
+    masks = [every[pos] for pos in code.row_positions]
     rows = code.row_masks
     # smallest union of row supports over all families, and over maximal
     # ones; the first (lex-least) family to reach the latter is the witness

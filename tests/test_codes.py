@@ -259,8 +259,10 @@ def test_plucker_relations_reject_corruption():
 
 
 def test_plucker_relations_vacuous_for_lines():
-    for pt in enumerate_grassmannian(F3, 1, 3):
-        assert check_plucker_relations(F3, pt, 1, 3)
+    # ell = 0 has one point, b"\x01", and no relation at all
+    for F, ell, m in ((F3, 1, 3), (F2, 0, 3)):
+        for pt in enumerate_grassmannian(F, ell, m):
+            assert check_plucker_relations(F, pt, ell, m)
 
 
 # ---------------------------------------------------------------- schubert
@@ -313,37 +315,44 @@ def test_schubert_point_counts():
     assert len(schubert_code(F2, (1, 2), 2, 4).points) == 1
 
 
-def test_membership_flag_agrees_with_vanishing():
-    # rank conditions against the standard flag vs coordinate support
-    for alpha in ((1, 2), (1, 3), (2, 3), (2, 4), (1, 4), (3, 4)):
-        allowed = 0
-        for pos in schubert_support(alpha, 2, 4):
-            allowed |= 1 << pos
-        pairs = zip(
-            rref_span_matrices(F2, 2, 4),
-            enumerate_grassmannian(F2, 2, 4),
+@pytest.mark.parametrize(
+    "q, ell, m",
+    [
+        (2, 2, 4),
+        (3, 2, 4),
+        (4, 2, 4),
+        (2, 2, 5),
+        (3, 2, 5),
+        (2, 3, 5),
+        (3, 3, 5),
+        (2, 3, 6),
+        (3, 1, 4),
+    ],
+)
+def test_membership_flag_agrees_with_vanishing(q, ell, m):
+    # rank conditions against the standard flag vs coordinate support, for
+    # every alpha; the Schubert code keeps exactly the flag's points, in
+    # enumeration order
+    F = field_from_order(q)
+    pairs = list(
+        zip(
+            rref_span_matrices(F, ell, m),
+            enumerate_grassmannian(F, ell, m),
             strict=True,
         )
+    )
+    for alpha in combinations(range(1, m + 1), ell):
+        allowed = 0
+        for pos in schubert_support(alpha, ell, m):
+            allowed |= 1 << pos
+        kept = []
         for basis, pt in pairs:
             by_support = nonzero_mask(pt) & ~allowed == 0
-            by_flag = schubert_membership_flag(F2, basis, alpha)
+            by_flag = schubert_membership_flag(F, basis, alpha)
             assert by_support == by_flag, (alpha, pt)
-
-
-def test_membership_flag_agrees_over_f3():
-    for alpha in ((1, 3), (2, 4), (2, 3)):
-        allowed = 0
-        for pos in schubert_support(alpha, 2, 4):
-            allowed |= 1 << pos
-        pairs = zip(
-            rref_span_matrices(F3, 2, 4),
-            enumerate_grassmannian(F3, 2, 4),
-            strict=True,
-        )
-        for basis, pt in pairs:
-            assert (nonzero_mask(pt) & ~allowed == 0) == schubert_membership_flag(
-                F3, basis, alpha
-            )
+            if by_flag:
+                kept.append(pt)
+        assert schubert_code(F, alpha, ell, m).points == tuple(kept), alpha
 
 
 # ------------------------------------------------------------------- codes
@@ -375,6 +384,10 @@ def test_code_system_rejects_a_point_vanishing_on_every_row():
     # with no rows at all, every point vanishes on every one of them
     with pytest.raises(ArithmeticError, match="^point 0 vanishes on every chosen row$"):
         CodeSystem(F2, 1, 2, None, pts, ())
+    # the first vanishing point past one 64-bit word of the support mask
+    pts = ((1, 0),) * 64 + ((0, 1), (1, 1))
+    with pytest.raises(ArithmeticError, match="^point 64 vanishes on every chosen row$"):
+        CodeSystem(F2, 1, 2, None, pts, (0,))
 
 
 def test_code_system_rejects_rank_deficiency():
@@ -437,6 +450,11 @@ def test_code_system_derives_its_generator_and_sizes():
     assert code.generator is code.generator
     assert (code.n, code.kdim) == (3, 2)
     assert code.row_labels == ((1, 2), (3, 4))
+    # a row read off a position that skips one: alpha = (1, 4) drops (2, 3)
+    code = schubert_code(F3, (1, 4), 2, 4)
+    assert code.row_positions == (0, 1, 3)
+    for row, pos in zip(code.generator, code.row_positions, strict=True):
+        assert row == bytes(pt[pos] for pt in code.points)
 
 
 # ----------------------------------------------------------------- weights

@@ -95,6 +95,29 @@ def test_budget_errors_come_from_one_gate():
     assert len(gate) == 1, "families.check_budget is missing"
 
 
+def test_codes_reads_single_coordinates_only_for_minors():
+    # a point is the bytes of its minors, so past the per-minor column
+    # picks of the enumeration codes reads whole bytes (a strided slice, a
+    # stripped tail), never one coordinate at a time through a getter
+    homes = [
+        range(node.lineno, node.end_lineno + 1)
+        for name, node in package_nodes()
+        if name == "codes.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name in ("_taker", "enumerate_grassmannian")
+    ]
+    found = [
+        f"{name}:{node.lineno} {node.id}"
+        for name, node in package_nodes()
+        if name == "codes.py"
+        and isinstance(node, ast.Name)
+        and node.id in ("itemgetter", "_taker")
+        and not any(node.lineno in home for home in homes)
+    ]
+    assert len(homes) == 2, "codes._taker or codes.enumerate_grassmannian is missing"
+    assert not found, f"per-coordinate getters: {', '.join(found)}"
+
+
 def test_module_caches_are_the_field_tables():
     # a module-level cache keeps its entries for the life of the process
     # and hands every caller the same result; the field tables are the one
