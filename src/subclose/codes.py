@@ -17,9 +17,11 @@ Higher weights d_r are computed by exhausting rank-r subcodes.  The support
 of a subcode is the union of the supports of any basis.  A support table
 maps each normalized message to its codeword's support; the enumeration
 hands each basis over as its rows' table entries, looked up once per row
-option, so each subcode costs one reduce of ORs and one bit count, with no
-Python per row.  The table belongs to the code: it is built once, on first
-use, and every rank r shares it.
+option.  Those bases are split into one stream per basis row and the
+streams are ORed pairwise by map, so each subcode costs r - 1 ORs and one
+bit count inside C-level iterators, with no Python call per basis.  The
+table belongs to the code: it is built once, on first use, and every rank
+r shares it.
 
 The conjecture harness compares d_r against the section counts of
 coordinate subspaces cut out by size-r families of column subsets, with the
@@ -46,7 +48,7 @@ from .families import (
     k_lambda,
 )
 from .gf import FieldTable
-from .linalg import Matrix, det, mat_rank, rref_span_matrices
+from .linalg import Matrix, det, mat_rank, rref_span_matrices, row_streams
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
 
@@ -234,7 +236,7 @@ class CodeSystem(Record):
                 raise ValueError(f"row position {pos} outside 0..{width - 1}")
         if not self.points:
             raise ValueError("a code needs at least one point")
-        covered = reduce(or_, map(_nonzero_mask, self.generator), 0)
+        covered = reduce(or_, self.row_masks, 0)
         # the lowest clear bit of covered is the first vanishing point
         j = ((covered + 1) & ~covered).bit_length() - 1
         if j < self.n:
@@ -380,7 +382,14 @@ def higher_weight(
     code: CodeSystem, r: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> int:
     """d_r: the smallest support size over rank-r subcodes, by exhaustion
-    over echelon representatives of the message-space subspaces."""
+    over echelon representatives of the message-space subspaces.
+
+    Each basis comes from rref_span_matrices as its rows' support masks.
+    row_streams splits the bases into r streams of masks, map ORs them in
+    step, and the least bit count of the unions is d_r: every step runs
+    in C-level iterators, and the tee behind the streams holds at most one
+    basis.
+    """
     if not 1 <= r <= code.kdim:
         raise ValueError(f"r={r} outside 1..{code.kdim}")
     check_budget(
@@ -409,7 +418,8 @@ def higher_weight(
     # each basis comes as its rows' support masks, looked up once per row
     # option rather than once per basis row
     bases = rref_span_matrices(code.F, r, code.kdim, key=supports.__getitem__)
-    return min(map(int.bit_count, map(partial(reduce, or_), bases)))
+    unions = reduce(partial(map, or_), row_streams(bases, r))
+    return min(map(int.bit_count, unions))
 
 
 def weight_hierarchy(

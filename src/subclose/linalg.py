@@ -6,11 +6,17 @@ past 3 x 3: rref finishes it with a back-substitution pass, and a
 determinant is its signed pivot product.  Determinants of 2 x 2 and 3 x 3
 matrices, one per Schubert minor, are cofactor expansions over the field
 tables, in a det frame that creates no closure cells.
+
+The echelon representatives of all r-subspaces come from
+rref_span_matrices, a chain of one itertools.product per pivot set, and
+row_streams splits such matrices into one iterator per row, so a caller
+can fold whole rows of the enumeration without Python per matrix.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, tee
+from operator import itemgetter
 
 from .combinat import colex_masks
 from .gf import FieldTable
@@ -103,33 +109,55 @@ def det(F: FieldTable, rows) -> int:
     return signed if len(pivots) == n else 0
 
 
+def _row_options(F: FieldTable, n: int, key, mask: int) -> list:
+    """Each pivot row's options for one pivot column set, mapped by key:
+    1 at its pivot, 0 at the other pivots and before its own, and the free
+    entries after it in lexicographic order."""
+    options = []
+    for p in (t for t in range(n) if mask >> t & 1):
+        free = [c for c in range(p + 1, n) if not mask >> c & 1]
+        row_options = []
+        for vals in product(F.elements, repeat=len(free)):
+            row = [0] * n
+            row[p] = 1
+            for c, v in zip(free, vals):
+                row[c] = v
+            row_options.append(tuple(row))
+        if key is not None:
+            row_options = list(map(key, row_options))
+        options.append(row_options)
+    return options
+
+
 def rref_span_matrices(F: FieldTable, r: int, n: int, key=None):
-    """Yield every r x n RREF matrix of rank r over F, each exactly once.
+    """Iterator over every r x n RREF matrix of rank r over F, each exactly
+    once.
 
     These are canonical representatives of the r-dimensional subspaces of
     F^n.  Pivot column sets run in colex order; for a fixed pivot set the
     free entries run lexicographically in row-major order, which is the
-    product order over each row's own options.
+    product order over each row's own options.  The iterator chains one
+    itertools.product per pivot set, so no Python runs per matrix; a bad r
+    raises ValueError at the call, before any iteration.
 
-    With a key, each matrix is yielded as the tuple of its rows' keys, in
-    the same order.  The key runs once per row option per pivot set, not
-    once per matrix row: on (GF(3), r=2, n=4) that is 52 calls for the 130
+    With a key, each matrix comes as the tuple of its rows' keys, in the
+    same order.  The key runs once per row option per pivot set, not once
+    per matrix row: on (GF(3), r=2, n=4) that is 52 calls for the 130
     matrices.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    for mask in colex_masks(r, n):
-        options = []
-        for p in (t for t in range(n) if mask >> t & 1):
-            free = [c for c in range(p + 1, n) if not mask >> c & 1]
-            row_options = []
-            for vals in product(F.elements, repeat=len(free)):
-                row = [0] * n
-                row[p] = 1
-                for c, v in zip(free, vals):
-                    row[c] = v
-                row_options.append(tuple(row))
-            if key is not None:
-                row_options = list(map(key, row_options))
-            options.append(row_options)
-        yield from product(*options)
+    return chain.from_iterable(
+        product(*_row_options(F, n, key, mask)) for mask in colex_masks(r, n)
+    )
+
+
+def row_streams(matrices, r: int) -> list:
+    """Split an iterable of r-row matrices, such as rref_span_matrices
+    yields, into r iterators: stream i yields row i of each matrix in turn.
+
+    One itertools.tee splits the matrices, and map(itemgetter(i)) picks
+    the rows, so advancing the streams in step runs no Python per matrix
+    and buffers at most one matrix.
+    """
+    return [map(itemgetter(i), copy) for i, copy in enumerate(tee(matrices, r))]

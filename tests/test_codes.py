@@ -437,6 +437,15 @@ def test_code_system_refuses_a_row_position_past_the_minors():
             CodeSystem(F2, 2, 4, None, pts, (0, bad))
 
 
+def test_code_system_caches_its_row_masks_during_construction():
+    # the vanishing check reads row_masks, so later scans reuse its masks
+    code = grassmann_code(F2, 2, 4)
+    assert "row_masks" in vars(code)
+    assert code.row_masks == tuple(
+        sum(1 << j for j, x in enumerate(row) if x) for row in code.generator
+    )
+
+
 def test_code_system_rejects_empty():
     with pytest.raises(ValueError, match="^a code needs at least one point$"):
         CodeSystem(F2, 2, 4, None, (), (0,))
@@ -487,6 +496,17 @@ def test_first_weight_via_largest_hyperplane_section():
     secs = [section_count(code.points, (pos,)) for pos in code.row_positions]
     assert max(secs) == 19
     assert higher_weight(code, 1) == 35 - 19 == 16
+
+
+def test_wide_folds_match_the_closed_forms():
+    # G(2, 5) over GF(2): n = 155, k = 10, delta = 6.  Nogin (1996) gives
+    # d_1 = q^delta and d_2 = q^delta + q^(delta - 1); the top range is
+    # d_(k - j) = n - (q^j - 1)/(q - 1) (Ghorpade-Patil-Pillai 2009).  r = 10
+    # folds ten row streams of the generator-row masks.
+    code = grassmann_code(F2, 2, 5)
+    assert (code.n, code.kdim) == (155, 10)
+    for r, d_r in ((1, 64), (2, 96), (9, 154), (10, 155)):
+        assert higher_weight(code, r) == d_r, r
 
 
 def test_higher_weight_validation_and_budget():

@@ -1,13 +1,13 @@
 """Tests for row reduction, determinants, and RREF enumeration."""
 
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
 from subclose.combinat import colex_masks, gaussian_binom
 from subclose.gf import field_from_order
-from subclose.linalg import det, mat_rank, rref, rref_span_matrices
+from subclose.linalg import det, mat_rank, row_streams, rref, rref_span_matrices
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -293,6 +293,41 @@ def test_rref_span_key_runs_once_per_row_option():
 
 def test_rref_span_zero_dimension():
     assert list(rref_span_matrices(F2, 0, 3)) == [()]
+
+
+def test_rref_span_refuses_a_bad_r_at_the_call():
+    # no iteration: the refusal comes from the call itself
+    with pytest.raises(ValueError, match=r"^need 0 <= r <= n, got r=4, n=3$"):
+        rref_span_matrices(F2, 4, 3)
+    with pytest.raises(ValueError, match=r"^need 0 <= r <= n, got r=-1, n=3$"):
+        rref_span_matrices(F2, -1, 3, key=str)
+
+
+def test_row_streams_split_each_matrix_into_its_rows():
+    for F, top in ((F2, 4), (F3, 4), (F4, 3)):
+        for n in range(1, top + 1):
+            for r in range(1, n + 1):
+                plain = list(rref_span_matrices(F, r, n))
+                streams = row_streams(rref_span_matrices(F, r, n), r)
+                assert len(streams) == r
+                for i, stream in enumerate(streams):
+                    assert list(stream) == [mat[i] for mat in plain], (F.q, r, n)
+                in_step = zip(*row_streams(rref_span_matrices(F, r, n), r))
+                assert list(in_step) == plain, (F.q, r, n)
+
+
+def test_row_streams_in_step_draw_one_matrix_at_a_time():
+    drawn = []
+
+    def source():
+        for mat in rref_span_matrices(F3, 2, 4):
+            drawn.append(mat)
+            yield mat
+
+    in_step = zip(*row_streams(source(), 2))
+    for count, rows in enumerate(islice(in_step, 5), start=1):
+        assert len(drawn) == count
+        assert rows == drawn[-1]
 
 
 def test_rref_span_covers_all_subspaces():
