@@ -6,6 +6,11 @@ ell-subsets of columns.  Those coordinate vectors, one per subspace, are the
 columns of a generator matrix; restricting the row set to the coordinates
 supported on a Schubert subvariety gives the subvariety's code.
 
+The Grassmannian is enumerated one column set at a time: each set's minor
+of every point comes from one C-level stream of echelon bases cut down to
+its columns, and the minor columns are transposed into the points, so no
+Python loop runs per point.
+
 A point is the bytes of its minors, one byte per coordinate: every element
 of GF(q <= 16) fits in a byte, and a bytes object costs a fraction of a
 tuple of ints.  The generator rows are bytes the same way, each a strided
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial, reduce
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from operator import itemgetter, or_
 
 from .combinat import Record, colex_masks, gaussian_binom, set_of
@@ -61,8 +66,9 @@ def _nonzero_mask(word) -> int:
     return int(bytes(reversed(word)).translate(_NONZERO_DIGIT), 2)
 
 
-def _taker(positions: tuple[int, ...]):
-    """Getter taking the items at some positions, in order, as a tuple."""
+def _taker(mask: int):
+    """Getter taking the items at a mask's set bits, in order, as a tuple."""
+    positions = [t for t in range(mask.bit_length()) if mask >> t & 1]
     if len(positions) > 1:
         return itemgetter(*positions)
     # itemgetter gives a bare item for one index and needs at least one;
@@ -77,33 +83,44 @@ def enumerate_grassmannian(
     """All ell-subspaces of F^m as minor-coordinate points, each the bytes
     of its minors in colex column order.
 
+    The enumeration runs once per column set T.  rref_span_matrices keyed
+    by the getter of T's columns yields every echelon basis already cut
+    down to them, each row option cut once per pivot set, and one det per
+    basis turns that stream into minor T of every point, in enumeration
+    order.  Zipping the C(m, ell) minor columns transposes them into the
+    points.  Every step runs in C-level iterators, so the only Python that
+    runs per point is det, once per column set.
+
     Echelon representatives come out already normalized: the colex-least
     nonzero minor sits at the pivot column set, which echelon form
-    guarantees, and equals 1, which is checked.  So are the count and the
-    distinctness of the resulting points; a failed check raises
-    ArithmeticError.  The points come in the order in which
-    rref_span_matrices(F, ell, m) yields their echelon bases, so zipping
-    the two pairs each point with its basis.
+    guarantees, and equals 1, which is checked.  So are the count of every
+    column set's minors and the distinctness of the resulting points; a
+    failed check raises ArithmeticError.  The points come in the order in
+    which rref_span_matrices(F, ell, m) yields their echelon bases, so
+    zipping the two pairs each point with its basis.
     """
     count = gaussian_binom(m, ell, F.q)
     check_budget(count, f"subspaces for (ell={ell}, m={m}, q={F.q})", budget)
-    picks = [
-        _taker(tuple(t for t in range(m) if mask >> t & 1))
+    minors = [
+        bytes(map(det, repeat(F), rref_span_matrices(F, ell, m, key=_taker(mask))))
         for mask in colex_masks(ell, m)
     ]
-    points = []
-    for mat in rref_span_matrices(F, ell, m):
-        # a minor's columns, taken as rows, have the same determinant
-        columns = tuple(zip(*mat))
-        coords = bytes([det(F, pick(columns)) for pick in picks])
-        if next(filter(None, coords), 0) != 1:
-            raise ArithmeticError("echelon representative not normalized")
-        points.append(coords)
-    if len(points) != count:
-        raise ArithmeticError(f"{len(points)} subspaces enumerated, expected {count}")
+    # zip stops at the shortest column, so a short one must raise first
+    short = set(map(len, minors)) - {count}
+    if short:
+        raise ArithmeticError(f"{min(short)} subspaces enumerated, expected {count}")
+    points = tuple(map(bytes, zip(*minors)))
+    # freed before the distinctness check builds its set, the columns do
+    # not add to the peak
+    del minors
+    # each point's first nonzero minor must be 1
+    if not all(
+        map(bytes.startswith, map(bytes.lstrip, points, repeat(b"\0")), repeat(b"\1"))
+    ):
+        raise ArithmeticError("echelon representative not normalized")
     if len(set(points)) != count:
         raise ArithmeticError("coordinate vectors collide")
-    return tuple(points)
+    return points
 
 
 def check_plucker_relations(F: FieldTable, coords: bytes, ell: int, m: int) -> bool:
@@ -372,9 +389,11 @@ def schubert_code(
     # the subspace budget refuses before any work per column subset
     points = enumerate_grassmannian(F, ell, m, budget=budget)
     positions = schubert_support(alpha, ell, m)
-    allowed = set(positions)
-    # a point's last nonzero byte is its Gale-greatest minor
-    points = [pt for pt in points if len(pt.rstrip(b"\0")) - 1 in allowed]
+    # a point's last nonzero byte is its Gale-greatest minor, so the length
+    # of the point stripped of its zero tail is that minor's position plus 1
+    ends = {pos + 1 for pos in positions}
+    lengths = map(len, map(bytes.rstrip, points, repeat(b"\0")))
+    points = tuple(compress(points, map(ends.__contains__, lengths)))
     return CodeSystem(F, ell, m, alpha, points, positions)
 
 

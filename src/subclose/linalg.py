@@ -10,7 +10,12 @@ tables, in a det frame that creates no closure cells.
 The echelon representatives of all r-subspaces come from
 rref_span_matrices, a chain of one itertools.product per pivot set, and
 row_streams splits such matrices into one iterator per row, so a caller
-can fold whole rows of the enumeration without Python per matrix.
+can fold whole rows of the enumeration without Python per matrix.  Its
+key maps each row option once per pivot set, and both of its callers
+use it: the subcode search keys the rows by their codewords' supports,
+and the Grassmannian enumeration runs one stream per column set, keyed
+by that set's getter, so each basis comes already cut down to the
+columns of one minor.
 """
 
 from __future__ import annotations
@@ -112,20 +117,18 @@ def det(F: FieldTable, rows) -> int:
 def _row_options(F: FieldTable, n: int, key, mask: int) -> list:
     """Each pivot row's options for one pivot column set, mapped by key:
     1 at its pivot, 0 at the other pivots and before its own, and the free
-    entries after it in lexicographic order."""
+    entries after it in lexicographic order.  A row's options are one
+    itertools.product over its columns' choices, so they are built in C:
+    the Grassmannian enumeration asks for them once per column set."""
+    elements = F.elements
     options = []
     for p in (t for t in range(n) if mask >> t & 1):
-        free = [c for c in range(p + 1, n) if not mask >> c & 1]
-        row_options = []
-        for vals in product(F.elements, repeat=len(free)):
-            row = [0] * n
-            row[p] = 1
-            for c, v in zip(free, vals):
-                row[c] = v
-            row_options.append(tuple(row))
-        if key is not None:
-            row_options = list(map(key, row_options))
-        options.append(row_options)
+        choices = [
+            (1,) if c == p else elements if c > p and not mask >> c & 1 else (0,)
+            for c in range(n)
+        ]
+        rows = product(*choices)
+        options.append(list(rows if key is None else map(key, rows)))
     return options
 
 

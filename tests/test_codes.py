@@ -154,24 +154,33 @@ def minor_vectors_reference(F, ell, m):
 
 
 def test_enumeration_matches_the_minor_by_minor_reference(monkeypatch):
-    calls = []
+    calls = [0]
     sane = codes.det
 
     def counted(F, rows):
-        calls.append(rows)
+        calls[0] += 1
         return sane(F, rows)
 
     monkeypatch.setattr(codes, "det", counted)
     cases = [
         (q, ell, m) for q in (2, 3, 4) for m in range(6) for ell in range(m + 1)
-    ]
-    for q, ell, m in cases + [(2, 3, 6)]:
+    ] + [(q, ell, m) for q in (5, 8, 9) for m in range(5) for ell in range(m + 1)]
+    for q, ell, m in cases + [(2, 3, 6), (3, 3, 6)]:
         F = field_from_order(q)
-        calls.clear()
+        calls[0] = 0
         got = list(enumerate_grassmannian(F, ell, m))
         # one det call per point and column set
-        assert len(calls) == len(got) * math.comb(m, ell), (q, ell, m)
+        assert calls[0] == len(got) * math.comb(m, ell), (q, ell, m)
         assert got == minor_vectors_reference(F, ell, m), (q, ell, m)
+
+
+def keyed(bases):
+    # a stand-in for rref_span_matrices yielding the given bases, each row
+    # mapped through the key as the real one maps it
+    def spans(F, r, n, key):
+        return [tuple(map(key, basis)) for basis in bases]
+
+    return spans
 
 
 def test_enumeration_checks_survive_optimization(monkeypatch):
@@ -182,15 +191,34 @@ def test_enumeration_checks_survive_optimization(monkeypatch):
         enumerate_grassmannian(F3, 1, 2)
     monkeypatch.undo()
     bases = list(codes.rref_span_matrices(F3, 2, 4))
-    monkeypatch.setattr(codes, "rref_span_matrices", lambda F, r, n: bases[:-1])
+    monkeypatch.setattr(codes, "rref_span_matrices", keyed(bases[:-1]))
     with pytest.raises(
         ArithmeticError, match="^129 subspaces enumerated, expected 130$"
     ):
         enumerate_grassmannian(F3, 2, 4)
     repeated = bases[:-1] + bases[:1]
-    monkeypatch.setattr(codes, "rref_span_matrices", lambda F, r, n: repeated)
+    monkeypatch.setattr(codes, "rref_span_matrices", keyed(repeated))
     with pytest.raises(ArithmeticError, match="^coordinate vectors collide$"):
         enumerate_grassmannian(F3, 2, 4)
+
+
+def test_enumeration_refuses_one_short_column_set(monkeypatch):
+    # each column set has its own stream of bases; zip would cut every
+    # point's minors to the shortest one, so one short stream must raise
+    bases = list(codes.rref_span_matrices(F3, 2, 4))
+    streams = []
+
+    def spans(F, r, n, key):
+        streams.append(key)
+        kept = bases[:-1] if len(streams) == 3 else bases
+        return [tuple(map(key, basis)) for basis in kept]
+
+    monkeypatch.setattr(codes, "rref_span_matrices", spans)
+    with pytest.raises(
+        ArithmeticError, match="^129 subspaces enumerated, expected 130$"
+    ):
+        enumerate_grassmannian(F3, 2, 4)
+    assert len(streams) == 6
 
 
 def test_budget_error_on_enumeration():

@@ -246,3 +246,21 @@ def test_every_cli_option_is_read():
         if action.dest != "help" and action.dest not in read
     ]
     assert not unread, f"options no handler reads: {', '.join(unread)}"
+
+
+def test_enumeration_has_no_per_point_loop():
+    # enumerate_grassmannian runs one C-level stream per column set; a for
+    # or while statement in it would be Python running per point again
+    (func,) = (
+        node
+        for name, node in package_nodes()
+        if name == "codes.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name == "enumerate_grassmannian"
+    )
+    found = [
+        f"codes.py:{node.lineno}"
+        for node in ast.walk(func)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+    ]
+    assert not found, f"loop statements in enumerate_grassmannian: {', '.join(found)}"
