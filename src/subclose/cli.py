@@ -6,7 +6,12 @@ status.  Every subcommand is deterministic given its parameters: repeated
 runs produce identical bytes.  Exit status 0 means success (for verify:
 every instance inside a proven regime checks out; open-regime verdicts are
 informational), 1 means a check failed or a budget was exceeded, 2 means
-the parameters were invalid.
+the parameters were invalid, or the output could not be written.
+
+Every command is a process of its own and pays for what this module
+loads, so graphs and selftest are imported by the one handler each that
+uses them.  The codes entry points stay names in this module, where
+perfbench's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import argparse
 import math
 import sys
 
-from . import families, gf, graphs, serialize
+from . import families, gf, serialize
 from .codes import (
     DEFAULT_SUBSPACE_BUDGET,
     grassmann_code,
@@ -23,7 +28,6 @@ from .codes import (
     verify_conjecture,
 )
 from .families import BudgetError
-from .selftest import run_selftest
 
 
 class CLIError(Exception):
@@ -73,14 +77,28 @@ def _check_budgets(args) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as e:
-            raise CLIError(f"cannot write {out}: {e.strerror or e}") from None
+    except OSError as e:
+        if out is None:
+            _drop_stdout()
+        target = "stdout" if out is None else out
+        raise CLIError(f"cannot write {target}: {e.strerror or e}") from None
+
+
+def _drop_stdout() -> None:
+    """Close stdout, dropping the text it could not take; the interpreter
+    would otherwise flush it again at exit and report that failure too."""
+    try:
+        sys.stdout.close()
+    except OSError:
+        # closing flushes first, and that flush fails the same way
+        pass
 
 
 def _cmd_kr_table(args) -> tuple[str, bool]:
@@ -101,6 +119,8 @@ def _cmd_kr_table(args) -> tuple[str, bool]:
 
 
 def _cmd_optimal(args) -> tuple[str, bool]:
+    from . import graphs
+
     if args.m < 2:
         raise CLIError(f"need m >= 2, got m={args.m}")
     docs = [
@@ -136,7 +156,9 @@ def _cmd_verify(args) -> tuple[str, bool]:
 
 
 def _cmd_selftest(args) -> tuple[str, bool]:
-    doc = serialize.selftest_report_doc(run_selftest())
+    from . import selftest
+
+    doc = serialize.selftest_report_doc(selftest.run_selftest())
     return serialize.docs_output([doc], args.format, serialize.selftest_text), doc["ok"]
 
 

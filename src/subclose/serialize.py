@@ -9,23 +9,24 @@ document is its fields, laid out by to_json, plus the keys derived from
 them, so no field list is written out here.  The optimal,
 verify and selftest text rows read the same documents, so every fact they
 print has one source; kr-table's rows and CSV read its records.
+
+Every command loads this module, so json, fractions and graphs are
+imported by the functions that use them: only the JSON layouts, the
+schema and the optimal rows pay for them.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
-from importlib.resources import files
-
 from .codes import ConjectureReport
 from .combinat import Record
 from .families import KrRecord, SubsetFamily
-from .graphs import SigmaRecord, is_threshold
 
 SCHEMA_VERSION = "1"
 
 
 def canonical_json(doc: dict) -> str:
+    import json
+
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -42,7 +43,9 @@ def to_json(value):
         return [list(s) for s in value.sets]
     if isinstance(value, Record):
         return {name: to_json(getattr(value, name)) for name in value._fields}
-    if isinstance(value, Fraction):
+    # a fraction, recognised without importing fractions; an int has a
+    # numerator and denominator too
+    if not isinstance(value, int) and hasattr(value, "denominator"):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, tuple):
         return [to_json(x) for x in value]
@@ -59,9 +62,12 @@ def kr_record_doc(rec: KrRecord) -> dict:
     return record_doc("kr_record", rec)
 
 
-def sigma_record_doc(rec: SigmaRecord) -> dict:
-    """A sigma_record, with the maximizer's threshold flag and whether each
-    bound is tight (None where the bound does not apply)."""
+def sigma_record_doc(rec: Record) -> dict:
+    """A sigma_record from a graphs.SigmaRecord, with the maximizer's
+    threshold flag and whether each bound is tight (None where the bound
+    does not apply)."""
+    from .graphs import is_threshold
+
     top = rec.sigma_max
     return record_doc(
         "sigma_record",
@@ -135,6 +141,8 @@ def docs_output(docs, fmt: str, text) -> str:
 def sigma_text(doc: dict) -> str:
     """An optimal row: the maximum, its witness graph and the bounds that
     apply, each marked where it is tight."""
+    from fractions import Fraction
+
     edges = ",".join(f"{u}-{v}" for u, v in doc["maximizer"]["edges"]) or "-"
     de_caen = doc["de_caen_bound"]
     bounds = {
@@ -180,6 +188,9 @@ def selftest_text(doc: dict) -> str:
 
 
 def load_schema() -> dict:
+    import json
+    from importlib.resources import files
+
     text = (files("subclose") / "schema" / "output.schema.json").read_text()
     return json.loads(text)
 

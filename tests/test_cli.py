@@ -1,13 +1,16 @@
 """End-to-end tests of the command line front end."""
 
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 import subclose.cli as cli
-from subclose import codes, families, graphs
+from subclose import codes, families, graphs, selftest
 from subclose.serialize import validate_doc
 
 
@@ -256,6 +259,44 @@ def test_out_unwritable_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_unwritable_exits_2(capsys, monkeypatch):
+    full = FullStdout()
+    monkeypatch.setattr(sys, "stdout", full)
+    code = cli.main(["kr-table", "--ell", "2", "--m", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write stdout: No space left on device\n"
+    # closed, so the interpreter does not flush the dropped text at exit
+    assert full.closed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_2_without_a_traceback():
+    # buffered stdout, as outside a test run: the failed text would be
+    # flushed again at exit, reported as "Exception ignored" and exit 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "subclose.cli", "kr-table", "--ell", "2",
+             "--m", "5"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        2,
+        "error: cannot write stdout: No space left on device\n",
+    )
+
+
 # ----------------------------------------------------------------- optimal
 
 def test_optimal_golden_line(capsys):
@@ -476,7 +517,7 @@ def test_selftest_json_document(capsys):
 
 def test_selftest_reports_failures(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli,
+        selftest,
         "run_selftest",
         lambda: [("boom", False, "KeyError: 3"), ("fine", True, None)],
     )

@@ -52,10 +52,33 @@ def loaded_modules(code: str) -> set[str]:
 
 def test_cli_start_up_skips_dataclasses():
     # every command is its own process: dataclasses pulls in inspect, ast,
-    # dis and tokenize, and each decorated class execs its methods again
-    added = loaded_modules("import subclose.cli") - loaded_modules("pass")
+    # dis and tokenize, and each decorated class execs its methods again;
+    # graphs and selftest load only for their commands, so they are
+    # imported here to keep every package module under the guard
+    added = loaded_modules(
+        "import subclose.cli, subclose.graphs, subclose.selftest"
+    ) - loaded_modules("pass")
     assert "subclose.codes" in added
     assert "dataclasses" not in added
+
+
+def test_cli_start_up_loads_only_the_shared_layers():
+    # every command pays for what building the parser loads; graphs (and
+    # through it fractions, decimal and numbers) serve only optimal, json
+    # only the JSON layouts, selftest only its command
+    added = loaded_modules(
+        "import subclose.cli; subclose.cli.build_parser()"
+    ) - loaded_modules("import argparse")
+    assert "subclose.codes" in added
+    unwanted = {
+        "fractions",
+        "decimal",
+        "numbers",
+        "json",
+        "subclose.graphs",
+        "subclose.selftest",
+    }
+    assert not added & unwanted, f"loaded at start-up: {sorted(added & unwanted)}"
 
 
 def test_det_holds_no_closure_cells():

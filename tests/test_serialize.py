@@ -64,6 +64,9 @@ def test_to_jsonl_round_trips():
 
 def test_leaf_converters():
     assert to_json(Fraction(20, 3)) == {"num": 20, "den": 3}
+    assert to_json(Fraction(6)) == {"num": 6, "den": 1}
+    # ints and bools have a numerator and denominator too, but stay numbers
+    assert to_json(6) == 6 and to_json(True) is True
     assert to_json(None) is None
     fam = family(2, 5, [(4, 5), (1, 2)])
     assert to_json(fam) == [[1, 2], [4, 5]]
