@@ -76,6 +76,13 @@ def _check_budgets(args) -> None:
             raise CLIError(f"{flag} must be at least 0, got {budget}")
 
 
+def _out_file(path: str) -> str:
+    """--out's type: an empty name is refused while parsing, before any work."""
+    if not path:
+        raise argparse.ArgumentTypeError("needs a file name, got ''")
+    return path
+
+
 def _emit(text: str, out: str | None) -> None:
     try:
         if out is None:
@@ -173,7 +180,9 @@ def _add_shared(parser, func, formats, default="table", search=True) -> None:
             metavar="N",
             help="largest candidate-family count the search may enumerate",
         )
-    parser.add_argument("--out", metavar="FILE", help="write to FILE instead of stdout")
+    parser.add_argument(
+        "--out", type=_out_file, metavar="FILE", help="write to FILE instead of stdout"
+    )
     parser.set_defaults(func=func)
 
 

@@ -33,7 +33,9 @@ coordinate subspaces cut out by size-r families of column subsets, with the
 families ranging over those attaining the global pairwise intersection
 maximum.  The points on the section through some generator rows are those
 off the union of the rows' supports, so a section is counted by ORing
-generator-row masks.
+generator-row masks.  Which families attain the maximum is decided in
+families alone: the harness keeps the listed maximizers within the row
+labels.
 """
 
 from __future__ import annotations
@@ -43,15 +45,9 @@ from functools import cached_property, partial, reduce
 from itertools import combinations, compress, repeat
 from operator import itemgetter, or_
 
-from .combinat import Record, colex_masks, gaussian_binom, set_of
+from .combinat import Record, colex_masks, gaussian_binom, mask_of, set_of
 from . import families
-from .families import (
-    DEFAULT_FAMILY_BUDGET,
-    SubsetFamily,
-    check_budget,
-    close_size_cap,
-    k_lambda,
-)
+from .families import DEFAULT_FAMILY_BUDGET, check_budget, close_size_cap, k_lambda
 from .gf import FieldTable
 from .linalg import Matrix, det, mat_rank, rref_span_matrices, row_streams
 
@@ -497,7 +493,13 @@ def verify_conjecture(
     subcode_budget: int = DEFAULT_SUBSPACE_BUDGET,
 ) -> ConjectureReport:
     """Compare d_r with n minus the largest section over intersection-maximal
-    row families; the system's parameters come from the code."""
+    row families; the system's parameters come from the code.
+
+    Those families are the ones families.maximizer_families lists within
+    the row labels, and the witness is the least (union size, sorted row
+    indices) among them: the lex-first family of rows reaching the least
+    union, whatever the order of row_positions.
+    """
     ell, m, alpha = code.ell, code.m, code.alpha
     labels = code.row_labels
     n_rows = len(labels)
@@ -511,40 +513,35 @@ def verify_conjecture(
     d_r = higher_weight(code, r, budget=subcode_budget)
     # looked up on the module, so a wrapper around families.k_r sees the call
     target = families.k_r(ell, m, r, budget=family_budget).value
-    every = colex_masks(ell, m)
-    masks = [every[pos] for pos in code.row_positions]
     rows = code.row_masks
-    # smallest union of row supports over all families, and over maximal
-    # ones; the first (lex-least) family to reach the latter is the witness
-    least_any = least_sub = code.n + 1
-    witness = None
-    for combo in combinations(range(n_rows), r):
-        support = 0
-        for i in combo:
-            support |= rows[i]
-        size = support.bit_count()
-        if size < least_any:
-            least_any = size
-        if size < least_sub and k_lambda(
-            SubsetFamily(ell, m, tuple(masks[i] for i in combo))
-        ) == target:
-            least_sub = size
-            witness = tuple(labels[i] for i in combo)
+    unions = map(partial(reduce, or_), combinations(rows, r))
+    least_any = min(map(int.bit_count, unions))
+    # the listing keeps its default budget: the gate above charges the row
+    # families, and on a middle row k_r charged C(k, r), which bounds it
+    listed = families.maximizer_families(ell, m, r)
+    if k_lambda(listed[0]) != target:
+        raise ArithmeticError(f"maximizer listing misses K_r = {target} at r={r}")
+    row_of = {mask_of(label): i for i, label in enumerate(labels)}
+    within = (
+        tuple(sorted(map(row_of.__getitem__, fam.members)))
+        for fam in listed
+        if all(map(row_of.__contains__, fam.members))
+    )
+    least_sub, witness = min(
+        ((reduce(or_, map(rows.__getitem__, i)).bit_count(), i) for i in within),
+        default=(None, None),
+    )
     if witness is None:
         verdict = "no_subclose"
-        rhs_sub = None
     else:
-        rhs_sub = least_sub
-        if d_r == rhs_sub:
+        witness = tuple(labels[i] for i in witness)
+        if d_r == least_sub:
             verdict = "equal"
-        elif d_r < rhs_sub:
+        elif d_r < least_sub:
             verdict = "lhs_less"
         else:
             verdict = "lhs_greater"
-    if alpha is None:
-        proven = r <= close_size_cap(ell, m)
-    else:
-        proven = r == 1
+    proven = r <= close_size_cap(ell, m) if alpha is None else r == 1
     return ConjectureReport(
         ell,
         m,
@@ -555,7 +552,7 @@ def verify_conjecture(
         code.kdim,
         d_r,
         target,
-        rhs_sub,
+        least_sub,
         least_any,
         verdict,
         witness,

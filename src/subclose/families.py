@@ -59,7 +59,7 @@ _COUNT_CAP = 1 << 22
 
 # k_r_oracle's walk recurses once per member, and Python stops at 1000
 # frames by default: a deeper walk is refused up front, leaving room for its
-# callers; auto k_r and maximizer_families refuse the same rows
+# callers; auto k_r refuses the same rows
 _WALK_DEPTH_CAP = 900
 
 
@@ -510,14 +510,20 @@ def _relabelings(degrees) -> list[tuple[int, ...]]:
     return news
 
 
-def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
-    """The colex masks of the ell-subsets, once r passes the range check,
-    the walk's depth cap and the candidate budget.  The cap comes first:
-    on a large lattice C(k, r) alone takes seconds once r nears 10^5."""
+def _check_range(ell: int, m: int, r: int) -> int:
+    """k = C(m, ell), once the ground set and 0 <= r <= k check out."""
     check_ground_set(ell, m)
     k = math.comb(m, ell)
     if not 0 <= r <= k:
         raise ValueError(f"r={r} outside 0..{k} for (ell={ell}, m={m})")
+    return k
+
+
+def _checked_masks(ell: int, m: int, r: int, budget: int) -> tuple[int, ...]:
+    """The colex masks of the ell-subsets, once r passes the range check,
+    the walk's depth cap and the candidate budget.  The cap comes first:
+    on a large lattice C(k, r) alone takes seconds once r nears 10^5."""
+    k = _check_range(ell, m, r)
     what = f"for (ell={ell}, m={m}, r={r})"
     check_budget(r, f"walk levels {what}", _WALK_DEPTH_CAP)
     check_budget(math.comb(k, r), f"candidate families {what}", budget)
@@ -576,18 +582,21 @@ def maximizer_families(
     """Every family attaining K_r, in colex order: the distinct
     relabelings of the shifted maximizers.
 
-    A listing whose length is not the sum of their orbit sizes, or a
-    family whose K is not K_r, raises ArithmeticError.  The budget and the
-    depth cap are k_r_oracle's, so both refuse the same rows.
+    The listing walks nothing, so its budget is charged in the families
+    it lists: the sum of the shifted maximizers' orbit sizes, refused
+    before any relabeling is built.  A listing whose length is not that
+    sum, or a family whose K is not K_r, raises ArithmeticError.
     """
-    masks = _checked_masks(ell, m, r, budget)
+    _check_range(ell, m, r)
+    masks = colex_masks(ell, m)
     value, shifted = _shifted_maximizers(masks, m, r)
+    orbits = sum(_orbit_size(degrees) for _, degrees in shifted)
+    check_budget(orbits, f"maximizer families for (ell={ell}, m={m}, r={r})", budget)
     listed = set()
     for ideal, degrees in shifted:
         members = [set_of(a) for j, a in enumerate(masks) if ideal >> j & 1]
         for new in _relabelings(degrees):
             listed.add(tuple(sorted(sum(1 << new[x - 1] for x in a) for a in members)))
-    orbits = sum(_orbit_size(degrees) for _, degrees in shifted)
     if len(listed) != orbits:
         raise ArithmeticError(
             f"{len(listed)} relabelings of the shifted maximizers, not their "

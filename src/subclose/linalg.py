@@ -1,11 +1,11 @@
 """Exact linear algebra over the small finite fields.
 
 Matrices are tuples of row tuples of field elements (ints).  One forward
-Gaussian elimination, _eliminate, serves rank, RREF and every determinant
-past 3 x 3: rref finishes it with a back-substitution pass, and a
-determinant is its signed pivot product.  Determinants of 2 x 2 and 3 x 3
-matrices, one per Schubert minor, are cofactor expansions over the field
-tables, in a det frame that creates no closure cells.
+Gaussian elimination, _eliminate, serves rank and every determinant past
+3 x 3: the rank is its pivot count, and a determinant is its signed pivot
+product.  Determinants of 2 x 2 and 3 x 3 matrices, one per Schubert
+minor, are cofactor expansions over the field tables, in a det frame that
+creates no closure cells.
 
 The echelon representatives of all r-subspaces come from
 rref_span_matrices, a chain of one itertools.product per pivot set, and
@@ -59,24 +59,8 @@ def _eliminate(F: FieldTable, rows) -> tuple[list[list[int]], list[int], int]:
     return mat, pivots, signed
 
 
-def rref(F: FieldTable, rows) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and its pivot columns (0-based):
-    elimination, then each pivot row scaled to 1 and cleared above."""
-    add, mul, neg = F.add, F.mul, F.neg
-    mat, pivots, _ = _eliminate(F, rows)
-    for rank in range(len(pivots) - 1, -1, -1):
-        col = pivots[rank]
-        scale = mul[F.inv[mat[rank][col]]]
-        top = mat[rank] = [scale[x] for x in mat[rank]]
-        for i in range(rank):
-            if mat[i][col] != 0:
-                minus_c = mul[neg[mat[i][col]]]
-                mat[i] = [add[x][minus_c[y]] for x, y in zip(mat[i], top)]
-    return tuple(map(tuple, mat)), tuple(pivots)
-
-
 def mat_rank(F: FieldTable, rows) -> int:
-    return len(rref(F, rows)[1])
+    return len(_eliminate(F, rows)[1])
 
 
 def det(F: FieldTable, rows) -> int:

@@ -259,6 +259,18 @@ def test_out_unwritable_exits_2(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_empty_out_is_a_parse_error_before_any_work(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise RuntimeError("the table was computed before --out was checked")
+
+    monkeypatch.setattr(cli, "_cmd_kr_table", refused)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kr-table", "--ell", "2", "--m", "4", "--out", ""])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --out: needs a file name, got ''\n")
+
+
 class FullStdout(io.StringIO):
     """A stdout on a full disk: every write fails with ENOSPC."""
 

@@ -823,12 +823,20 @@ def conjecture_reference(code, r, d_r):
         (2, 2, 4, (2, 3), None),
         (2, 2, 4, (2, 4), None),
         (3, 2, 5, (2, 5), 2),
+        (2, 3, 5, (1, 4, 5), None),
+        (2, 3, 6, (2, 3, 6), 3),
+        # the rows in reverse colex order: the witness is still the family
+        # whose row indices come first, not the colex-first listed family
+        pytest.param(2, 2, 4, "reversed", None, id="2-2-4-reversed-None"),
     ],
 )
 def test_conjecture_scan_matches_the_point_by_point_reference(q, ell, m, alpha, top):
     F = field_from_order(q)
     if alpha is None:
         code = grassmann_code(F, ell, m)
+    elif alpha == "reversed":
+        code = grassmann_code(F, ell, m)
+        code = CodeSystem(F, ell, m, None, code.points, code.row_positions[::-1])
     else:
         code = schubert_code(F, alpha, ell, m)
     for r in range(1, (top or code.kdim) + 1):
@@ -840,6 +848,14 @@ def test_conjecture_scan_matches_the_point_by_point_reference(q, ell, m, alpha, 
             rep.witness_lambda,
         )
         assert got == conjecture_reference(code, r, rep.d_r), (q, alpha, r)
+
+
+def test_conjecture_listing_is_not_charged_to_the_row_family_budget():
+    # C(3, 2) = 3 row families fit the budget; the 12 maximizers of K_2(2, 4)
+    # that the listing holds are not charged to it
+    code = schubert_code(F2, (1, 4), 2, 4)
+    rep = verify_conjecture(code, 2, family_budget=3)
+    assert (rep.witness_lambda, rep.rhs_subclose) == (((1, 2), (1, 3)), 6)
 
 
 def test_conjecture_validation_and_budget():

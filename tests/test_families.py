@@ -780,7 +780,20 @@ def test_walk_depth_is_capped(monkeypatch):
     monkeypatch.setattr(families, "_WALK_DEPTH_CAP", 3)
     assert k_r_oracle(2, 5, 3).value == 3
     with pytest.raises(BudgetError, match=r"^4 walk levels "):
-        maximizer_families(2, 5, 4)
+        k_r_oracle(2, 5, 4)
+
+
+def test_maximizer_listing_is_charged_the_families_it_lists():
+    # (3, 6) has 360 maximizers at r = 7; the listing walks nothing, so
+    # neither C(20, 7) nor the depth cap refuses it
+    with pytest.raises(
+        BudgetError,
+        match=r"^360 maximizer families for \(ell=3, m=6, r=7\) exceed budget 359$",
+    ):
+        maximizer_families(3, 6, 7, budget=359)
+    assert len(maximizer_families(3, 6, 7, budget=360)) == 360
+    # C(45, 8) = 215553195 candidates, but only 90 maximizers
+    assert len(maximizer_families(2, 10, 8)) == 90
 
 
 def test_budget_is_checked_on_every_call():

@@ -287,3 +287,36 @@ def test_enumeration_has_no_per_point_loop():
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
     ]
     assert not found, f"loop statements in enumerate_grassmannian: {', '.join(found)}"
+
+
+def test_codes_leaves_maximality_to_families():
+    # families decides which families reach K_r, and codes takes them from
+    # its maximizer listing; a SubsetFamily or k_lambda inside a loop, a
+    # comprehension or a lambda, or k_lambda handed to map, would test the
+    # row families one by one in codes again
+    tree = ast.parse((PACKAGE / "codes.py").read_text(encoding="utf-8"))
+    loops = (
+        ast.For,
+        ast.AsyncFor,
+        ast.While,
+        ast.ListComp,
+        ast.SetComp,
+        ast.DictComp,
+        ast.GeneratorExp,
+        ast.Lambda,
+    )
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    inside = {
+        id(name)
+        for loop in ast.walk(tree)
+        if isinstance(loop, loops)
+        for name in ast.walk(loop)
+    }
+    found = sorted(
+        f"codes.py:{node.lineno} {node.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and node.id in ("SubsetFamily", "k_lambda")
+        and (id(node) in inside or id(node) not in called)
+    )
+    assert not found, f"per-family maximality tests in codes: {', '.join(found)}"

@@ -28,9 +28,10 @@ def test_suite_catches_a_wrong_closed_form(monkeypatch, replace):
 
 
 def test_suite_catches_a_wrong_shifted_value(monkeypatch):
-    # every auto middle row, every optimal graph and every maximizer listing
-    # reads the shifted families, so one below K_r fails each check that
-    # takes one: the recount of the witness, a true maximizer, refutes it
+    # every auto middle row, every optimal graph and every maximizer listing,
+    # the conjecture scan's included, reads the shifted families, so one
+    # below K_r fails each check that takes one: the recount of the
+    # witness, a true maximizer, refutes it
     check = dict(CHECKS)["shifted-vs-oracle-3-7"]
     assert check()
     sane = families._shifted_maximizers
@@ -51,6 +52,7 @@ def test_suite_catches_a_wrong_shifted_value(monkeypatch):
         "close-families",
         "shifted-vs-oracle-3-7",
         "serialization",
+        "conjecture-proven-cases",
     }
 
 
