@@ -18,6 +18,11 @@ slice of the points joined end to end, and a Schubert point is told by the
 position of its last nonzero minor alone (Gale 1968), so no step past the
 minors themselves reads a point one coordinate at a time.
 
+A Schubert code enumerates only the subspaces that can lie on its
+subvariety, the points of a smaller Grassmannian that every point of the
+subvariety reduces to, and lifts the kept ones back to the minors of
+G(ell, m) column by column, in the same strided slices.
+
 Higher weights d_r are computed by exhausting rank-r subcodes.  The support
 of a subcode is the union of the supports of any basis.  A support table
 maps each normalized message to its codeword's support; the enumeration
@@ -373,23 +378,52 @@ def schubert_code(
     coordinates vanish outside the allowed positions, the column subsets
     dominated entrywise by alpha.
 
-    That down-set needs only one minor per point.  A point's nonzero
-    minors are the bases of the matroid of its basis's columns, and by
-    Gale's greedy theorem (D. Gale, Optimal assignments in an ordered set,
-    1968) one of them dominates every other entrywise.  Colex order
-    extends the entrywise order, so that one is the last nonzero minor,
-    and the point lies on the subvariety exactly when its position is
-    allowed.  The whole Grassmannian is still enumerated and filtered.
+    Only the subspaces that can lie on the subvariety are enumerated
+    (Ghorpade and Tsfasman, Schubert varieties, linear codes and
+    enumerative combinatorics, 2005).  With E_i the span of the first i
+    unit vectors, every W on it meets E_top, top = alpha_ell, in dimension
+    ell, so W lies in E_top; and when alpha opens with the run 1..j, W
+    contains E_j.  Such a W is E_j plus a subspace W' of the coordinates
+    j+1..top, and its minor at a column set T is the minor of W' at
+    T >> j when T holds 1..j and lies in 1..top, and 0 otherwise.  So
+    G(ell - j, top - j) is enumerated, the subspace budget counts its
+    points, and the kept points are lifted back one coordinate column at
+    a time, the missing columns zero; when j = 0 and top = m the lift is
+    the identity.
+
+    The down-set needs only one minor per point.  A point's nonzero minors
+    are the bases of the matroid of its basis's columns, and by Gale's
+    greedy theorem (D. Gale, Optimal assignments in an ordered set, 1968)
+    one of them dominates every other entrywise.  Colex order extends the
+    entrywise order, so that one is the last nonzero minor, and the point
+    lies on the subvariety exactly when its position is allowed.  S -> (S
+    << j) | (2^j - 1) keeps colex order, so the test runs on the points of
+    the smaller Grassmannian unchanged.
     """
     alpha = validate_alpha(alpha, ell, m)
+    j = next((i for i, a in enumerate(alpha) if a != i + 1), ell)
+    top = alpha[-1] if alpha else 0
     # the subspace budget refuses before any work per column subset
-    points = enumerate_grassmannian(F, ell, m, budget=budget)
+    small = enumerate_grassmannian(F, ell - j, top - j, budget=budget)
     positions = schubert_support(alpha, ell, m)
+    # the position among the small minors of each column set that holds
+    # 1..j and lies in 1..top, keyed by its mask
+    lead = (1 << j) - 1
+    lifted = {
+        s << j | lead: i for i, s in enumerate(colex_masks(ell - j, top - j))
+    }
+    masks = colex_masks(ell, m)
     # a point's last nonzero byte is its Gale-greatest minor, so the length
     # of the point stripped of its zero tail is that minor's position plus 1
-    ends = {pos + 1 for pos in positions}
-    lengths = map(len, map(bytes.rstrip, points, repeat(b"\0")))
-    points = tuple(compress(points, map(ends.__contains__, lengths)))
+    ends = {lifted[masks[pos]] + 1 for pos in positions}
+    lengths = map(len, map(bytes.rstrip, small, repeat(b"\0")))
+    kept = tuple(compress(small, map(ends.__contains__, lengths)))
+    # one column per small minor, and a zero column for every other set
+    width = len(lifted)
+    joined = b"".join(kept)
+    columns = [joined[i::width] for i in range(width)] + [bytes(len(kept))]
+    picked = (columns[lifted.get(mask, width)] for mask in masks)
+    points = tuple(map(bytes, zip(*picked)))
     return CodeSystem(F, ell, m, alpha, points, positions)
 
 

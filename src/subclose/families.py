@@ -584,8 +584,10 @@ def maximizer_families(
 
     The listing walks nothing, so its budget is charged in the families
     it lists: the sum of the shifted maximizers' orbit sizes, refused
-    before any relabeling is built.  A listing whose length is not that
-    sum, or a family whose K is not K_r, raises ArithmeticError.
+    before any relabeling is built.  Each shifted maximizer is checked
+    once (see _check_witness), since relabeling keeps K and shiftedness
+    up to the order of the points; a failed check, or a listing whose
+    length is not that sum, raises ArithmeticError.
     """
     _check_range(ell, m, r)
     masks = colex_masks(ell, m)
@@ -594,7 +596,9 @@ def maximizer_families(
     check_budget(orbits, f"maximizer families for (ell={ell}, m={m}, r={r})", budget)
     listed = set()
     for ideal, degrees in shifted:
-        members = [set_of(a) for j, a in enumerate(masks) if ideal >> j & 1]
+        chosen = [a for j, a in enumerate(masks) if ideal >> j & 1]
+        _check_witness(SubsetFamily(ell, m, tuple(chosen)), value)
+        members = list(map(set_of, chosen))
         for new in _relabelings(degrees):
             listed.add(tuple(sorted(sum(1 << new[x - 1] for x in a) for a in members)))
     if len(listed) != orbits:
@@ -602,10 +606,7 @@ def maximizer_families(
             f"{len(listed)} relabelings of the shifted maximizers, not their "
             f"orbit sum {orbits}, at (ell={ell}, m={m}, r={r})"
         )
-    fams = tuple(SubsetFamily(ell, m, members) for members in sorted(listed))
-    for fam in fams:
-        _check_witness(fam, value)
-    return fams
+    return tuple(SubsetFamily(ell, m, members) for members in sorted(listed))
 
 
 def k_r(

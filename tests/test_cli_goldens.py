@@ -30,6 +30,12 @@ exhaustive search took about 15 s to sweep.  It was recorded from that
 search, so it checks that the shifted-family route, which answers it in
 well under a second, gives the same maxima and the same witnesses.
 
+The verify case on G(3, 7) over F3 with alpha = (1, 2, 7) was recorded
+while Schubert codes still filtered the whole Grassmannian, 925,771
+subspaces and about 16 s.  Every point of that subvariety contains E_2, so
+it is now enumerated in G(1, 5), and the case checks that the lift back to
+the minors of G(3, 7) gives the same code.
+
 The benchmark's own goldens, perfbench/goldens.json, are read here too and
 checked in process, so an output drift on a benchmark command fails this
 suite and not only the benchmark.
@@ -98,6 +104,8 @@ GOLDENS = [
      "e4d32af3f79a21c51ec8d4a2379d0c41c3f55700f08e78ed08bcc3ec500fd384"),
     ("verify --ell 2 --m 6 --q 2 --r 15", 0,
      "6e26a3274580aa6eff4bed984dec188889f98032406024f6ea23193218b0fcae"),
+    ("verify --ell 3 --m 7 --q 3 --alpha 1,2,7 --r 1", 0,
+     "3ec601a4bd9ab350917f0a5e7755dae8292102146f724b4b89b62a467b04fdfa"),
     ("verify --ell 2 --m 5 --q 2 --budget-subspaces 100", 1,
      EMPTY),
     ("verify --ell 2 --m 4 --q 2 --alpha 3,2", 2,

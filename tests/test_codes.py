@@ -269,11 +269,12 @@ def test_a_point_costs_under_64_bytes():
 
 
 def test_schubert_code_peak_memory():
-    # the whole Grassmannian is held while it is filtered; as tuples of
-    # ints this peaked at 2.37 MB
+    # alpha = (2, 6) neither opens with 1 nor stops short of m, so the whole
+    # of G(2, 6) is held while it is filtered; as tuples of ints this
+    # peaked at 2.37 MB
     tracemalloc.start()
     try:
-        schubert_code(F3, (1, 6), 2, 6)
+        schubert_code(F3, (2, 6), 2, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,6 +382,79 @@ def test_membership_flag_agrees_with_vanishing(q, ell, m):
             if by_flag:
                 kept.append(pt)
         assert schubert_code(F, alpha, ell, m).points == tuple(kept), alpha
+
+
+def whole_grassmannian_schubert_points(every, alpha, ell, m):
+    # reference: every point of G(ell, m), kept when its last nonzero minor
+    # is at an allowed position
+    ends = {pos + 1 for pos in schubert_support(alpha, ell, m)}
+    return tuple(pt for pt in every if len(pt.rstrip(b"\0")) in ends)
+
+
+REDUCTION_LATTICES = [
+    (q, ell, m) for q in (2, 3) for m in range(7) for ell in range(min(m, 3) + 1)
+] + [(4, ell, m) for m in range(5) for ell in range(m + 1)]
+
+
+@pytest.mark.parametrize("q, ell, m", REDUCTION_LATTICES)
+def test_schubert_code_matches_the_whole_grassmannian_filter(q, ell, m):
+    # every alpha, so those opening with 1 (j > 0), those ending below m,
+    # alpha = (1..ell) with its one point, and the one empty alpha at
+    # ell = 0: the same points in the same order, the same rows
+    F = field_from_order(q)
+    every = enumerate_grassmannian(F, ell, m)
+    for alpha in combinations(range(1, m + 1), ell):
+        code = schubert_code(F, alpha, ell, m)
+        assert code.points == whole_grassmannian_schubert_points(every, alpha, ell, m)
+        assert code.row_positions == schubert_support(alpha, ell, m)
+
+
+@pytest.mark.parametrize(
+    "alpha, ell, m, small",
+    [
+        ((1, 2, 5), 3, 6, (1, 3)),
+        ((1, 3, 5), 3, 6, (2, 4)),
+        ((2, 4), 2, 5, (2, 4)),
+        ((2, 5), 2, 5, (2, 5)),
+        ((1, 2), 2, 4, (0, 0)),
+        ((), 0, 3, (0, 0)),
+    ],
+)
+def test_schubert_code_enumerates_one_smaller_grassmannian(
+    monkeypatch, alpha, ell, m, small
+):
+    # G(ell - j, top - j): j the leading run 1..j of alpha, top its last
+    # entry
+    calls = []
+    sane = codes.enumerate_grassmannian
+
+    def counted(F, ell, m, **kwargs):
+        calls.append((ell, m))
+        return sane(F, ell, m, **kwargs)
+
+    monkeypatch.setattr(codes, "enumerate_grassmannian", counted)
+    schubert_code(F3, alpha, ell, m)
+    assert calls == [small]
+
+
+def test_schubert_budget_counts_the_smaller_grassmannian():
+    # alpha = (1, 3, 5) in G(3, 6) is enumerated in G(2, 4): [4, 2]_3 = 130
+    assert gaussian_binom(4, 2, 3) == 130
+    assert schubert_code(F3, (1, 3, 5), 3, 6, budget=130).n == 49
+    with pytest.raises(
+        BudgetError, match=r"^130 subspaces for \(ell=2, m=4, q=3\) exceed budget 129$"
+    ):
+        schubert_code(F3, (1, 3, 5), 3, 6, budget=129)
+
+
+def test_a_reducible_alpha_past_the_budget_still_refuses(capsys):
+    # alpha opens with 1 and ends at m, so only E_1 is split off: G(5, 29)
+    # over F2 is still far past the default budget
+    argv = "verify --ell 6 --m 30 --q 2 --alpha 1,26,27,28,29,30".split()
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "subspaces for (ell=5, m=29, q=2) exceed budget" in err
 
 
 # ------------------------------------------------------------------- codes

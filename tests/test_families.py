@@ -538,6 +538,52 @@ def test_a_listed_family_that_is_not_an_ideal_is_refused(monkeypatch):
         k_r(2, 8, 9)
 
 
+def test_the_listing_checks_each_shifted_maximizer_once(monkeypatch):
+    # (3, 6) has 360 maximizers at r = 7, the relabelings of four shifted
+    # maximizers; relabeling keeps what the check reads, so only the four
+    # are checked
+    checked = []
+    sane = families._check_witness
+
+    def counted(fam, value):
+        checked.append(fam)
+        sane(fam, value)
+
+    monkeypatch.setattr(families, "_check_witness", counted)
+    listed = maximizer_families(3, 6, 7)
+    assert len(listed) == 360
+    assert len(checked) == 4 and set(checked) <= set(listed)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_the_listing_refuses_a_doctored_shifted_value(monkeypatch, shift):
+    # the shifted maximizers of (3, 6, 7) have K = 36; one more or one
+    # less fails the check of the first, before any relabeling is built
+    shifted_off_by(monkeypatch, shift)
+    with pytest.raises(
+        ArithmeticError,
+        match=rf"^witness for \(ell=3, m=6, r=7\) has K=36, not the claimed "
+        rf"maximum {36 + shift}$",
+    ):
+        maximizer_families(3, 6, 7)
+
+
+def test_the_listing_refuses_a_shifted_maximizer_that_is_not_an_ideal(
+    monkeypatch,
+):
+    # the K_4 plus path of the test above, listed as the one shifted
+    # maximizer of (2, 8, 9) with its own K = 14
+    masks = colex_masks(2, 8)
+    edges = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (5, 6), (6, 7), (7, 8)]
+    ideal = sum(1 << masks.index(mask_of(e)) for e in edges)
+    listed = (14, [(ideal, (3, 3, 3, 3, 1, 2, 2, 1))])
+    monkeypatch.setattr(families, "_shifted_maximizers", lambda masks, m, r: listed)
+    with pytest.raises(
+        ArithmeticError, match=r"^witness for \(ell=2, m=8, r=9\) is not shifted "
+    ):
+        maximizer_families(2, 8, 9)
+
+
 def test_a_wrong_orbit_size_is_refused(monkeypatch):
     # (3, 6) has 360 maximizers at r = 7, the relabelings of four shifted
     # maximizers; orbit sizes each one too large no longer match the listing
