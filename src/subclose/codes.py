@@ -389,7 +389,9 @@ def schubert_code(
     G(ell - j, top - j) is enumerated, the subspace budget counts its
     points, and the kept points are lifted back one coordinate column at
     a time, the missing columns zero; when j = 0 and top = m the lift is
-    the identity.
+    the identity.  The budget also counts the C(m, ell) coordinates, which
+    the support and each lifted point run over whatever the smaller
+    Grassmannian; a refusal names whichever count is past it.
 
     The down-set needs only one minor per point.  A point's nonzero minors
     are the bases of the matroid of its basis's columns, and by Gale's
@@ -403,7 +405,12 @@ def schubert_code(
     alpha = validate_alpha(alpha, ell, m)
     j = next((i for i, a in enumerate(alpha) if a != i + 1), ell)
     top = alpha[-1] if alpha else 0
-    # the subspace budget refuses before any work per column subset
+    # the budget refuses before any work per column subset: the subspaces
+    # enumerated, and the C(m, ell) coordinates that the support, the
+    # masks and each lifted point run over
+    check_budget(
+        math.comb(m, ell), f"minor coordinates for (ell={ell}, m={m})", budget
+    )
     small = enumerate_grassmannian(F, ell - j, top - j, budget=budget)
     positions = schubert_support(alpha, ell, m)
     # the position among the small minors of each column set that holds
