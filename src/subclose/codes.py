@@ -23,15 +23,18 @@ subvariety, the points of a smaller Grassmannian that every point of the
 subvariety reduces to, and lifts the kept ones back to the minors of
 G(ell, m) column by column, in the same strided slices.
 
-Higher weights d_r are computed by exhausting rank-r subcodes.  The support
-of a subcode is the union of the supports of any basis.  A support table
-maps each normalized message to its codeword's support; the enumeration
-hands each basis over as its rows' table entries, looked up once per row
-option.  Those bases are split into one stream per basis row and the
-streams are ORed pairwise by map, so each subcode costs r - 1 ORs and one
-bit count inside C-level iterators, with no Python call per basis.  The
-table belongs to the code: it is built once, on first use, and every rank
-r shares it.
+Higher weights d_r are the least support size over rank-r subcodes, found
+by exhausting them, or, for a code whose points the Frobenius map x -> x^p
+permutes (every code built here over GF(p^e), e > 1), by exhausting one
+subcode or a few per Frobenius orbit: the map keeps support sizes, so the
+minimum is the same.  The support of a subcode is the union of the
+supports of any basis.  A support table maps each normalized message to
+its codeword's support; the enumeration hands each basis over as its
+rows' table entries, looked up once per row option.  Those bases are
+split into one stream per basis row and the streams are ORed pairwise by
+map, so each subcode costs r - 1 ORs and one bit count inside C-level
+iterators, with no Python call per basis.  The table belongs to the code:
+it is built once, on first use, and every rank r shares it.
 
 The conjecture harness compares d_r against the section counts of
 coordinate subspaces cut out by size-r families of column subsets, with the
@@ -295,6 +298,21 @@ class CodeSystem(Record):
         return tuple(_nonzero_mask(row) for row in self.generator)
 
     @cached_property
+    def frobenius(self) -> bytes | None:
+        """F's Frobenius table, sigma: x -> x^p, when e > 1 and sigma
+        applied to every coordinate permutes the points as a multiset, and
+        None otherwise; higher_weight then searches one subcode or a few
+        per sigma-orbit.  It must be the multiset: a repeated point whose
+        image comes only once keeps the point set, but not the support
+        sizes, which the orbit search relies on.
+        """
+        if self.F.e == 1:
+            return None
+        table = self.F.frobenius
+        images = map(bytes.translate, self.points, repeat(table))
+        return table if sorted(images) == sorted(self.points) else None
+
+    @cached_property
     def support_table(self) -> dict[tuple[int, ...], int]:
         """Support bitmask, bit j for point j, of the codeword of every
         normalized message (first nonzero entry 1).
@@ -440,6 +458,21 @@ def higher_weight(
     """d_r: the smallest support size over rank-r subcodes, by exhaustion
     over echelon representatives of the message-space subspaces.
 
+    When code.frobenius is a table, the search visits only the bases that
+    rref_span_matrices yields for it, at least one per orbit of sigma:
+    x -> x^p.  That is exact:
+    1. The varieties are defined over GF(p), so sigma sends the minors of
+       W to those of sigma(W) and keeps the normalization and the
+       Schubert conditions: it permutes the points, as code.frobenius
+       checks.  The codeword of sigma(c) is nonzero at sigma(g) exactly
+       when that of c is nonzero at g, so |supp sigma(D)| = |supp D|.
+    2. Echelon form commutes with sigma.
+    3. The lex-least basis of an orbit agrees with its images up to its
+       first free entry x outside GF(p), so x <= sigma^j(x) for every j,
+       and that basis is among those visited.
+    Over GF(p^2) that is ([k, r]_q + [k, r]_p) / 2 bases, one per orbit.
+    The subcode budget still charges all [k, r]_q.
+
     Each basis comes from rref_span_matrices as its rows' support masks.
     row_streams splits the bases into r streams of masks, map ORs them in
     step, and the least bit count of the unions is d_r: every step runs
@@ -472,8 +505,11 @@ def higher_weight(
             for i, mask in enumerate(code.row_masks)
         }
     # each basis comes as its rows' support masks, looked up once per row
-    # option rather than once per basis row
-    bases = rref_span_matrices(code.F, r, code.kdim, key=supports.__getitem__)
+    # option rather than once per basis row, one basis or a few for each
+    # Frobenius orbit of subcodes when the code has one
+    bases = rref_span_matrices(
+        code.F, r, code.kdim, key=supports.__getitem__, frobenius=code.frobenius
+    )
     unions = reduce(partial(map, or_), row_streams(bases, r))
     return min(map(int.bit_count, unions))
 

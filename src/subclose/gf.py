@@ -11,7 +11,7 @@ we do exactly that rather than trust the table generator.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 
 from .combinat import Record
 
@@ -43,6 +43,18 @@ class FieldTable(Record):
     @property
     def elements(self) -> range:
         return range(self.q)
+
+    @cached_property
+    def frobenius(self) -> bytes:
+        """The Frobenius automorphism x -> x^p as a bytes.translate table:
+        byte x is x^p, each power taken by p - 1 lookups in mul, and the
+        bytes past the field map to themselves.  It fixes exactly the
+        prime subfield GF(p), and has order e."""
+        table = bytearray(range(256))
+        for x in self.elements:
+            for _ in range(self.p - 1):
+                table[x] = self.mul[table[x]][x]
+        return bytes(table)
 
 
 def _vec(a: int, p: int, e: int) -> list[int]:

@@ -15,12 +15,15 @@ key maps each row option once per pivot set, and both of its callers
 use it: the subcode search keys the rows by their codewords' supports,
 and the Grassmannian enumeration runs one stream per column set, keyed
 by that set's getter, so each basis comes already cut down to the
-columns of one minor.
+columns of one minor.  Given the Frobenius table of a field GF(p^e),
+e > 1, it chains r + 1 products per pivot set instead, whose union holds
+the least matrix of every Frobenius orbit; the subcode search uses it on
+codes that the Frobenius map keeps.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product, tee
+from itertools import accumulate, chain, product, repeat, tee
 from operator import itemgetter
 
 from .combinat import colex_masks
@@ -98,27 +101,66 @@ def det(F: FieldTable, rows) -> int:
     return signed if len(pivots) == n else 0
 
 
+def _keyed_rows(n: int, p: int, free: list[int], picks: list, key) -> list:
+    """The options of the row pivoted at column p, mapped by key: 1 at p,
+    picks[t] at its free column free[t], and 0 elsewhere.  They are one
+    itertools.product over the columns' choices, in lexicographic order,
+    so they are built in C."""
+    choices = dict(zip(free, picks))
+    rows = product(*[(1,) if c == p else choices.get(c, (0,)) for c in range(n)])
+    return list(rows if key is None else map(key, rows))
+
+
+def _pivot_rows(n: int, mask: int):
+    """Each pivot column p of a pivot set, in order, with the free columns
+    of its row: those after p that hold no pivot."""
+    for p in range(n):
+        if mask >> p & 1:
+            yield p, [c for c in range(p + 1, n) if not mask >> c & 1]
+
+
 def _row_options(F: FieldTable, n: int, key, mask: int) -> list:
     """Each pivot row's options for one pivot column set, mapped by key:
     1 at its pivot, 0 at the other pivots and before its own, and the free
-    entries after it in lexicographic order.  A row's options are one
-    itertools.product over its columns' choices, so they are built in C:
-    the Grassmannian enumeration asks for them once per column set."""
-    elements = F.elements
-    options = []
-    for p in (t for t in range(n) if mask >> t & 1):
-        choices = [
-            (1,) if c == p else elements if c > p and not mask >> c & 1 else (0,)
-            for c in range(n)
-        ]
-        rows = product(*choices)
-        options.append(list(rows if key is None else map(key, rows)))
-    return options
+    entries after it in lexicographic order.  The Grassmannian enumeration
+    asks for them once per column set."""
+    return [
+        _keyed_rows(n, p, free, [F.elements] * len(free), key)
+        for p, free in _pivot_rows(n, mask)
+    ]
 
 
-def rref_span_matrices(F: FieldTable, r: int, n: int, key=None):
+def _orbit_products(F: FieldTable, n: int, key, mask: int, prime, least):
+    """The echelon bases of one pivot column set that the Frobenius orbit
+    search visits, as the chain of r + 1 products that rref_span_matrices
+    describes.  prime holds the elements sigma fixes, least those it moves
+    that are the least of their orbits.  A row's fixed and leading options
+    are products over its columns' choices, like its every option, so no
+    row is classified one tuple at a time and no row tuple is held."""
+    every, fixed, leading = [], [], []
+    for i, (p, free) in enumerate(_pivot_rows(n, mask)):
+        s = len(free)
+        # the products take every option of each row but the first
+        if i:
+            every.append(_keyed_rows(n, p, free, [F.elements] * s, key))
+        fixed.append(_keyed_rows(n, p, free, [prime] * s, key))
+        # one product for each free entry t that is the first sigma moves
+        firsts = (
+            [prime] * t + [least] + [F.elements] * (s - t - 1) for t in range(s)
+        )
+        rows = (_keyed_rows(n, p, free, picks, key) for picks in firsts)
+        leading.append(list(chain.from_iterable(rows)))
+    products = [
+        product(*fixed[:i], leading[i], *every[i:]) for i in range(len(leading))
+    ]
+    products.append(product(*fixed))
+    return chain.from_iterable(products)
+
+
+def rref_span_matrices(F: FieldTable, r: int, n: int, key=None, frobenius=None):
     """Iterator over every r x n RREF matrix of rank r over F, each exactly
-    once.
+    once; with a Frobenius table, over at least one matrix per Frobenius
+    orbit of them instead.
 
     These are canonical representatives of the r-dimensional subspaces of
     F^n.  Pivot column sets run in colex order; for a fixed pivot set the
@@ -131,11 +173,42 @@ def rref_span_matrices(F: FieldTable, r: int, n: int, key=None):
     same order.  The key runs once per row option per pivot set, not once
     per matrix row: on (GF(3), r=2, n=4) that is 52 calls for the 130
     matrices.
+
+    frobenius, when given, is F.frobenius, the table of sigma: x -> x^p.
+    sigma acts on a matrix entrywise, and it keeps the pivots, the unit
+    pivot entries and the zeros of echelon form, so the echelon form of
+    sigma(W) is sigma applied to that of W: sigma permutes the matrices.
+    Each pivot set then yields the disjoint union of r + 1 products.  For
+    each row i, rows before i take their fixed options (every free entry
+    in GF(p), the entries sigma fixes), row i its leading options (its
+    first entry outside GF(p) is the least of its sigma-orbit), and the
+    rows after i every option; one more product takes every row from its
+    fixed options.  That covers the least matrix of every orbit, in the
+    row-major order above: all its rows are fixed, or row i is the first
+    that is not, and then each image sigma^j agrees with it up to that
+    row's first entry x outside GF(p), whose image is sigma^j(x), so
+    x <= sigma^j(x) and row i is leading.  Over GF(p^2) and GF(p^3), x
+    is then the only least element of its orbit, so each orbit comes
+    exactly once; over GF(16) an orbit comes twice when x lies in GF(4),
+    which sigma^2 fixes.  A minimum over the matrices of a sigma-invariant
+    quantity is the same over either set.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    if frobenius is None:
+        return chain.from_iterable(
+            product(*_row_options(F, n, key, mask)) for mask in colex_masks(r, n)
+        )
+    # sigma^1, ..., sigma^(e-1) as tables, composed by bytes.translate
+    powers = list(
+        accumulate(repeat(frobenius, F.e - 2), bytes.translate, initial=frobenius)
+    )
+    prime = [x for x in F.elements if frobenius[x] == x]
+    least = [
+        x for x in F.elements if frobenius[x] != x and all(x <= t[x] for t in powers)
+    ]
     return chain.from_iterable(
-        product(*_row_options(F, n, key, mask)) for mask in colex_masks(r, n)
+        _orbit_products(F, n, key, mask, prime, least) for mask in colex_masks(r, n)
     )
 
 

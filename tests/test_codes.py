@@ -736,11 +736,9 @@ def test_support_table_matches_word_support_on_every_field():
                 )
 
 
-def test_higher_weight_visits_every_subcode(monkeypatch):
-    # The visited-count contract (ROADMAP items 1 and 4): higher_weight
-    # draws every rank-r subcode, [k, r]_q bases, from
-    # codes.rref_span_matrices, and the benchmark's counts pin the same
-    # number.  A search that prunes or uses symmetry must restate this.
+def count_draws(monkeypatch):
+    """Patch codes.rref_span_matrices to count the bases each call yields;
+    the list of counts, one per call, fills as the calls are drained."""
     drawn = []
     sane = codes.rref_span_matrices
 
@@ -750,12 +748,114 @@ def test_higher_weight_visits_every_subcode(monkeypatch):
             drawn[-1] += 1
             yield basis
 
+    monkeypatch.setattr(codes, "rref_span_matrices", counted)
+    return drawn
+
+
+def test_higher_weight_visits_every_subcode(monkeypatch):
+    # The visited-count contract (ROADMAP items 1 and 4): over a prime
+    # field higher_weight draws every rank-r subcode, [k, r]_q bases, from
+    # codes.rref_span_matrices, and the benchmark's counts pin the same
+    # number.  Over GF(p^2) it draws one basis per Frobenius orbit: the
+    # [k, r]_p subcodes defined over GF(p) are orbits of their own, and
+    # the rest pair up, so ([k, r]_q + [k, r]_p) / 2.  A search that
+    # prunes or uses more symmetry must restate this.
     # the enumeration of the points draws from it too, so it comes first
     code = grassmann_code(F3, 2, 4)
-    monkeypatch.setattr(codes, "rref_span_matrices", counted)
+    doubled = grassmann_code(F4, 2, 4)
+    drawn = count_draws(monkeypatch)
     for r in range(1, 7):
         higher_weight(code, r)
     assert drawn == [gaussian_binom(6, r, 3) for r in range(1, 7)]
+    drawn.clear()
+    for r in range(1, 7):
+        higher_weight(doubled, r)
+    assert drawn == [
+        (gaussian_binom(6, r, 4) + gaussian_binom(6, r, 2)) // 2 for r in range(1, 7)
+    ]
+    # 376805 bases at r = 3 before the orbits
+    assert drawn[2] == 189100
+
+
+def test_orbit_search_holds_no_row_tuples():
+    # the rank-1 search over G(2, 4)/F4 keeps its row options as the masks
+    # of the support table: a search that held the pivot set's 1024 row
+    # tuples peaked at 121 KB, against 20 KB for the masks alone
+    code = grassmann_code(F4, 2, 4)
+    code.support_table
+    tracemalloc.start()
+    try:
+        higher_weight(code, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def frobenius_stable_codes():
+    """Every code over GF(p^e) that the differential test reaches: G(1, 3)
+    and G(2, 4), every alpha of (2, 4) over the fields up to 9, and the
+    alpha of (2, 5) that no smaller Grassmannian holds."""
+    for q in (4, 8, 9, 16):
+        F = field_from_order(q)
+        yield grassmann_code(F, 1, 3)
+        yield grassmann_code(F, 2, 4)
+    for q in (4, 8, 9):
+        for alpha in combinations(range(1, 5), 2):
+            yield schubert_code(field_from_order(q), alpha, 2, 4)
+    for alpha in ((2, 5), (3, 5), (4, 5)):
+        yield schubert_code(F4, alpha, 2, 5)
+
+
+def test_orbit_search_matches_the_full_search(monkeypatch):
+    # every r with at most 1.5 * 10^5 subcodes that the default budgets
+    # admit, the support table's included
+    budget = codes.DEFAULT_SUBSPACE_BUDGET
+    sane = codes.rref_span_matrices
+
+    def full(*args, frobenius=None, **kwargs):
+        return sane(*args, **kwargs)
+
+    compared = 0
+    for code in frobenius_stable_codes():
+        assert code.frobenius == code.F.frobenius
+        k, q = code.kdim, code.F.q
+        table = gaussian_binom(k, 1, q) * code.n <= budget
+        rs = [
+            r
+            for r in range(1, k + 1)
+            if gaussian_binom(k, r, q) <= 1.5e5 and (r == k or table)
+        ]
+        orbits = [higher_weight(code, r) for r in rs]
+        monkeypatch.setattr(codes, "rref_span_matrices", full)
+        assert [higher_weight(code, r) for r in rs] == orbits, (q, code.alpha)
+        monkeypatch.setattr(codes, "rref_span_matrices", sane)
+        compared += len(rs)
+    assert compared == 70
+
+
+def test_frobenius_stability_compares_multisets(monkeypatch):
+    # sigma swaps 2 and 3 in GF(4): the point set {(1, 2), (1, 3)} is
+    # stable, but (1, 2) comes twice and (1, 3) once.  The message (1, 3)
+    # vanishes on both copies of (1, 2), so d_1 = 1, while its image
+    # (1, 2) vanishes on (1, 3) alone; one orbit representative would
+    # give 2
+    code = CodeSystem(F4, 1, 2, None, ((1, 2), (1, 2), (1, 3)), (0, 1))
+    assert code.frobenius is None
+    assert higher_weight(code, 1) == 1
+    assert CodeSystem(F4, 1, 2, None, ((1, 2), (1, 3)), (0, 1)).frobenius
+    assert grassmann_code(F3, 2, 4).frobenius is None
+    # a code that sigma does not keep draws every subcode
+    rng = random.Random(41)
+    drawn = count_draws(monkeypatch)
+    for q in (4, 8, 9):
+        F = field_from_order(q)
+        code = random_code(F, rng, 3, 6)
+        assert code.frobenius is None
+        drawn.clear()
+        for r in range(1, 4):
+            higher_weight(code, r)
+        assert drawn == [gaussian_binom(3, r, q) for r in range(1, 4)]
 
 
 def test_hierarchy_checks_survive_optimization(monkeypatch):

@@ -83,6 +83,27 @@ def test_frobenius_fixes_everything():
             assert power(F, a, q) == a
 
 
+def test_frobenius_table_is_the_p_th_power_automorphism():
+    for q in (2, 3, 4, 5, 8, 9, 16):
+        F = field_from_order(q)
+        table = F.frobenius
+        assert len(table) == 256 and table[q:] == bytes(range(q, 256))
+        sigma = table[:q]
+        assert sorted(sigma) == list(F.elements)
+        assert [x for x in F.elements if sigma[x] == x] == list(range(F.p))
+        for a in F.elements:
+            assert sigma[a] == power(F, a, F.p)
+            for b in F.elements:
+                assert sigma[F.add[a][b]] == F.add[sigma[a]][sigma[b]]
+                assert sigma[F.mul[a][b]] == F.mul[sigma[a]][sigma[b]]
+        # sigma has order e
+        images, image = [], bytes(F.elements)
+        for _ in range(F.e):
+            image = image.translate(table)
+            images.append(image)
+        assert images.index(bytes(F.elements)) == F.e - 1
+
+
 def test_nonprime_power_of_prime_is_not_mod_arithmetic():
     F = field_from_order(4)
     assert F.add[2][2] == 0  # characteristic 2, not 4

@@ -12,6 +12,8 @@ from subclose.linalg import det, mat_rank, row_streams, rref_span_matrices
 F2 = field_from_order(2)
 F3 = field_from_order(3)
 F4 = field_from_order(4)
+F9 = field_from_order(9)
+F16 = field_from_order(16)
 ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
@@ -310,6 +312,51 @@ def test_rref_span_refuses_a_bad_r_at_the_call():
         rref_span_matrices(F2, 4, 3)
     with pytest.raises(ValueError, match=r"^need 0 <= r <= n, got r=-1, n=3$"):
         rref_span_matrices(F2, -1, 3, key=str)
+
+
+def frobenius_orbits(F, r, n):
+    """The orbits of the Frobenius map on the r x n echelon matrices, each
+    a frozenset, built by applying it entrywise until the matrix recurs."""
+    sigma = F.frobenius
+    orbits = set()
+    for mat in rref_span_matrices(F, r, n):
+        orbit = set()
+        while mat not in orbit:
+            orbit.add(mat)
+            mat = tuple(tuple(row.translate(sigma)) for row in map(bytes, mat))
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_rref_span_frobenius_meets_every_orbit():
+    # every orbit holds a visited matrix, none twice; over GF(p^2) and
+    # GF(p^3) exactly one, over GF(16) at most two, since sigma^2 fixes
+    # GF(4)
+    for F, top in ((F4, 4), (field_from_order(8), 3), (F9, 3), (F16, 3)):
+        for n in range(top + 1):
+            for r in range(n + 1):
+                visited = list(rref_span_matrices(F, r, n, frobenius=F.frobenius))
+                assert len(set(visited)) == len(visited)
+                orbits = frobenius_orbits(F, r, n)
+                hits = [len(orbit.intersection(visited)) for orbit in orbits]
+                assert min(hits, default=1) >= 1 and sum(hits) == len(visited)
+                assert max(hits, default=1) <= (2 if F.q == 16 else 1), (F.q, r, n)
+                if F.e == 2:
+                    count = gaussian_binom(n, r, F.q) + gaussian_binom(n, r, F.p)
+                    assert 2 * len(visited) == count
+
+
+def test_rref_span_frobenius_keys_the_same_matrices():
+    for F in (F4, F9):
+        for n in range(4):
+            for r in range(n + 1):
+                plain = rref_span_matrices(F, r, n, frobenius=F.frobenius)
+                keyed = rref_span_matrices(F, r, n, key=str, frobenius=F.frobenius)
+                assert list(keyed) == [tuple(map(str, mat)) for mat in plain]
+    # a prime field's table fixes every entry: every matrix, in order
+    assert list(rref_span_matrices(F3, 2, 4, frobenius=F3.frobenius)) == list(
+        rref_span_matrices(F3, 2, 4)
+    )
 
 
 def test_row_streams_split_each_matrix_into_its_rows():
