@@ -53,7 +53,7 @@ from functools import cached_property, partial, reduce
 from itertools import combinations, compress, repeat
 from operator import itemgetter, or_
 
-from .combinat import Record, colex_masks, gaussian_binom, mask_of, set_of
+from .combinat import Record, colex_masks, gaussian_binom, set_of
 from . import families
 from .families import DEFAULT_FAMILY_BUDGET, check_budget, close_size_cap, k_lambda
 from .gf import FieldTable
@@ -598,7 +598,8 @@ def verify_conjecture(
     listed = families.maximizer_families(ell, m, r)
     if k_lambda(listed[0]) != target:
         raise ArithmeticError(f"maximizer listing misses K_r = {target} at r={r}")
-    row_of = {mask_of(label): i for i, label in enumerate(labels)}
+    masks = colex_masks(ell, m)
+    row_of = {masks[pos]: i for i, pos in enumerate(code.row_positions)}
     within = (
         tuple(sorted(map(row_of.__getitem__, fam.members)))
         for fam in listed

@@ -3,22 +3,22 @@
 Matrices are tuples of row tuples of field elements (ints).  One forward
 Gaussian elimination, _eliminate, serves rank and every determinant past
 3 x 3: the rank is its pivot count, and a determinant is its signed pivot
-product.  Determinants of 2 x 2 and 3 x 3 matrices, one per Schubert
-minor, are cofactor expansions over the field tables, in a det frame that
-creates no closure cells.
+product.  Determinants of 2 x 2 and 3 x 3 matrices, one per point and
+column set of the Grassmannian enumeration, are cofactor expansions over
+the field tables, in a det frame that creates no closure cells.
 
-The echelon representatives of all r-subspaces come from
-rref_span_matrices, a chain of one itertools.product per pivot set, and
-row_streams splits such matrices into one iterator per row, so a caller
-can fold whole rows of the enumeration without Python per matrix.  Its
-key maps each row option once per pivot set, and both of its callers
-use it: the subcode search keys the rows by their codewords' supports,
-and the Grassmannian enumeration runs one stream per column set, keyed
-by that set's getter, so each basis comes already cut down to the
-columns of one minor.  Given the Frobenius table of a field GF(p^e),
-e > 1, it chains r + 1 products per pivot set instead, whose union holds
-the least matrix of every Frobenius orbit; the subcode search uses it on
-codes that the Frobenius map keeps.
+The echelon representatives of the r-subspaces come from one enumerator,
+rref_span_matrices: products per pivot set whose union holds at least one
+matrix per orbit of a field automorphism sigma.  Its default sigma, the
+identity, leaves one itertools.product per pivot set and every subspace
+once; the subcode search passes the Frobenius table of GF(p^e) on codes
+that the Frobenius map keeps.  row_streams splits such matrices into one
+iterator per row, so a caller can fold whole rows of the enumeration
+without Python per matrix.  The key maps each row option once per pivot
+set, and both callers use it: the subcode search keys the rows by their
+codewords' supports, and the Grassmannian enumeration runs one stream
+per column set, keyed by that set's getter, so each basis comes already
+cut down to the columns of one minor.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .gf import FieldTable
 Matrix = tuple[tuple[int, ...], ...]
 
 _NOT_SQUARE = "determinant needs a square matrix"
+
+# the default sigma of rref_span_matrices, on fields of up to 256 elements
+_IDENTITY = bytes(range(256))
 
 
 def _eliminate(F: FieldTable, rows) -> tuple[list[list[int]], list[int], int]:
@@ -108,7 +111,7 @@ def _keyed_rows(n: int, p: int, free: list[int], picks: list, key) -> list:
     so they are built in C."""
     choices = dict(zip(free, picks))
     rows = product(*[(1,) if c == p else choices.get(c, (0,)) for c in range(n)])
-    return list(rows if key is None else map(key, rows))
+    return list(map(key, rows))
 
 
 def _pivot_rows(n: int, mask: int):
@@ -119,37 +122,31 @@ def _pivot_rows(n: int, mask: int):
             yield p, [c for c in range(p + 1, n) if not mask >> c & 1]
 
 
-def _row_options(F: FieldTable, n: int, key, mask: int) -> list:
-    """Each pivot row's options for one pivot column set, mapped by key:
-    1 at its pivot, 0 at the other pivots and before its own, and the free
-    entries after it in lexicographic order.  The Grassmannian enumeration
-    asks for them once per column set."""
-    return [
-        _keyed_rows(n, p, free, [F.elements] * len(free), key)
-        for p, free in _pivot_rows(n, mask)
-    ]
-
-
-def _orbit_products(F: FieldTable, n: int, key, mask: int, prime, least):
-    """The echelon bases of one pivot column set that the Frobenius orbit
-    search visits, as the chain of r + 1 products that rref_span_matrices
-    describes.  prime holds the elements sigma fixes, least those it moves
-    that are the least of their orbits.  A row's fixed and leading options
-    are products over its columns' choices, like its every option, so no
-    row is classified one tuple at a time and no row tuple is held."""
+def _pivot_products(F: FieldTable, n: int, key, mask: int, prime, least):
+    """The echelon bases of one pivot column set, as the products that
+    rref_span_matrices describes.  prime holds the elements sigma fixes,
+    least those it moves that are the least of their orbits.  A row's
+    fixed and leading options are products over its columns' choices,
+    like its every option, so no row is classified one tuple at a time
+    and no row tuple is held.  With least empty, as under the identity,
+    the one product of the fixed options is the whole answer."""
     every, fixed, leading = [], [], []
     for i, (p, free) in enumerate(_pivot_rows(n, mask)):
         s = len(free)
+        fixed.append(_keyed_rows(n, p, free, [prime] * s, key))
+        if not least:
+            continue
         # the products take every option of each row but the first
         if i:
             every.append(_keyed_rows(n, p, free, [F.elements] * s, key))
-        fixed.append(_keyed_rows(n, p, free, [prime] * s, key))
         # one product for each free entry t that is the first sigma moves
         firsts = (
             [prime] * t + [least] + [F.elements] * (s - t - 1) for t in range(s)
         )
         rows = (_keyed_rows(n, p, free, picks, key) for picks in firsts)
         leading.append(list(chain.from_iterable(rows)))
+    if not least:
+        return product(*fixed)
     products = [
         product(*fixed[:i], leading[i], *every[i:]) for i in range(len(leading))
     ]
@@ -157,22 +154,23 @@ def _orbit_products(F: FieldTable, n: int, key, mask: int, prime, least):
     return chain.from_iterable(products)
 
 
-def rref_span_matrices(F: FieldTable, r: int, n: int, key=None, frobenius=None):
-    """Iterator over every r x n RREF matrix of rank r over F, each exactly
-    once; with a Frobenius table, over at least one matrix per Frobenius
-    orbit of them instead.
+def rref_span_matrices(F: FieldTable, r: int, n: int, key=tuple, frobenius=None):
+    """Iterator over the r x n RREF matrices of rank r over F, at least
+    one per orbit of sigma, the automorphism of F whose table is
+    frobenius.  The default sigma, the identity, has one matrix per
+    orbit, so without a table each matrix comes exactly once.
 
     These are canonical representatives of the r-dimensional subspaces of
     F^n.  Pivot column sets run in colex order; for a fixed pivot set the
     free entries run lexicographically in row-major order, which is the
-    product order over each row's own options.  The iterator chains one
-    itertools.product per pivot set, so no Python runs per matrix; a bad r
+    product order over each row's own options.  The iterator chains
+    itertools.product objects, so no Python runs per matrix; a bad r
     raises ValueError at the call, before any iteration.
 
-    With a key, each matrix comes as the tuple of its rows' keys, in the
-    same order.  The key runs once per row option per pivot set, not once
-    per matrix row: on (GF(3), r=2, n=4) that is 52 calls for the 130
-    matrices.
+    Each matrix comes as the tuple of its rows' keys (by default the rows
+    themselves), in the same order.  The key runs once per row option per
+    pivot set, not once per matrix row: on (GF(3), r=2, n=4) that is 52
+    calls for the 130 matrices.
 
     frobenius, when given, is F.frobenius, the table of sigma: x -> x^p.
     sigma acts on a matrix entrywise, and it keeps the pivots, the unit
@@ -180,9 +178,9 @@ def rref_span_matrices(F: FieldTable, r: int, n: int, key=None, frobenius=None):
     sigma(W) is sigma applied to that of W: sigma permutes the matrices.
     Each pivot set then yields the disjoint union of r + 1 products.  For
     each row i, rows before i take their fixed options (every free entry
-    in GF(p), the entries sigma fixes), row i its leading options (its
-    first entry outside GF(p) is the least of its sigma-orbit), and the
-    rows after i every option; one more product takes every row from its
+    sigma fixes, so in GF(p)), row i its leading options (its first
+    entry outside GF(p) is the least of its sigma-orbit), and the rows
+    after i every option; one more product takes every row from its
     fixed options.  That covers the least matrix of every orbit, in the
     row-major order above: all its rows are fixed, or row i is the first
     that is not, and then each image sigma^j agrees with it up to that
@@ -191,14 +189,13 @@ def rref_span_matrices(F: FieldTable, r: int, n: int, key=None, frobenius=None):
     is then the only least element of its orbit, so each orbit comes
     exactly once; over GF(16) an orbit comes twice when x lies in GF(4),
     which sigma^2 fixes.  A minimum over the matrices of a sigma-invariant
-    quantity is the same over either set.
+    quantity is the same over either set.  Under the identity no entry
+    is leading, and the fixed product alone yields every matrix.
     """
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if frobenius is None:
-        return chain.from_iterable(
-            product(*_row_options(F, n, key, mask)) for mask in colex_masks(r, n)
-        )
+        frobenius = _IDENTITY
     # sigma^1, ..., sigma^(e-1) as tables, composed by bytes.translate
     powers = list(
         accumulate(repeat(frobenius, F.e - 2), bytes.translate, initial=frobenius)
@@ -208,7 +205,7 @@ def rref_span_matrices(F: FieldTable, r: int, n: int, key=None, frobenius=None):
         x for x in F.elements if frobenius[x] != x and all(x <= t[x] for t in powers)
     ]
     return chain.from_iterable(
-        _orbit_products(F, n, key, mask, prime, least) for mask in colex_masks(r, n)
+        _pivot_products(F, n, key, mask, prime, least) for mask in colex_masks(r, n)
     )
 
 

@@ -82,7 +82,8 @@ def test_cli_start_up_loads_only_the_shared_layers():
 
 
 def test_det_holds_no_closure_cells():
-    # the cofactor paths run once per Schubert minor; a cell costs every call
+    # the cofactor paths run once per point and column set of the
+    # Grassmannian enumeration; a cell costs every call
     assert linalg.det.__code__.co_cellvars == ()
 
 

@@ -247,12 +247,14 @@ def test_det_of_rank_deficient_matrices_is_zero():
 
 
 def test_rref_span_enumeration_counts():
-    for q in (2, 3):
+    # without a table sigma is the identity on every field, so no
+    # Grassmannian point is dropped, also over GF(p^e): 273 = [3, 1]_16
+    for q, top in ((2, 4), (3, 4), (8, 3), (9, 3), (16, 3)):
         F = field_from_order(q)
-        for n in range(5):
+        for n in range(top + 1):
             for r in range(n + 1):
                 mats = list(rref_span_matrices(F, r, n))
-                assert len(mats) == gaussian_binom(n, r, q)
+                assert len(mats) == gaussian_binom(n, r, q), (q, r, n)
                 assert len(set(mats)) == len(mats)
 
 
@@ -290,16 +292,18 @@ def test_rref_span_key_maps_each_row_in_order():
 
 def test_rref_span_key_runs_once_per_row_option():
     # 52 row options over the six pivot sets of (GF(3), 2, 4), where the
-    # 130 matrices have 260 rows
-    calls = []
+    # 130 matrices have 260 rows; over GF(4) with no table the identity
+    # keys each of its 84 row options once too, for 357 matrices
+    for F, count, options in ((F3, 130, 52), (F4, 357, 84)):
+        calls = []
 
-    def key(row):
-        calls.append(row)
-        return row
+        def key(row):
+            calls.append(row)
+            return row
 
-    mats = list(rref_span_matrices(F3, 2, 4, key=key))
-    assert len(mats) == 130
-    assert len(calls) == 52
+        mats = list(rref_span_matrices(F, 2, 4, key=key))
+        assert len(mats) == count
+        assert len(calls) == options
 
 
 def test_rref_span_zero_dimension():
