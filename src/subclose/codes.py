@@ -30,11 +30,12 @@ subcode or a few per Frobenius orbit: the map keeps support sizes, so the
 minimum is the same.  The support of a subcode is the union of the
 supports of any basis.  A support table maps each normalized message to
 its codeword's support; the enumeration hands each basis over as its
-rows' table entries, looked up once per row option.  Those bases are
-split into one stream per basis row and the streams are ORed pairwise by
-map, so each subcode costs r - 1 ORs and one bit count inside C-level
-iterators, with no Python call per basis.  The table belongs to the code:
-it is built once, on first use, and every rank r shares it.
+rows' table entries, looked up once per row option, and each basis
+comes folded into two halves, the unions of its first rows' supports and
+of the rest, each listed once per product ahead of the search.  So
+each subcode costs one OR and one bit count inside C-level iterators,
+with no Python call per basis.  The table belongs to the code: it is
+built once, on first use, and every rank r shares it.
 
 The conjecture harness compares d_r against the section counts of
 coordinate subspaces cut out by size-r families of column subsets, with the
@@ -50,14 +51,14 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial, reduce
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, repeat, starmap
 from operator import itemgetter, or_
 
 from .combinat import Record, colex_masks, gaussian_binom, set_of
 from . import families
 from .families import DEFAULT_FAMILY_BUDGET, check_budget, close_size_cap, k_lambda
 from .gf import FieldTable
-from .linalg import Matrix, det, mat_rank, rref_span_matrices, row_streams
+from .linalg import Matrix, det, mat_rank, rref_span_count, rref_span_matrices
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
 
@@ -471,19 +472,19 @@ def higher_weight(
        first free entry x outside GF(p), so x <= sigma^j(x) for every j,
        and that basis is among those visited.
     Over GF(p^2) that is ([k, r]_q + [k, r]_p) / 2 bases, one per orbit.
-    The subcode budget still charges all [k, r]_q.
+    The subcode budget charges exactly the bases drawn, as
+    linalg.rref_span_count counts them without drawing them.
 
-    Each basis comes from rref_span_matrices as its rows' support masks.
-    row_streams splits the bases into r streams of masks, map ORs them in
-    step, and the least bit count of the unions is d_r: every step runs
-    in C-level iterators, and the tee behind the streams holds at most one
-    basis.
+    Each basis comes from rref_span_matrices, folded by OR, as a pair: the
+    union of the support masks of its first rows and that of the rest.
+    map and starmap OR each pair and take its bit count, and the least
+    of those is d_r: one OR per basis, every step in C-level iterators.
     """
     if not 1 <= r <= code.kdim:
         raise ValueError(f"r={r} outside 1..{code.kdim}")
     check_budget(
-        gaussian_binom(code.kdim, r, code.F.q),
-        f"rank-{r} subcodes of a dimension-{code.kdim} code",
+        rref_span_count(code.F, r, code.kdim, code.frobenius),
+        f"rank-{r} subcode bases of a dimension-{code.kdim} code",
         budget,
     )
     if r < code.kdim:
@@ -504,14 +505,18 @@ def higher_weight(
             tuple(int(j == i) for j in range(code.kdim)): mask
             for i, mask in enumerate(code.row_masks)
         }
-    # each basis comes as its rows' support masks, looked up once per row
-    # option rather than once per basis row, one basis or a few for each
-    # Frobenius orbit of subcodes when the code has one
-    bases = rref_span_matrices(
-        code.F, r, code.kdim, key=supports.__getitem__, frobenius=code.frobenius
+    # each basis comes as two unions of its rows' support masks, looked up
+    # once per row option rather than once per basis row, one basis or a
+    # few for each Frobenius orbit of subcodes when the code has one
+    halves = rref_span_matrices(
+        code.F,
+        r,
+        code.kdim,
+        key=supports.__getitem__,
+        frobenius=code.frobenius,
+        fold=or_,
     )
-    unions = reduce(partial(map, or_), row_streams(bases, r))
-    return min(map(int.bit_count, unions))
+    return min(map(int.bit_count, starmap(or_, halves)))
 
 
 def weight_hierarchy(
@@ -522,9 +527,10 @@ def weight_hierarchy(
     on every row, full rank); both are still checked, and a failed check
     raises ArithmeticError."""
     total = sum(
-        gaussian_binom(code.kdim, r, code.F.q) for r in range(1, code.kdim + 1)
+        rref_span_count(code.F, r, code.kdim, code.frobenius)
+        for r in range(1, code.kdim + 1)
     )
-    check_budget(total, "subcodes across all ranks", budget)
+    check_budget(total, "subcode bases across all ranks", budget)
     weights = tuple(
         higher_weight(code, r, budget=budget) for r in range(1, code.kdim + 1)
     )

@@ -12,19 +12,20 @@ rref_span_matrices: products per pivot set whose union holds at least one
 matrix per orbit of a field automorphism sigma.  Its default sigma, the
 identity, leaves one itertools.product per pivot set and every subspace
 once; the subcode search passes the Frobenius table of GF(p^e) on codes
-that the Frobenius map keeps.  row_streams splits such matrices into one
-iterator per row, so a caller can fold whole rows of the enumeration
-without Python per matrix.  The key maps each row option once per pivot
-set, and both callers use it: the subcode search keys the rows by their
-codewords' supports, and the Grassmannian enumeration runs one stream
-per column set, keyed by that set's getter, so each basis comes already
-cut down to the columns of one minor.
+that the Frobenius map keeps.  Given a fold such as or_, it folds each
+product's rows ahead in two halves and yields each matrix as one pair,
+so a caller folds a matrix with one C-level call; rref_span_count counts
+the matrices without drawing them.  The key maps each row option once
+per pivot set, and both callers use it: the subcode search keys the rows
+by their codewords' supports, and the Grassmannian enumeration runs one
+stream per column set, keyed by that set's getter, so each basis comes
+already cut down to the columns of one minor.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, product, repeat, tee
-from operator import itemgetter
+from itertools import accumulate, chain, product, repeat, starmap
+import operator
 
 from .combinat import colex_masks
 from .gf import FieldTable
@@ -124,12 +125,13 @@ def _pivot_rows(n: int, mask: int):
 
 def _pivot_products(F: FieldTable, n: int, key, mask: int, prime, least):
     """The echelon bases of one pivot column set, as the products that
-    rref_span_matrices describes.  prime holds the elements sigma fixes,
-    least those it moves that are the least of their orbits.  A row's
-    fixed and leading options are products over its columns' choices,
-    like its every option, so no row is classified one tuple at a time
-    and no row tuple is held.  With least empty, as under the identity,
-    the one product of the fixed options is the whole answer."""
+    rref_span_matrices describes, each the list of its rows' options.
+    prime holds the elements sigma fixes, least those it moves that are
+    the least of their orbits.  A row's fixed and leading options are
+    products over its columns' choices, like its every option, so no row
+    is classified one tuple at a time and no row tuple is held.  With
+    least empty, as under the identity, the one product of the fixed
+    options is the whole answer."""
     every, fixed, leading = [], [], []
     for i, (p, free) in enumerate(_pivot_rows(n, mask)):
         s = len(free)
@@ -146,15 +148,60 @@ def _pivot_products(F: FieldTable, n: int, key, mask: int, prime, least):
         rows = (_keyed_rows(n, p, free, picks, key) for picks in firsts)
         leading.append(list(chain.from_iterable(rows)))
     if not least:
-        return product(*fixed)
-    products = [
-        product(*fixed[:i], leading[i], *every[i:]) for i in range(len(leading))
+        return [fixed]
+    products = [fixed[:i] + [leading[i]] + every[i:] for i in range(len(leading))]
+    products.append(fixed)
+    return products
+
+
+def _folded(factors: list, fold) -> list:
+    """fold over one option from each factor list, for every choice in
+    product order: [0] for no list, and the one list itself, uncopied."""
+    if not factors:
+        return [0]
+    acc = factors[0]
+    for options in factors[1:]:
+        acc = list(starmap(fold, product(acc, options)))
+    return acc
+
+
+def _halves(factors: list, fold):
+    """The product of factors as pairs: the rows are cut where the two
+    partial products are closest in size, and each side is folded ahead,
+    so each pair is one choice per row, the rows before the cut folded
+    in its first item and the rest in its second."""
+    sizes = list(map(len, factors))
+    heads = list(accumulate(sizes, operator.mul, initial=1))
+    tails = list(accumulate(reversed(sizes), operator.mul, initial=1))[::-1]
+    larger = list(map(max, heads, tails))
+    cut = larger.index(min(larger))
+    return product(_folded(factors[:cut], fold), _folded(factors[cut:], fold))
+
+
+def _orbit_elements(F: FieldTable, frobenius) -> tuple[list[int], list[int]]:
+    """The elements of F that sigma fixes, and those it moves that are the
+    least of their orbits; sigma is the identity when frobenius is None."""
+    if frobenius is None:
+        frobenius = _IDENTITY
+    # sigma^1, ..., sigma^(e-1) as tables, composed by bytes.translate
+    powers = list(
+        accumulate(repeat(frobenius, F.e - 2), bytes.translate, initial=frobenius)
+    )
+    prime = [x for x in F.elements if frobenius[x] == x]
+    least = [
+        x for x in F.elements if frobenius[x] != x and all(x <= t[x] for t in powers)
     ]
-    products.append(product(*fixed))
-    return chain.from_iterable(products)
+    return prime, least
 
 
-def rref_span_matrices(F: FieldTable, r: int, n: int, key=tuple, frobenius=None):
+def _check_rank(r: int, n: int) -> None:
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+
+
+def rref_span_matrices(
+    F: FieldTable, r: int, n: int, key=tuple, frobenius=None, fold=None
+):
     """Iterator over the r x n RREF matrices of rank r over F, at least
     one per orbit of sigma, the automorphism of F whose table is
     frobenius.  The default sigma, the identity, has one matrix per
@@ -171,6 +218,15 @@ def rref_span_matrices(F: FieldTable, r: int, n: int, key=tuple, frobenius=None)
     themselves), in the same order.  The key runs once per row option per
     pivot set, not once per matrix row: on (GF(3), r=2, n=4) that is 52
     calls for the 130 matrices.
+
+    fold, when given, is an associative operation on the keys with
+    identity 0, such as operator.or_ on bitmasks.  Each matrix
+    then comes as a pair (a, b) whose fold a op b is the fold of its
+    rows' keys, in the same order as unfolded: within each product the
+    rows are cut in two, where the two sides' option counts are closest,
+    and each side's folds are listed ahead, so a is the fold of the rows
+    before the cut (0 if none) and b of the rest.  A caller then folds
+    each matrix with one call, and r = 0 yields the one pair (0, 0).
 
     frobenius, when given, is F.frobenius, the table of sigma: x -> x^p.
     sigma acts on a matrix entrywise, and it keeps the pivots, the unit
@@ -192,29 +248,40 @@ def rref_span_matrices(F: FieldTable, r: int, n: int, key=tuple, frobenius=None)
     quantity is the same over either set.  Under the identity no entry
     is leading, and the fixed product alone yields every matrix.
     """
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    if frobenius is None:
-        frobenius = _IDENTITY
-    # sigma^1, ..., sigma^(e-1) as tables, composed by bytes.translate
-    powers = list(
-        accumulate(repeat(frobenius, F.e - 2), bytes.translate, initial=frobenius)
-    )
-    prime = [x for x in F.elements if frobenius[x] == x]
-    least = [
-        x for x in F.elements if frobenius[x] != x and all(x <= t[x] for t in powers)
-    ]
-    return chain.from_iterable(
+    _check_rank(r, n)
+    prime, least = _orbit_elements(F, frobenius)
+    factors = chain.from_iterable(
         _pivot_products(F, n, key, mask, prime, least) for mask in colex_masks(r, n)
     )
+    if fold is None:
+        return chain.from_iterable(starmap(product, factors))
+    return chain.from_iterable(map(_halves, factors, repeat(fold)))
 
 
-def row_streams(matrices, r: int) -> list:
-    """Split an iterable of r-row matrices, such as rref_span_matrices
-    yields, into r iterators: stream i yields row i of each matrix in turn.
+def rref_span_count(F: FieldTable, r: int, n: int, frobenius=None) -> int:
+    """How many matrices rref_span_matrices(F, r, n, frobenius=frobenius)
+    yields, without drawing them: [n, r]_q under the identity.
 
-    One itertools.tee splits the matrices, and map(itemgetter(i)) picks
-    the rows, so advancing the streams in step runs no Python per matrix
-    and buffers at most one matrix.
+    The pivot columns are placed right to left.  A pivot with j columns
+    to its right, t of them pivots, has s = j - t free columns.  Two sums
+    run over the pivots placed so far, by their count t: every[t] over
+    those products whose leading row is still to come, each row taking
+    q^s options, and fixed[t] over those whose leading row is placed or
+    that have none, each row taking p'^s, p' the count of elements sigma
+    fixes.  Placing the leading row takes |least| * sum_u p'^u q^(s-u-1)
+    options: its first u free entries fixed, the next one least, and the
+    rest free.
     """
-    return [map(itemgetter(i), copy) for i, copy in enumerate(tee(matrices, r))]
+    _check_rank(r, n)
+    prime, least = _orbit_elements(F, frobenius)
+    q, fixes, leads = F.q, len(prime), len(least)
+    every = [1] + [0] * r
+    fixed = [1] + [0] * r
+    for j in range(n):
+        # t falls, so each update reads the sums from before this column
+        for t in range(min(j, r - 1), -1, -1):
+            s = j - t
+            lead = leads * sum(fixes**u * q ** (s - u - 1) for u in range(s))
+            fixed[t + 1] += fixed[t] * fixes**s + every[t] * lead
+            every[t + 1] += every[t] * q**s
+    return fixed[r]

@@ -777,6 +777,53 @@ def test_higher_weight_visits_every_subcode(monkeypatch):
     assert drawn[2] == 189100
 
 
+def test_subcode_gate_charges_the_bases_drawn(monkeypatch):
+    # The gate charges what the search draws, not [k, r]_q: on G(2, 4)
+    # over every field, each rank's charge, read off its refusal, is the
+    # count of bases drawn, by the search where its budgets admit it and
+    # from codes.rref_span_matrices straight otherwise; weight_hierarchy
+    # charges the sum.  On a prime field that is still [6, r]_q.
+    compared = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        code = grassmann_code(field_from_order(q), 2, 4)
+        table_fits = gaussian_binom(6, 1, q) * code.n <= codes.DEFAULT_SUBSPACE_BUDGET
+        charges = []
+        for r in range(1, 7):
+            with pytest.raises(BudgetError) as caught:
+                higher_weight(code, r, budget=0)
+            charge, unit = str(caught.value).split(" ", 1)
+            assert unit == f"rank-{r} subcode bases of a dimension-6 code exceed budget 0"
+            charges.append(int(charge))
+            if code.frobenius is None:
+                assert int(charge) == gaussian_binom(6, r, q), (q, r)
+        with pytest.raises(
+            BudgetError,
+            match=rf"^{sum(charges)} subcode bases across all ranks exceed budget 0$",
+        ):
+            weight_hierarchy(code, budget=0)
+        drawn = count_draws(monkeypatch)
+        for r, charge in enumerate(charges, start=1):
+            if charge <= 2 * 10**5 and (r == 6 or table_fits):
+                higher_weight(code, r)
+            elif charge <= 5 * 10**5:
+                bases = codes.rref_span_matrices(
+                    code.F, r, 6, frobenius=code.frobenius
+                )
+                sum(1 for _ in bases)
+            else:
+                continue
+            assert drawn.pop() == charge, (q, r)
+            compared += 1
+        monkeypatch.undo()
+    # every rank of F2, F3 and F4; r = 1, 5 and 6 of the other fields
+    assert compared == 3 * 6 + 7 * 3
+    # over GF(8) a rank-2 search draws about a third of the subcodes, so
+    # verify is refused at the support-table gate, not the subcode gate
+    code = grassmann_code(field_from_order(8), 2, 4)
+    with pytest.raises(BudgetError, match=r"^177695505 support-table entries"):
+        higher_weight(code, 2)
+
+
 def test_orbit_search_holds_no_row_tuples():
     # the rank-1 search over G(2, 4)/F4 keeps its row options as the masks
     # of the support table: a search that held the pivot set's 1024 row
@@ -790,6 +837,22 @@ def test_orbit_search_holds_no_row_tuples():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_folded_search_holds_one_half_per_product():
+    # at r = 3 on G(2, 4)/F4 the largest product, of pivot set {1, 2, 3},
+    # is 28 x 64 x 64 bases; its first two rows are listed as 1792 unions
+    # and the third stays the table's 64 masks, about 140 KB.  Listing
+    # the unions of all 114688 bases would take about 9 MB
+    code = grassmann_code(F4, 2, 4)
+    code.support_table
+    tracemalloc.start()
+    try:
+        higher_weight(code, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def frobenius_stable_codes():

@@ -3,6 +3,7 @@ import, private definition or command line option is dead."""
 
 import argparse
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import subclose
 import subclose.cli as cli
 import subclose.linalg as linalg
+from subclose import codes
+from subclose.gf import field_from_order
 
 PACKAGE = Path(subclose.__file__).parent
 
@@ -288,6 +291,30 @@ def test_enumeration_has_no_per_point_loop():
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While))
     ]
     assert not found, f"loop statements in enumerate_grassmannian: {', '.join(found)}"
+
+
+def test_subcode_search_has_no_per_basis_call():
+    # higher_weight draws 189,100 bases at r = 3 on G(2, 4)/F4, and the
+    # folded search ORs and counts each one in C; the Python calls it
+    # makes set up the 80 products (C(6, 3) pivot sets, r + 1 products
+    # each) and their row options, about 1,300 in all, so a Python call
+    # per basis would show at once
+    code = codes.grassmann_code(field_from_order(4), 2, 4)
+    code.support_table
+    code.frobenius
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        codes.higher_weight(code, 3)
+    finally:
+        sys.setprofile(None)
+    products = math.comb(6, 3) * (3 + 1)
+    assert calls < 25 * products < 189100 // 50
 
 
 def test_codes_leaves_maximality_to_families():

@@ -1,13 +1,15 @@
 """Tests for row reduction, determinants, and RREF enumeration."""
 
 import random
-from itertools import combinations, islice, permutations, product
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 
 import pytest
 
 from subclose.combinat import colex_masks, gaussian_binom
 from subclose.gf import field_from_order
-from subclose.linalg import det, mat_rank, row_streams, rref_span_matrices
+from subclose.linalg import det, mat_rank, rref_span_count, rref_span_matrices
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -363,31 +365,69 @@ def test_rref_span_frobenius_keys_the_same_matrices():
     )
 
 
-def test_row_streams_split_each_matrix_into_its_rows():
-    for F, top in ((F2, 4), (F3, 4), (F4, 3)):
-        for n in range(1, top + 1):
-            for r in range(1, n + 1):
-                plain = list(rref_span_matrices(F, r, n))
-                streams = row_streams(rref_span_matrices(F, r, n), r)
-                assert len(streams) == r
-                for i, stream in enumerate(streams):
-                    assert list(stream) == [mat[i] for mat in plain], (F.q, r, n)
-                in_step = zip(*row_streams(rref_span_matrices(F, r, n), r))
-                assert list(in_step) == plain, (F.q, r, n)
+def test_folded_span_pairs_fold_each_matrix_in_order():
+    # a folded call yields one pair per matrix, in the unfolded order,
+    # and a | b is the OR of the matrix's row keys; random keys make a
+    # dropped or doubled row show in the masks
+    rng = random.Random(43)
+    for q in (2, 3, 4, 8, 9, 16):
+        F = field_from_order(q)
+        tables = (None, F.frobenius) if F.e > 1 else (None,)
+        for n in range(6 if q < 8 else 5 if q < 16 else 4):
+            for r in range(n + 1):
+                for sigma in tables:
+                    masks = {}
+
+                    def key(row):
+                        return masks.setdefault(row, rng.getrandbits(48))
+
+                    plain = rref_span_matrices(F, r, n, key=key, frobenius=sigma)
+                    unions = [reduce(or_, mat, 0) for mat in plain]
+                    pairs = list(
+                        rref_span_matrices(F, r, n, key, sigma, fold=or_)
+                    )
+                    assert all(len(pair) == 2 for pair in pairs)
+                    assert [a | b for a, b in pairs] == unions, (q, r, n, sigma)
 
 
-def test_row_streams_in_step_draw_one_matrix_at_a_time():
-    drawn = []
+def test_folded_span_of_rank_zero_is_one_empty_pair():
+    assert list(rref_span_matrices(F2, 0, 3, fold=or_)) == [(0, 0)]
+    assert list(rref_span_matrices(F4, 0, 0, fold=or_)) == [(0, 0)]
 
-    def source():
-        for mat in rref_span_matrices(F3, 2, 4):
-            drawn.append(mat)
-            yield mat
 
-    in_step = zip(*row_streams(source(), 2))
-    for count, rows in enumerate(islice(in_step, 5), start=1):
-        assert len(drawn) == count
-        assert rows == drawn[-1]
+def test_folded_span_never_folds_a_single_row():
+    # rank 1 has one row per product: one side is the row's keyed options
+    # as they are and the other the identity 0, so the fold never runs
+    # (0 + str would raise)
+    keyed = list(rref_span_matrices(F3, 1, 4, key=str, fold=lambda a, b: a + b))
+    assert keyed[0] == (0, "(1, 0, 0, 0)")
+    assert [b for _, b in keyed] == [
+        str(row) for (row,) in rref_span_matrices(F3, 1, 4)
+    ]
+
+
+def test_rref_span_count_matches_the_draws():
+    # the count is the number of matrices yielded, with and without a
+    # Frobenius table, on every field up to 16
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        F = field_from_order(q)
+        tables = (None, F.frobenius) if F.e > 1 else (None,)
+        for n in range(6):
+            for r in range(n + 1):
+                if gaussian_binom(n, r, q) > 2 * 10**4:
+                    continue
+                for sigma in tables:
+                    drawn = sum(1 for _ in rref_span_matrices(F, r, n, frobenius=sigma))
+                    assert rref_span_count(F, r, n, sigma) == drawn, (q, r, n, sigma)
+                assert rref_span_count(F, r, n) == gaussian_binom(n, r, q)
+    # a prime field's table fixes every element, and GF(8) meets each of
+    # its orbits once: ([6, 2]_8 + 2 [6, 2]_2) / 3
+    assert rref_span_count(F3, 3, 6, F3.frobenius) == gaussian_binom(6, 3, 3)
+    F8 = field_from_order(8)
+    assert rref_span_count(F8, 2, 6, F8.frobenius) == 6492981
+    assert 3 * 6492981 == gaussian_binom(6, 2, 8) + 2 * gaussian_binom(6, 2, 2)
+    with pytest.raises(ValueError, match=r"^need 0 <= r <= n, got r=4, n=3$"):
+        rref_span_count(F2, 4, 3)
 
 
 def test_rref_span_covers_all_subspaces():
