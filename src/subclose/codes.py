@@ -24,10 +24,11 @@ subvariety reduces to, and lifts the kept ones back to the minors of
 G(ell, m) column by column, in the same strided slices.
 
 Higher weights d_r are the least support size over rank-r subcodes, found
-by exhausting them, or, for a code whose points the Frobenius map x -> x^p
-permutes (every code built here over GF(p^e), e > 1), by exhausting one
-subcode or a few per Frobenius orbit: the map keeps support sizes, so the
-minimum is the same.  The support of a subcode is the union of the
+by exhausting them, or, for a code whose points the diagonal torus
+(F^*)^m permutes (every code built here, over every field but GF(2)), by
+exhausting the subcodes whose echelon basis has a first row normalized by
+the torus, at least one per torus orbit: the torus keeps support sizes, so
+the minimum is the same.  The support of a subcode is the union of the
 supports of any basis.  A support table maps each normalized message to
 its codeword's support; the enumeration hands each basis over as its
 rows' table entries, looked up once per row option, and each basis
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial, reduce
-from itertools import combinations, compress, repeat, starmap
+from itertools import chain, combinations, compress, repeat, starmap
 from operator import itemgetter, or_
 
 from .combinat import Record, colex_masks, gaussian_binom, set_of
@@ -80,6 +81,31 @@ def _taker(mask: int):
     # a slice keeps the result a tuple, empty for no positions
     start = positions[0] if positions else 0
     return itemgetter(slice(start, start + len(positions)))
+
+
+def _times(F: FieldTable, c: int) -> bytes:
+    """bytes.translate table multiplying each field element by c."""
+    return bytes(F.mul[c]).ljust(256, b"\0")
+
+
+def _projective_points(F: FieldTable, rows) -> list[bytes]:
+    """The columns of some generator rows, as the points they are up to
+    scalars: each divided by its first nonzero entry, sorted.  The points
+    are taken in one pass per first entry x, those whose stripped bytes
+    start with x, so no point is read one coordinate at a time; a code's
+    points never vanish on every row, so each has one."""
+    points = list(map(bytes, zip(*rows)))
+    stripped = list(map(bytes.lstrip, points, repeat(b"\0")))
+    return sorted(
+        chain.from_iterable(
+            map(
+                bytes.translate,
+                compress(points, map(bytes.startswith, stripped, repeat(bytes([x])))),
+                repeat(_times(F, F.inv[x])),
+            )
+            for x in range(1, F.q)
+        )
+    )
 
 
 def enumerate_grassmannian(
@@ -299,19 +325,40 @@ class CodeSystem(Record):
         return tuple(_nonzero_mask(row) for row in self.generator)
 
     @cached_property
-    def frobenius(self) -> bytes | None:
-        """F's Frobenius table, sigma: x -> x^p, when e > 1 and sigma
-        applied to every coordinate permutes the points as a multiset, and
-        None otherwise; higher_weight then searches one subcode or a few
-        per sigma-orbit.  It must be the multiset: a repeated point whose
-        image comes only once keeps the point set, but not the support
-        sizes, which the orbit search relies on.
+    def torus(self) -> tuple[tuple[int, ...], ...] | None:
+        """The diagonal torus (F^*)^m on the message coordinates, when it
+        permutes the points as a multiset, and None otherwise or over
+        GF(2), where it is trivial; higher_weight then searches at least
+        one subcode basis per torus orbit, not every one.
+
+        Generator i, g at coordinate i of F^m and 1 elsewhere, scales the
+        Pluecker coordinate p_S by g exactly when i is in S.  So it is
+        given by its exponent vector on the generator rows, 1 where the
+        row's column set holds i and 0 elsewhere; the torus is the tuple
+        of those m vectors, the group they generate taken mod q - 1 (a
+        common shift of the exponents scales every message alike and so
+        moves no subcode).  Each generator is checked on the points: its
+        images, each divided by its first nonzero entry, must be the
+        points so divided, as a multiset.  It must be the multiset: a
+        repeated point whose image comes only once keeps the point set,
+        but not the support sizes, which the orbit search relies on.
         """
-        if self.F.e == 1:
+        F = self.F
+        if F.q == 2:
             return None
-        table = self.F.frobenius
-        images = map(bytes.translate, self.points, repeat(table))
-        return table if sorted(images) == sorted(self.points) else None
+        masks = colex_masks(self.ell, self.m)
+        labels = [masks[pos] for pos in self.row_positions]
+        torus = tuple(tuple(mask >> i & 1 for mask in labels) for i in range(self.m))
+        times_g = _times(F, F.powers[1])
+        points = _projective_points(F, self.generator)
+        for exponents in torus:
+            rows = [
+                row.translate(times_g) if e else row
+                for row, e in zip(self.generator, exponents)
+            ]
+            if _projective_points(F, rows) != points:
+                return None
+        return torus
 
     @cached_property
     def support_table(self) -> dict[tuple[int, ...], int]:
@@ -453,27 +500,47 @@ def schubert_code(
     return CodeSystem(F, ell, m, alpha, points, positions)
 
 
+def _check_subcode_budget(code: CodeSystem, ranks, what: str, budget: int) -> None:
+    """Refuse, past budget, the subcode bases that the searches at the
+    given ranks draw, exactly as linalg.rref_span_count counts them.  The
+    search at rank r draws at most [k, r]_q bases, so the count is taken
+    only when those bounds are past the budget."""
+    k, q = code.kdim, code.F.q
+    if sum(gaussian_binom(k, r, q) for r in ranks) > budget:
+        drawn = sum(rref_span_count(code.F, r, k, code.torus) for r in ranks)
+        check_budget(drawn, what, budget)
+
+
 def higher_weight(
     code: CodeSystem, r: int, *, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> int:
     """d_r: the smallest support size over rank-r subcodes, by exhaustion
     over echelon representatives of the message-space subspaces.
 
-    When code.frobenius is a table, the search visits only the bases that
-    rref_span_matrices yields for it, at least one per orbit of sigma:
-    x -> x^p.  That is exact:
-    1. The varieties are defined over GF(p), so sigma sends the minors of
-       W to those of sigma(W) and keeps the normalization and the
-       Schubert conditions: it permutes the points, as code.frobenius
-       checks.  The codeword of sigma(c) is nonzero at sigma(g) exactly
-       when that of c is nonzero at g, so |supp sigma(D)| = |supp D|.
-    2. Echelon form commutes with sigma.
-    3. The lex-least basis of an orbit agrees with its images up to its
-       first free entry x outside GF(p), so x <= sigma^j(x) for every j,
-       and that basis is among those visited.
-    Over GF(p^2) that is ([k, r]_q + [k, r]_p) / 2 bases, one per orbit.
+    When code.torus is not None, the search visits only the bases that
+    rref_span_matrices yields for it, at least one per orbit of the
+    diagonal torus T = (F^*)^m.  That is exact:
+    1. T keeps Omega_alpha: a diagonal t fixes every E_i, so it keeps each
+       Schubert condition dim(W cap E_alpha_i) >= i (Ghorpade and
+       Tsfasman 2005), and it scales the minor p_S of W by
+       chi_S(t) = prod_{i in S} t_i, so it permutes the points up to
+       scalars, which code.torus checks as a multiset.
+    2. T acts on messages by (t.c)_S = chi_S(t) c_S, and the codeword of
+       t.c at a point P is that of c at t.P, so t.D has the support of D
+       carried over by that permutation: |supp t.D| = |supp D|.
+    3. On an echelon basis T only rescales the entries: entry (i, c) by
+       chi_c / chi_{p_i}, p_i the row's pivot; the pivots and the zeros
+       stay, so the echelon form of t.D is that of D rescaled.
+    4. Successive stabilizers normalize the first row: each nonzero entry,
+       in column order, is moved by the stabilizer of the entries before
+       it to one of g^0, ..., g^(d-1), d the index of that stabilizer's
+       image at its column, which keeps the earlier entries.  Every orbit
+       holds a basis whose first row is so normalized, and the search
+       visits every such basis.
+    Over GF(2) T is trivial and the search visits all [k, r]_2 bases.
     The subcode budget charges exactly the bases drawn, as
-    linalg.rref_span_count counts them without drawing them.
+    linalg.rref_span_count counts them without drawing them, whenever
+    their bound [k, r]_q is past it.
 
     Each basis comes from rref_span_matrices, folded by OR, as a pair: the
     union of the support masks of its first rows and that of the rest.
@@ -482,10 +549,8 @@ def higher_weight(
     """
     if not 1 <= r <= code.kdim:
         raise ValueError(f"r={r} outside 1..{code.kdim}")
-    check_budget(
-        rref_span_count(code.F, r, code.kdim, code.frobenius),
-        f"rank-{r} subcode bases of a dimension-{code.kdim} code",
-        budget,
+    _check_subcode_budget(
+        code, (r,), f"rank-{r} subcode bases of a dimension-{code.kdim} code", budget
     )
     if r < code.kdim:
         # the table holds [k, 1]_q codewords of length n: charge its
@@ -506,14 +571,14 @@ def higher_weight(
             for i, mask in enumerate(code.row_masks)
         }
     # each basis comes as two unions of its rows' support masks, looked up
-    # once per row option rather than once per basis row, one basis or a
-    # few for each Frobenius orbit of subcodes when the code has one
+    # once per row option rather than once per basis row, at least one
+    # for each torus orbit of subcodes when the code has a torus
     halves = rref_span_matrices(
         code.F,
         r,
         code.kdim,
         key=supports.__getitem__,
-        frobenius=code.frobenius,
+        torus=code.torus,
         fold=or_,
     )
     return min(map(int.bit_count, starmap(or_, halves)))
@@ -526,14 +591,9 @@ def weight_hierarchy(
     here, since construction checks its nondegeneracy (no point vanishing
     on every row, full rank); both are still checked, and a failed check
     raises ArithmeticError."""
-    total = sum(
-        rref_span_count(code.F, r, code.kdim, code.frobenius)
-        for r in range(1, code.kdim + 1)
-    )
-    check_budget(total, "subcode bases across all ranks", budget)
-    weights = tuple(
-        higher_weight(code, r, budget=budget) for r in range(1, code.kdim + 1)
-    )
+    ranks = range(1, code.kdim + 1)
+    _check_subcode_budget(code, ranks, "subcode bases across all ranks", budget)
+    weights = tuple(higher_weight(code, r, budget=budget) for r in ranks)
     if any(a >= b for a, b in zip(weights, weights[1:])):
         raise ArithmeticError(f"hierarchy not strictly increasing: {weights}")
     if weights[-1] != code.n:

@@ -45,16 +45,18 @@ class FieldTable(Record):
         return range(self.q)
 
     @cached_property
-    def frobenius(self) -> bytes:
-        """The Frobenius automorphism x -> x^p as a bytes.translate table:
-        byte x is x^p, each power taken by p - 1 lookups in mul, and the
-        bytes past the field map to themselves.  It fixes exactly the
-        prime subfield GF(p), and has order e."""
-        table = bytearray(range(256))
-        for x in self.elements:
-            for _ in range(self.p - 1):
-                table[x] = self.mul[table[x]][x]
-        return bytes(table)
+    def powers(self) -> tuple[int, ...]:
+        """g^0, g^1, ..., g^(q-2) for the least primitive element g, each
+        power one lookup in mul.  They are checked to hold every nonzero
+        element once, so g generates the multiplicative group, and g^i
+        lies at index i."""
+        for g in range(1, self.q):
+            powers = [1]
+            while len(powers) < self.q - 1:
+                powers.append(self.mul[powers[-1]][g])
+            if sorted(powers) == list(range(1, self.q)):
+                return tuple(powers)
+        raise ArithmeticError(f"GF({self.q}) has no primitive element")
 
 
 def _vec(a: int, p: int, e: int) -> list[int]:

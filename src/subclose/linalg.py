@@ -8,35 +8,39 @@ column set of the Grassmannian enumeration, are cofactor expansions over
 the field tables, in a det frame that creates no closure cells.
 
 The echelon representatives of the r-subspaces come from one enumerator,
-rref_span_matrices: products per pivot set whose union holds at least one
-matrix per orbit of a field automorphism sigma.  Its default sigma, the
-identity, leaves one itertools.product per pivot set and every subspace
-once; the subcode search passes the Frobenius table of GF(p^e) on codes
-that the Frobenius map keeps.  Given a fold such as or_, it folds each
+rref_span_matrices: one itertools.product per pivot set.  Without a
+torus it holds every subspace once.  Given a torus, a group of diagonal
+matrices as exponent vectors, the first row takes only the options that
+the successive stabilizers of its entries normalize, so the products hold
+at least one matrix per torus orbit; the stabilizers are subgroups of
+(Z/(q-1))^w, stepped column by column in Howell form, the one echelon
+basis that keys each subgroup.  Given a fold such as or_, it folds each
 product's rows ahead in two halves and yields each matrix as one pair,
 so a caller folds a matrix with one C-level call; rref_span_count counts
-the matrices without drawing them.  The key maps each row option once
-per pivot set, and both callers use it: the subcode search keys the rows
-by their codewords' supports, and the Grassmannian enumeration runs one
-stream per column set, keyed by that set's getter, so each basis comes
-already cut down to the columns of one minor.
+the matrices without drawing them, one walk over the columns per first
+pivot.  The key maps each row option once per pivot set, and both
+callers use it: the subcode search keys the rows by their codewords'
+supports, and the Grassmannian enumeration runs one stream per column
+set, keyed by that set's getter, so each basis comes already cut down to
+the columns of one minor.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, product, repeat, starmap
+from collections import defaultdict
+from itertools import accumulate, chain, product, repeat, starmap, zip_longest
+import math
 import operator
 
 from .combinat import colex_masks
 from .gf import FieldTable
 
+# a row without its first entry
+_tail = operator.itemgetter(slice(1, None))
+
 Matrix = tuple[tuple[int, ...], ...]
 
 _NOT_SQUARE = "determinant needs a square matrix"
-
-# the default sigma of rref_span_matrices, on fields of up to 256 elements
-_IDENTITY = bytes(range(256))
-
 
 def _eliminate(F: FieldTable, rows) -> tuple[list[list[int]], list[int], int]:
     """Forward elimination: the echelon rows, their pivot columns, and the
@@ -105,16 +109,6 @@ def det(F: FieldTable, rows) -> int:
     return signed if len(pivots) == n else 0
 
 
-def _keyed_rows(n: int, p: int, free: list[int], picks: list, key) -> list:
-    """The options of the row pivoted at column p, mapped by key: 1 at p,
-    picks[t] at its free column free[t], and 0 elsewhere.  They are one
-    itertools.product over the columns' choices, in lexicographic order,
-    so they are built in C."""
-    choices = dict(zip(free, picks))
-    rows = product(*[(1,) if c == p else choices.get(c, (0,)) for c in range(n)])
-    return list(map(key, rows))
-
-
 def _pivot_rows(n: int, mask: int):
     """Each pivot column p of a pivot set, in order, with the free columns
     of its row: those after p that hold no pivot."""
@@ -123,35 +117,149 @@ def _pivot_rows(n: int, mask: int):
             yield p, [c for c in range(p + 1, n) if not mask >> c & 1]
 
 
-def _pivot_products(F: FieldTable, n: int, key, mask: int, prime, least):
-    """The echelon bases of one pivot column set, as the products that
-    rref_span_matrices describes, each the list of its rows' options.
-    prime holds the elements sigma fixes, least those it moves that are
-    the least of their orbits.  A row's fixed and leading options are
-    products over its columns' choices, like its every option, so no row
-    is classified one tuple at a time and no row tuple is held.  With
-    least empty, as under the identity, the one product of the fixed
-    options is the whole answer."""
-    every, fixed, leading = [], [], []
-    for i, (p, free) in enumerate(_pivot_rows(n, mask)):
-        s = len(free)
-        fixed.append(_keyed_rows(n, p, free, [prime] * s, key))
-        if not least:
+def _howell(rows, N: int) -> tuple[tuple[int, ...], ...]:
+    """The Howell form of the subgroup of (Z/N)^w that rows span: its one
+    echelon basis whose leading entries divide N, whose entries above a
+    leading entry h lie in 0..h-1, and in which the rows past any row span
+    every element of the subgroup that vanishes up to that row's leading
+    column (J. A. Howell, Spans in the module (Z_m)^s, 1986).  Any two
+    generating sets of one subgroup give the same form, so the form keys
+    the subgroup.
+
+    Column by column, Euclid's row steps gather the gcd x of the column's
+    entries into one row, a multiple of it takes the leading entry
+    h = gcd(x, N), and what the column then leaves, N/h times the new row
+    among it, joins the rows still to come; last, each leading entry
+    reduces the entries above it."""
+    mod = N.__rmod__
+    pending = [list(map(mod, row)) for row in rows]
+    form, leads = [], []
+    for col in range(len(pending[0]) if pending else 0):
+        top, rest = None, []
+        for row in pending:
+            if top is None and row[col]:
+                top = row
+                continue
+            while row[col]:
+                k = top[col] // row[col]
+                less = map(operator.sub, top, map(k.__mul__, row))
+                top, row = row, list(map(mod, less))
+            rest.append(row)
+        if top is None:
             continue
-        # the products take every option of each row but the first
-        if i:
-            every.append(_keyed_rows(n, p, free, [F.elements] * s, key))
-        # one product for each free entry t that is the first sigma moves
-        firsts = (
-            [prime] * t + [least] + [F.elements] * (s - t - 1) for t in range(s)
-        )
-        rows = (_keyed_rows(n, p, free, picks, key) for picks in firsts)
-        leading.append(list(chain.from_iterable(rows)))
-    if not least:
-        return [fixed]
-    products = [fixed[:i] + [leading[i]] + every[i:] for i in range(len(leading))]
-    products.append(fixed)
-    return products
+        # lead, u times top, has the leading entry h; top less x/h times
+        # lead vanishes at col, so the two span what top spans
+        h = math.gcd(top[col], N)
+        lead = top
+        if top[col] != h:
+            u = pow(top[col] // h, -1, N // h)
+            lead = list(map(mod, map(u.__mul__, top)))
+            k = top[col] // h
+            less = map(operator.sub, top, map(k.__mul__, lead))
+            rest.append(list(map(mod, less)))
+        if h > 1:
+            rest.append(list(map(mod, map((N // h).__mul__, lead))))
+        form.append(lead)
+        leads.append(col)
+        pending = rest
+    for i, col in enumerate(leads):
+        for j in range(i):
+            k = form[j][col] // form[i][col]
+            less = map(operator.sub, form[j], map(k.__mul__, form[i]))
+            form[j] = list(map(mod, less))
+    return tuple(map(tuple, form))
+
+
+def _stabilizer(F: FieldTable, n: int, p: int, torus):
+    """The torus acting on the entries past column p of a row pivoted
+    there, as the Howell form of its generators' exponents at those
+    columns: generator t scales the entry at column c by g^(t[c] - t[p]),
+    g the primitive element of F.powers.  No torus gives the empty form,
+    the group that moves nothing."""
+    if torus is None:
+        return ()
+    columns = range(p + 1, n)
+    exponents = [
+        map(operator.sub, map(t.__getitem__, columns), repeat(t[p])) for t in torus
+    ]
+    return _howell(exponents, F.q - 1)
+
+
+class _Steps(dict):
+    """A stabilizer one column on, looked up by its Howell form on the
+    columns from that one: (d, kept, cut).  d is the leading entry at the
+    column, or 0 when no row leads there and the group does not move the
+    column's entry; kept is the whole group on the columns past it, and
+    cut the subgroup that fixes a nonzero entry there.  One table serves
+    every row and pivot set of a call, so each form is stepped once."""
+
+    def __init__(self, N: int):
+        super().__init__()
+        self.N = N
+
+    def __missing__(self, stabilizer):
+        d = stabilizer[0][0] if stabilizer else 0
+        rest = tuple(map(_tail, stabilizer))
+        step = (d, _howell(rest, self.N), rest[1:]) if d else (0, rest, rest)
+        self[stabilizer] = step
+        return step
+
+
+def _row_options(F: FieldTable, n: int, key, mask: int, p: int, free, start, steps):
+    """The keyed options of the row pivoted at column p, normalized by
+    start, a group acting on the entries past p as _stabilizer gives it,
+    so that every orbit of the group on the row's options meets them.
+    mask holds the pivots, and free the row's other columns past p.
+
+    The columns past p are walked in order, the form always that of the
+    stabilizer of the entries chosen so far, on the columns from there.
+    A later pivot's column holds 0.  A free column where no row of the
+    form leads is one the group does not move, and takes every element.
+    Where a row leads with entry d, the group's image there is the
+    subgroup of index d in F^*, so the entry is either 0, which keeps the
+    group, or one of the coset representatives g^0, ..., g^(d-1), which
+    cut it.  Once the form is empty, every remaining column takes every
+    element, so each branch is one product over the columns' choices,
+    built in C; with the empty form from the start the row takes every
+    option, in lexicographic order."""
+    every = F.elements
+    # the choices at each column: 1 at p, 0 at every other column but
+    # the free ones, which each branch sets
+    columns = [(0,)] * n
+    columns[p] = (1,)
+    options = []
+    branches = [(p + 1, [], start)]
+    while branches:
+        c, picks, stabilizer = branches.pop()
+        while stabilizer:
+            d, kept, cut = steps[stabilizer]
+            pivot = mask >> c & 1
+            if d and not pivot:
+                break
+            if not pivot:
+                picks.append(every)
+            stabilizer = kept
+            c += 1
+        if not stabilizer:
+            for col, pick in zip_longest(free, picks, fillvalue=every):
+                columns[col] = pick
+            options += map(key, product(*columns))
+            continue
+        branches.append((c + 1, picks + [F.powers[:d]], cut))
+        branches.append((c + 1, picks + [(0,)], kept))
+    return options
+
+
+def _pivot_product(F: FieldTable, n: int, key, mask: int, starts, steps) -> list:
+    """The echelon bases of one pivot column set as one product, the list
+    of its rows' keyed options: the first row's normalized by the torus,
+    whose group on the entries past each pivot p is starts[p], and every
+    option of each later row."""
+    factors = []
+    for p, free in _pivot_rows(n, mask):
+        start = () if factors else starts[p]
+        factors.append(_row_options(F, n, key, mask, p, free, start, steps))
+    return factors
 
 
 def _folded(factors: list, fold) -> list:
@@ -178,39 +286,22 @@ def _halves(factors: list, fold):
     return product(_folded(factors[:cut], fold), _folded(factors[cut:], fold))
 
 
-def _orbit_elements(F: FieldTable, frobenius) -> tuple[list[int], list[int]]:
-    """The elements of F that sigma fixes, and those it moves that are the
-    least of their orbits; sigma is the identity when frobenius is None."""
-    if frobenius is None:
-        frobenius = _IDENTITY
-    # sigma^1, ..., sigma^(e-1) as tables, composed by bytes.translate
-    powers = list(
-        accumulate(repeat(frobenius, F.e - 2), bytes.translate, initial=frobenius)
-    )
-    prime = [x for x in F.elements if frobenius[x] == x]
-    least = [
-        x for x in F.elements if frobenius[x] != x and all(x <= t[x] for t in powers)
-    ]
-    return prime, least
-
-
 def _check_rank(r: int, n: int) -> None:
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
 
 
 def rref_span_matrices(
-    F: FieldTable, r: int, n: int, key=tuple, frobenius=None, fold=None
+    F: FieldTable, r: int, n: int, key=tuple, torus=None, fold=None
 ):
     """Iterator over the r x n RREF matrices of rank r over F, at least
-    one per orbit of sigma, the automorphism of F whose table is
-    frobenius.  The default sigma, the identity, has one matrix per
-    orbit, so without a table each matrix comes exactly once.
+    one per orbit of the torus given by torus.  Without a torus each
+    matrix comes exactly once.
 
     These are canonical representatives of the r-dimensional subspaces of
-    F^n.  Pivot column sets run in colex order; for a fixed pivot set the
-    free entries run lexicographically in row-major order, which is the
-    product order over each row's own options.  The iterator chains
+    F^n.  Pivot column sets run in colex order; without a torus the free
+    entries of a pivot set run lexicographically in row-major order, which
+    is the product order over each row's own options.  The iterator chains
     itertools.product objects, so no Python runs per matrix; a bad r
     raises ValueError at the call, before any iteration.
 
@@ -228,60 +319,69 @@ def rref_span_matrices(
     before the cut (0 if none) and b of the rest.  A caller then folds
     each matrix with one call, and r = 0 yields the one pair (0, 0).
 
-    frobenius, when given, is F.frobenius, the table of sigma: x -> x^p.
-    sigma acts on a matrix entrywise, and it keeps the pivots, the unit
-    pivot entries and the zeros of echelon form, so the echelon form of
-    sigma(W) is sigma applied to that of W: sigma permutes the matrices.
-    Each pivot set then yields the disjoint union of r + 1 products.  For
-    each row i, rows before i take their fixed options (every free entry
-    sigma fixes, so in GF(p)), row i its leading options (its first
-    entry outside GF(p) is the least of its sigma-orbit), and the rows
-    after i every option; one more product takes every row from its
-    fixed options.  That covers the least matrix of every orbit, in the
-    row-major order above: all its rows are fixed, or row i is the first
-    that is not, and then each image sigma^j agrees with it up to that
-    row's first entry x outside GF(p), whose image is sigma^j(x), so
-    x <= sigma^j(x) and row i is leading.  Over GF(p^2) and GF(p^3), x
-    is then the only least element of its orbit, so each orbit comes
-    exactly once; over GF(16) an orbit comes twice when x lies in GF(4),
-    which sigma^2 fixes.  A minimum over the matrices of a sigma-invariant
-    quantity is the same over either set.  Under the identity no entry
-    is leading, and the fixed product alone yields every matrix.
+    torus, when given, is a sequence of exponent vectors t of length n:
+    the group they generate scales column c of F^n by g^t[c], g the
+    primitive element of F.powers, and so acts on the r-subspaces.  On
+    an echelon basis that action multiplies entry (i, c) by
+    g^(t[c] - t[p_i]), p_i the pivot of row i, once each row is scaled
+    back to a unit pivot: it keeps the pivots and the zeros, so the
+    torus permutes the echelon matrices and only rescales their entries.
+    Each pivot set still yields one product.  Its first row takes the
+    options that _row_options normalizes by the successive stabilizers of
+    its entries, and every later row takes every option.  Any matrix is
+    carried into that product by the element of the torus that
+    normalizes its first row, entry by entry, each step inside the
+    stabilizer of the entries before; so every orbit meets it.  A
+    minimum over the matrices of a torus-invariant quantity is the same
+    over either set.
     """
     _check_rank(r, n)
-    prime, least = _orbit_elements(F, frobenius)
-    factors = chain.from_iterable(
-        _pivot_products(F, n, key, mask, prime, least) for mask in colex_masks(r, n)
+    steps = _Steps(F.q - 1)
+    starts = [_stabilizer(F, n, p, torus) for p in range(n)]
+    factors = (
+        _pivot_product(F, n, key, mask, starts, steps) for mask in colex_masks(r, n)
     )
     if fold is None:
         return chain.from_iterable(starmap(product, factors))
     return chain.from_iterable(map(_halves, factors, repeat(fold)))
 
 
-def rref_span_count(F: FieldTable, r: int, n: int, frobenius=None) -> int:
-    """How many matrices rref_span_matrices(F, r, n, frobenius=frobenius)
-    yields, without drawing them: [n, r]_q under the identity.
+def rref_span_count(F: FieldTable, r: int, n: int, torus=None) -> int:
+    """How many matrices rref_span_matrices(F, r, n, torus=torus) yields,
+    without drawing them: [n, r]_q without a torus.
 
-    The pivot columns are placed right to left.  A pivot with j columns
-    to its right, t of them pivots, has s = j - t free columns.  Two sums
-    run over the pivots placed so far, by their count t: every[t] over
-    those products whose leading row is still to come, each row taking
-    q^s options, and fixed[t] over those whose leading row is placed or
-    that have none, each row taking p'^s, p' the count of elements sigma
-    fixes.  Placing the leading row takes |least| * sum_u p'^u q^(s-u-1)
-    options: its first u free entries fixed, the next one least, and the
-    rest free.
+    One left-to-right walk per first pivot p counts them.  A state is the
+    Howell form of the first row's stabilizer on the columns still to
+    come, with t, the later pivots placed so far, and it weighs the
+    matrices that share it.  Each column after p either holds a later
+    pivot, which raises t by 1 and leaves the stabilizer to act on the
+    rest, or is free: the t later rows above it take any of q entries
+    there, and the first row 0, which keeps the stabilizer, or one of d
+    coset representatives, which cut it, d the index of its image at
+    that column as in _row_options.  Equal forms merge, so a free column
+    weighs q^t (1 + d).  Without a torus every d is q - 1.
     """
     _check_rank(r, n)
-    prime, least = _orbit_elements(F, frobenius)
-    q, fixes, leads = F.q, len(prime), len(least)
-    every = [1] + [0] * r
-    fixed = [1] + [0] * r
-    for j in range(n):
-        # t falls, so each update reads the sums from before this column
-        for t in range(min(j, r - 1), -1, -1):
-            s = j - t
-            lead = leads * sum(fixes**u * q ** (s - u - 1) for u in range(s))
-            fixed[t + 1] += fixed[t] * fixes**s + every[t] * lead
-            every[t + 1] += every[t] * q**s
-    return fixed[r]
+    if r == 0:
+        return 1
+    q = F.q
+    steps = _Steps(q - 1)
+    total = 0
+    # a first pivot needs r - 1 columns past it for the later pivots
+    for p in range(n - r + 1):
+        states = {(_stabilizer(F, n, p, torus), 0): 1}
+        for _ in range(p + 1, n):
+            after = defaultdict(int)
+            for (stabilizer, t), ways in states.items():
+                d, kept, cut = steps[stabilizer]
+                if t < r - 1:
+                    after[kept, t + 1] += ways
+                free = ways * q**t
+                if d:
+                    after[kept, t] += free
+                    after[cut, t] += free * d
+                else:
+                    after[kept, t] += free * q
+            states = after
+        total += sum(ways for (_, t), ways in states.items() if t == r - 1)
+    return total

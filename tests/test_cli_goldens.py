@@ -36,6 +36,13 @@ subspaces and about 16 s.  Every point of that subvariety contains E_2, so
 it is now enumerated in G(1, 5), and the case checks that the lift back to
 the minors of G(3, 7) gives the same code.
 
+The verify case on G(2, 5) over F4 with alpha = (2, 5) was recorded from
+the search with one subcode per Frobenius orbit, with the subspace budget
+raised to 10^8: under the default budget that search refused r = 3, at
+12,110,212 bases.  The torus search draws at most 3,037,799 bases, at
+r = 4, so the case checks that it answers under the default budget with
+the same weights.
+
 The benchmark's own goldens, perfbench/goldens.json, are read here too and
 checked in process, so an output drift on a benchmark command fails this
 suite and not only the benchmark.
@@ -106,6 +113,8 @@ GOLDENS = [
      "6e26a3274580aa6eff4bed984dec188889f98032406024f6ea23193218b0fcae"),
     ("verify --ell 3 --m 7 --q 3 --alpha 1,2,7 --r 1", 0,
      "3ec601a4bd9ab350917f0a5e7755dae8292102146f724b4b89b62a467b04fdfa"),
+    ("verify --ell 2 --m 5 --q 4 --alpha 2,5", 0,
+     "4febdc72983caa4222fc50355923ffd2fcb5cdb03b58bb8b6448b2a43df04b2a"),
     ("verify --ell 2 --m 5 --q 2 --budget-subspaces 100", 1,
      EMPTY),
     ("verify --ell 2 --m 4 --q 2 --alpha 3,2", 2,

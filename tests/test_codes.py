@@ -15,7 +15,7 @@ from subclose import codes
 from subclose.combinat import colex_masks, gaussian_binom, mask_of
 from subclose.families import BudgetError, SubsetFamily, k_lambda, k_r
 from subclose.gf import field_from_order
-from subclose.linalg import det, mat_rank, rref_span_matrices
+from subclose.linalg import det, mat_rank, rref_span_count, rref_span_matrices
 from subclose.codes import (
     CodeSystem,
     check_plucker_relations,
@@ -753,28 +753,29 @@ def count_draws(monkeypatch):
 
 
 def test_higher_weight_visits_every_subcode(monkeypatch):
-    # The visited-count contract (ROADMAP items 1 and 4): over a prime
-    # field higher_weight draws every rank-r subcode, [k, r]_q bases, from
-    # codes.rref_span_matrices, and the benchmark's counts pin the same
-    # number.  Over GF(p^2) it draws one basis per Frobenius orbit: the
-    # [k, r]_p subcodes defined over GF(p) are orbits of their own, and
-    # the rest pair up, so ([k, r]_q + [k, r]_p) / 2.  A search that
-    # prunes or uses more symmetry must restate this.
+    # The visited-count contract (ROADMAP items 1 and 4): over GF(2) the
+    # torus is trivial and higher_weight draws every rank-r subcode,
+    # [k, r]_2 bases, from codes.rref_span_matrices, and the benchmark's
+    # counts pin the same number.  Over larger fields it draws the bases
+    # whose first row the torus of G(2, 4) has normalized, as many as
+    # linalg.rref_span_count counts: 10,389 of [6, 3]_3 = 33,880 at r = 3
+    # over GF(3), 48,871 of 376,805 over GF(4).  A search that prunes or
+    # uses more symmetry must restate this.
     # the enumeration of the points draws from it too, so it comes first
-    code = grassmann_code(F3, 2, 4)
-    doubled = grassmann_code(F4, 2, 4)
+    built = [grassmann_code(field_from_order(q), 2, 4) for q in (2, 3, 4)]
     drawn = count_draws(monkeypatch)
-    for r in range(1, 7):
-        higher_weight(code, r)
-    assert drawn == [gaussian_binom(6, r, 3) for r in range(1, 7)]
-    drawn.clear()
-    for r in range(1, 7):
-        higher_weight(doubled, r)
-    assert drawn == [
-        (gaussian_binom(6, r, 4) + gaussian_binom(6, r, 2)) // 2 for r in range(1, 7)
-    ]
-    # 376805 bases at r = 3 before the orbits
-    assert drawn[2] == 189100
+    for code in built:
+        drawn.clear()
+        for r in range(1, 7):
+            higher_weight(code, r)
+        q = code.F.q
+        if q == 2:
+            assert code.torus is None
+            assert drawn == [gaussian_binom(6, r, 2) for r in range(1, 7)]
+        else:
+            counts = [rref_span_count(code.F, r, 6, code.torus) for r in range(1, 7)]
+            assert drawn == counts
+        assert drawn[2] == {2: 1395, 3: 10389, 4: 48871}[q]
 
 
 def test_subcode_gate_charges_the_bases_drawn(monkeypatch):
@@ -782,7 +783,8 @@ def test_subcode_gate_charges_the_bases_drawn(monkeypatch):
     # over every field, each rank's charge, read off its refusal, is the
     # count of bases drawn, by the search where its budgets admit it and
     # from codes.rref_span_matrices straight otherwise; weight_hierarchy
-    # charges the sum.  On a prime field that is still [6, r]_q.
+    # charges the sum.  Over GF(2), whose torus is trivial, that is still
+    # [6, r]_2.
     compared = 0
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         code = grassmann_code(field_from_order(q), 2, 4)
@@ -794,7 +796,7 @@ def test_subcode_gate_charges_the_bases_drawn(monkeypatch):
             charge, unit = str(caught.value).split(" ", 1)
             assert unit == f"rank-{r} subcode bases of a dimension-6 code exceed budget 0"
             charges.append(int(charge))
-            if code.frobenius is None:
+            if code.torus is None:
                 assert int(charge) == gaussian_binom(6, r, q), (q, r)
         with pytest.raises(
             BudgetError,
@@ -806,28 +808,46 @@ def test_subcode_gate_charges_the_bases_drawn(monkeypatch):
             if charge <= 2 * 10**5 and (r == 6 or table_fits):
                 higher_weight(code, r)
             elif charge <= 5 * 10**5:
-                bases = codes.rref_span_matrices(
-                    code.F, r, 6, frobenius=code.frobenius
-                )
+                bases = codes.rref_span_matrices(code.F, r, 6, torus=code.torus)
                 sum(1 for _ in bases)
             else:
                 continue
             assert drawn.pop() == charge, (q, r)
             compared += 1
         monkeypatch.undo()
-    # every rank of F2, F3 and F4; r = 1, 5 and 6 of the other fields
-    assert compared == 3 * 6 + 7 * 3
-    # over GF(8) a rank-2 search draws about a third of the subcodes, so
-    # verify is refused at the support-table gate, not the subcode gate
+    # every rank of F2 to F5; r = 1, 2, 5 and 6 of F7, F8 and F9; r = 1,
+    # 5 and 6 of F11, F13 and F16
+    assert compared == 4 * 6 + 3 * 4 + 3 * 3
+    # over GF(8) a rank-2 search draws 136,059 of the 19,477,641 subcodes,
+    # so verify is refused at the support-table gate, not the subcode gate
     code = grassmann_code(field_from_order(8), 2, 4)
     with pytest.raises(BudgetError, match=r"^177695505 support-table entries"):
         higher_weight(code, 2)
 
 
+def test_subcode_gate_counts_only_past_the_bound(monkeypatch):
+    # the search at rank r draws at most [k, r]_q bases, so the gate
+    # counts the torus's draws only when that bound is past the budget,
+    # and then refuses exactly the count: 48,871 at r = 3 on G(2, 4)/F4
+    code = grassmann_code(F4, 2, 4)
+    what = "rank-3 subcode bases of a dimension-6 code"
+    codes._check_subcode_budget(code, (3,), what, 48871)
+    with pytest.raises(BudgetError, match=rf"^48871 {what} exceed budget 48870$"):
+        codes._check_subcode_budget(code, (3,), what, 48870)
+
+    def refuse(*args):
+        raise AssertionError("counted below the bound")
+
+    monkeypatch.setattr(codes, "rref_span_count", refuse)
+    codes._check_subcode_budget(code, (3,), what, gaussian_binom(6, 3, 4))
+    assert weight_hierarchy(code)[:3] == (256, 320, 336)
+
+
 def test_orbit_search_holds_no_row_tuples():
     # the rank-1 search over G(2, 4)/F4 keeps its row options as the masks
-    # of the support table: a search that held the pivot set's 1024 row
-    # tuples peaked at 121 KB, against 20 KB for the masks alone
+    # of the support table, 89 with the torus, and peaks at about 9 KB; a
+    # search that held the 1024 row tuples of pivot set {1} peaked at
+    # 121 KB
     code = grassmann_code(F4, 2, 4)
     code.support_table
     tracemalloc.start()
@@ -841,9 +861,10 @@ def test_orbit_search_holds_no_row_tuples():
 
 def test_folded_search_holds_one_half_per_product():
     # at r = 3 on G(2, 4)/F4 the largest product, of pivot set {1, 2, 3},
-    # is 28 x 64 x 64 bases; its first two rows are listed as 1792 unions
-    # and the third stays the table's 64 masks, about 140 KB.  Listing
-    # the unions of all 114688 bases would take about 9 MB
+    # is 8 x 64 x 64 bases; its first two rows are listed as 512 unions
+    # and the third stays the table's 64 masks, and the search peaks at
+    # about 52 KB.  Listing the unions of all 32768 bases would take over
+    # 2 MB
     code = grassmann_code(F4, 2, 4)
     code.support_table
     tracemalloc.start()
@@ -855,19 +876,25 @@ def test_folded_search_holds_one_half_per_product():
     assert peak < 256 * 1024
 
 
-def frobenius_stable_codes():
-    """Every code over GF(p^e) that the differential test reaches: G(1, 3)
-    and G(2, 4), every alpha of (2, 4) over the fields up to 9, and the
-    alpha of (2, 5) that no smaller Grassmannian holds."""
+def torus_stable_codes():
+    """Every code the differential test reaches: G(1, 3) and G(2, 4) over
+    GF(4), 8, 9 and 16, G(2, 4) over GF(3) and 5, every alpha of (2, 4)
+    over the fields from 3 to 9, every alpha of (2, 5) over GF(3) and 4,
+    and one seeded random alpha of (3, 6) over GF(3)."""
     for q in (4, 8, 9, 16):
         F = field_from_order(q)
         yield grassmann_code(F, 1, 3)
         yield grassmann_code(F, 2, 4)
-    for q in (4, 8, 9):
+    for q in (3, 5):
+        yield grassmann_code(field_from_order(q), 2, 4)
+    for q in (3, 4, 5, 7, 8, 9):
         for alpha in combinations(range(1, 5), 2):
             yield schubert_code(field_from_order(q), alpha, 2, 4)
-    for alpha in ((2, 5), (3, 5), (4, 5)):
-        yield schubert_code(F4, alpha, 2, 5)
+    for q in (3, 4):
+        for alpha in combinations(range(1, 6), 2):
+            yield schubert_code(field_from_order(q), alpha, 2, 5)
+    alpha = sorted(random.Random(42).sample(range(1, 7), 3))
+    yield schubert_code(F3, alpha, 3, 6)
 
 
 def test_orbit_search_matches_the_full_search(monkeypatch):
@@ -876,12 +903,12 @@ def test_orbit_search_matches_the_full_search(monkeypatch):
     budget = codes.DEFAULT_SUBSPACE_BUDGET
     sane = codes.rref_span_matrices
 
-    def full(*args, frobenius=None, **kwargs):
+    def full(*args, torus=None, **kwargs):
         return sane(*args, **kwargs)
 
     compared = 0
-    for code in frobenius_stable_codes():
-        assert code.frobenius == code.F.frobenius
+    for code in torus_stable_codes():
+        assert code.torus is not None
         k, q = code.kdim, code.F.q
         table = gaussian_binom(k, 1, q) * code.n <= budget
         rs = [
@@ -894,27 +921,55 @@ def test_orbit_search_matches_the_full_search(monkeypatch):
         assert [higher_weight(code, r) for r in rs] == orbits, (q, code.alpha)
         monkeypatch.setattr(codes, "rref_span_matrices", sane)
         compared += len(rs)
-    assert compared == 70
+    assert compared == 188
 
 
-def test_frobenius_stability_compares_multisets(monkeypatch):
-    # sigma swaps 2 and 3 in GF(4): the point set {(1, 2), (1, 3)} is
-    # stable, but (1, 2) comes twice and (1, 3) once.  The message (1, 3)
-    # vanishes on both copies of (1, 2), so d_1 = 1, while its image
-    # (1, 2) vanishes on (1, 3) alone; one orbit representative would
-    # give 2
-    code = CodeSystem(F4, 1, 2, None, ((1, 2), (1, 2), (1, 3)), (0, 1))
-    assert code.frobenius is None
+def test_torus_search_answers_alpha_2_5_over_gf4(monkeypatch):
+    # the full search draws [7, 3]_4 = [7, 4]_4 = 24,208,613 bases at
+    # r = 3 and 4, past the default budget; the torus search draws at most
+    # 3,037,799, at r = 4, and gives what the full search gives once the
+    # budget is lifted
+    code = schubert_code(F4, (2, 5), 2, 5)
+    counts = [rref_span_count(F4, r, 7, code.torus) for r in range(1, 8)]
+    assert max(counts) == counts[3] == 3037799
+    assert gaussian_binom(7, 3, 4) == 24208613
+    weights = weight_hierarchy(code)
+    assert weights == (256, 320, 336, 400, 416, 420, 421)
+    sane = codes.rref_span_matrices
+
+    def full(*args, torus=None, **kwargs):
+        return sane(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "rref_span_matrices", full)
+    assert weight_hierarchy(code, budget=10**8) == weights
+
+
+def test_torus_stability_compares_multisets(monkeypatch):
+    # over GF(3) the generator that doubles coordinate 1 sends the point
+    # (1, 1) to (2, 1) ~ (1, 2) and back: the point set {(1, 1), (1, 2)} is
+    # stable, but (1, 1) comes twice and (1, 2) once.  The message (1, 2)
+    # vanishes on both copies of (1, 1), so d_1 = 1, while its orbit
+    # representative (1, 1) vanishes on (1, 2) alone and would give 2
+    code = CodeSystem(F3, 1, 2, None, ((1, 1), (1, 1), (1, 2)), (0, 1))
+    assert code.torus is None
     assert higher_weight(code, 1) == 1
-    assert CodeSystem(F4, 1, 2, None, ((1, 2), (1, 3)), (0, 1)).frobenius
-    assert grassmann_code(F3, 2, 4).frobenius is None
-    # a code that sigma does not keep draws every subcode
+    stable = CodeSystem(F3, 1, 2, None, ((1, 1), (1, 2)), (0, 1))
+    assert stable.torus == ((1, 0), (0, 1))
+    assert list(rref_span_matrices(F3, 1, 2, torus=stable.torus)) == [
+        ((1, 0),),
+        ((1, 1),),
+        ((0, 1),),
+    ]
+    # points scaled by a unit are the same points
+    assert CodeSystem(F3, 1, 2, None, ((2, 2), (1, 2)), (0, 1)).torus
+    assert grassmann_code(F2, 2, 4).torus is None
+    # a code that the torus does not keep draws every subcode
     rng = random.Random(41)
     drawn = count_draws(monkeypatch)
-    for q in (4, 8, 9):
+    for q in (3, 4, 5, 8, 9):
         F = field_from_order(q)
         code = random_code(F, rng, 3, 6)
-        assert code.frobenius is None
+        assert code.torus is None
         drawn.clear()
         for r in range(1, 4):
             higher_weight(code, r)

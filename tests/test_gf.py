@@ -83,25 +83,32 @@ def test_frobenius_fixes_everything():
             assert power(F, a, q) == a
 
 
-def test_frobenius_table_is_the_p_th_power_automorphism():
-    for q in (2, 3, 4, 5, 8, 9, 16):
+def test_powers_list_every_nonzero_element_once():
+    # g^i sits at index i, g is the least element whose powers reach every
+    # nonzero element, and g^(q-1) is 1 again
+    for q in ORDERS:
         F = field_from_order(q)
-        table = F.frobenius
-        assert len(table) == 256 and table[q:] == bytes(range(q, 256))
-        sigma = table[:q]
-        assert sorted(sigma) == list(F.elements)
-        assert [x for x in F.elements if sigma[x] == x] == list(range(F.p))
-        for a in F.elements:
-            assert sigma[a] == power(F, a, F.p)
-            for b in F.elements:
-                assert sigma[F.add[a][b]] == F.add[sigma[a]][sigma[b]]
-                assert sigma[F.mul[a][b]] == F.mul[sigma[a]][sigma[b]]
-        # sigma has order e
-        images, image = [], bytes(F.elements)
-        for _ in range(F.e):
-            image = image.translate(table)
-            images.append(image)
-        assert images.index(bytes(F.elements)) == F.e - 1
+        powers = F.powers
+        assert sorted(powers) == list(range(1, q))
+        g = powers[1 % (q - 1)]
+        assert all(powers[i] == power(F, g, i) for i in range(q - 1))
+        assert power(F, g, q - 1) == 1
+        assert all(
+            len({power(F, x, i) for i in range(q - 1)}) < q - 1 for x in range(1, g)
+        )
+    # the prime fields' least primitive roots
+    assert [field_from_order(p).powers[1] for p in (3, 5, 7, 11, 13)] == [2, 2, 3, 2, 2]
+
+
+def test_powers_refuse_a_table_without_a_primitive_element(replace):
+    # 2 * 2 = 1 and 3 * 3 = 1 in a doctored GF(5): every element squares
+    # to 1, so no powers reach all four nonzero elements
+    F = field_from_order(5)
+    mul = [list(row) for row in F.mul]
+    mul[2][2] = mul[3][3] = 1
+    doctored = replace(F, mul=tuple(map(tuple, mul)))
+    with pytest.raises(ArithmeticError, match=r"^GF\(5\) has no primitive element$"):
+        doctored.powers
 
 
 def test_nonprime_power_of_prime_is_not_mod_arithmetic():

@@ -294,14 +294,14 @@ def test_enumeration_has_no_per_point_loop():
 
 
 def test_subcode_search_has_no_per_basis_call():
-    # higher_weight draws 189,100 bases at r = 3 on G(2, 4)/F4, and the
+    # higher_weight draws 48,871 bases at r = 3 on G(2, 4)/F4, and the
     # folded search ORs and counts each one in C; the Python calls it
-    # makes set up the 80 products (C(6, 3) pivot sets, r + 1 products
-    # each) and their row options, about 1,300 in all, so a Python call
-    # per basis would show at once
+    # makes step the torus's stabilizers and set up the 20 products (one
+    # per pivot set, C(6, 3)) and their row options, about 450 in all, so
+    # a Python call per basis would show at once
     code = codes.grassmann_code(field_from_order(4), 2, 4)
     code.support_table
-    code.frobenius
+    code.torus
     calls = 0
 
     def profile(frame, event, arg):
@@ -313,8 +313,8 @@ def test_subcode_search_has_no_per_basis_call():
         codes.higher_weight(code, 3)
     finally:
         sys.setprofile(None)
-    products = math.comb(6, 3) * (3 + 1)
-    assert calls < 25 * products < 189100 // 50
+    products = math.comb(6, 3)
+    assert calls < 30 * products < 48871 // 50
 
 
 def test_codes_leaves_maximality_to_families():

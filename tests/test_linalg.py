@@ -9,7 +9,13 @@ import pytest
 
 from subclose.combinat import colex_masks, gaussian_binom
 from subclose.gf import field_from_order
-from subclose.linalg import det, mat_rank, rref_span_count, rref_span_matrices
+from subclose.linalg import (
+    _howell,
+    det,
+    mat_rank,
+    rref_span_count,
+    rref_span_matrices,
+)
 
 F2 = field_from_order(2)
 F3 = field_from_order(3)
@@ -320,49 +326,145 @@ def test_rref_span_refuses_a_bad_r_at_the_call():
         rref_span_matrices(F2, -1, 3, key=str)
 
 
-def frobenius_orbits(F, r, n):
-    """The orbits of the Frobenius map on the r x n echelon matrices, each
-    a frozenset, built by applying it entrywise until the matrix recurs."""
-    sigma = F.frobenius
-    orbits = set()
+def line_torus(n):
+    """The torus of G(1, n): generator i scales coordinate i alone."""
+    return tuple(tuple(int(c == i) for c in range(n)) for i in range(n))
+
+
+# the torus of G(2, 4): generator i scales the Pluecker coordinates whose
+# column set holds i, in colex order
+G24_TORUS = tuple(
+    tuple(mask >> i & 1 for mask in colex_masks(2, 4)) for i in range(4)
+)
+
+
+def torus_image(F, t, mat):
+    """The echelon form of the subspace mat spans, its columns scaled by
+    g^t[c]: row i times g^(t[c] - t[p_i]) at column c."""
+    N = F.q - 1
+    image = []
+    for row in mat:
+        p = next(c for c, x in enumerate(row) if x)
+        image.append(
+            tuple(F.mul[x][F.powers[(t[c] - t[p]) % N]] for c, x in enumerate(row))
+        )
+    return tuple(image)
+
+
+def torus_orbits(F, r, n, torus):
+    """The orbits of the torus on the r x n echelon matrices, each a
+    frozenset, closed by applying every generator until nothing is new."""
+    orbits, placed = [], set()
     for mat in rref_span_matrices(F, r, n):
-        orbit = set()
-        while mat not in orbit:
-            orbit.add(mat)
-            mat = tuple(tuple(row.translate(sigma)) for row in map(bytes, mat))
-        orbits.add(frozenset(orbit))
+        if mat in placed:
+            continue
+        orbit, todo = {mat}, [mat]
+        while todo:
+            x = todo.pop()
+            for t in torus:
+                y = torus_image(F, t, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        placed |= orbit
+        orbits.append(frozenset(orbit))
     return orbits
 
 
-def test_rref_span_frobenius_meets_every_orbit():
-    # every orbit holds a visited matrix, none twice; over GF(p^2) and
-    # GF(p^3) exactly one, over GF(16) at most two, since sigma^2 fixes
-    # GF(4)
-    for F, top in ((F4, 4), (field_from_order(8), 3), (F9, 3), (F16, 3)):
-        for n in range(top + 1):
+def test_rref_span_torus_meets_every_orbit():
+    # brute force: every orbit of the torus of G(1, n) or G(2, 4) holds a
+    # drawn matrix, every drawn matrix is an echelon matrix, none twice,
+    # and the count is the number drawn
+    cases = [(n, line_torus(n)) for n in range(1, 6)] + [(6, G24_TORUS)]
+    checked = 0
+    for q in (3, 4, 5, 7):
+        F = field_from_order(q)
+        for n, torus in cases:
             for r in range(n + 1):
-                visited = list(rref_span_matrices(F, r, n, frobenius=F.frobenius))
-                assert len(set(visited)) == len(visited)
-                orbits = frobenius_orbits(F, r, n)
-                hits = [len(orbit.intersection(visited)) for orbit in orbits]
-                assert min(hits, default=1) >= 1 and sum(hits) == len(visited)
-                assert max(hits, default=1) <= (2 if F.q == 16 else 1), (F.q, r, n)
-                if F.e == 2:
-                    count = gaussian_binom(n, r, F.q) + gaussian_binom(n, r, F.p)
-                    assert 2 * len(visited) == count
+                if gaussian_binom(n, r, q) > 2 * 10**4:
+                    continue
+                drawn = list(rref_span_matrices(F, r, n, torus=torus))
+                assert len(set(drawn)) == len(drawn)
+                orbits = torus_orbits(F, r, n, torus)
+                hits = [len(orbit.intersection(drawn)) for orbit in orbits]
+                assert min(hits) >= 1 and sum(hits) == len(drawn), (q, r, n)
+                assert rref_span_count(F, r, n, torus) == len(drawn)
+                checked += 1
+    # every (n, r) but the middle ranks past 2 * 10^4 matrices: r = 3 of
+    # n = 6 over GF(3), r = 2..4 of n = 6 over GF(4), 5 and 7, and r = 2, 3
+    # of n = 5 over GF(5) and 7
+    assert checked == 4 * (2 + 3 + 4 + 5 + 6 + 7) - 1 - 3 * 3 - 2 * 2
+    # the Pluecker tori move every entry they move onto all of F^*; random
+    # exponents, such as 2 and 3 mod 6 over GF(7), leave images of index
+    # d > 1, whose entries take the d coset representatives
+    rng = random.Random(45)
+    for q in (5, 7, 9, 13):
+        F = field_from_order(q)
+        for n in (3, 4):
+            torus = [[rng.randrange(q - 1) for _ in range(n)] for _ in range(2)]
+            for r in range(n + 1):
+                drawn = list(rref_span_matrices(F, r, n, torus=torus))
+                orbits = torus_orbits(F, r, n, torus)
+                hits = [len(orbit.intersection(drawn)) for orbit in orbits]
+                assert min(hits) >= 1 and sum(hits) == len(drawn), (q, r, n, torus)
+                assert rref_span_count(F, r, n, torus) == len(drawn)
+    # every nonzero entry of G(1, 3)'s one line through e_1 is normalized
+    # to 1: the lines of F_5^3 with first pivot 1 are the 1 + 4 + 4 + 16
+    # of (1, x, y), drawn as the four of (1, 0/1, 0/1)
+    F5 = field_from_order(5)
+    assert list(rref_span_matrices(F5, 1, 3, torus=line_torus(3)))[:4] == [
+        ((1, 0, 0),),
+        ((1, 0, 1),),
+        ((1, 1, 0),),
+        ((1, 1, 1),),
+    ]
 
 
-def test_rref_span_frobenius_keys_the_same_matrices():
-    for F in (F4, F9):
-        for n in range(4):
+def test_rref_span_torus_keys_the_same_matrices():
+    for F in (F3, F4, F9):
+        for n in range(5):
             for r in range(n + 1):
-                plain = rref_span_matrices(F, r, n, frobenius=F.frobenius)
-                keyed = rref_span_matrices(F, r, n, key=str, frobenius=F.frobenius)
+                torus = line_torus(n)
+                plain = rref_span_matrices(F, r, n, torus=torus)
+                keyed = rref_span_matrices(F, r, n, key=str, torus=torus)
                 assert list(keyed) == [tuple(map(str, mat)) for mat in plain]
-    # a prime field's table fixes every entry: every matrix, in order
-    assert list(rref_span_matrices(F3, 2, 4, frobenius=F3.frobenius)) == list(
-        rref_span_matrices(F3, 2, 4)
+    # over GF(2) the torus is trivial: every matrix, in order
+    assert list(rref_span_matrices(F2, 3, 6, torus=G24_TORUS)) == list(
+        rref_span_matrices(F2, 3, 6)
     )
+
+
+def test_howell_form_keys_the_subgroup():
+    # two generating sets of one subgroup of (Z/N)^w give one form, and
+    # the form spans that subgroup, with leading entries dividing N
+    rng = random.Random(44)
+
+    def closure(gens, N, w):
+        span, todo = {(0,) * w}, [(0,) * w]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = tuple((a + b) % N for a, b in zip(x, g))
+                if y not in span:
+                    span.add(y)
+                    todo.append(y)
+        return span
+
+    for _ in range(400):
+        N = rng.choice((2, 3, 4, 6, 7, 8, 10, 12, 15))
+        w = rng.randrange(5)
+        gens = [
+            tuple(rng.randrange(N) for _ in range(w)) for _ in range(rng.randrange(4))
+        ]
+        span = closure(gens, N, w)
+        form = _howell(gens, N)
+        assert closure(form, N, w) == span
+        for row in form:
+            assert N % next(x for x in row if x) == 0
+        others, elements = [], sorted(span)
+        while closure(others, N, w) != span:
+            others.append(rng.choice(elements))
+        assert _howell(others, N) == form, (N, gens, others)
 
 
 def test_folded_span_pairs_fold_each_matrix_in_order():
@@ -372,22 +474,21 @@ def test_folded_span_pairs_fold_each_matrix_in_order():
     rng = random.Random(43)
     for q in (2, 3, 4, 8, 9, 16):
         F = field_from_order(q)
-        tables = (None, F.frobenius) if F.e > 1 else (None,)
         for n in range(6 if q < 8 else 5 if q < 16 else 4):
             for r in range(n + 1):
-                for sigma in tables:
+                for torus in (None, line_torus(n)):
                     masks = {}
 
                     def key(row):
                         return masks.setdefault(row, rng.getrandbits(48))
 
-                    plain = rref_span_matrices(F, r, n, key=key, frobenius=sigma)
+                    plain = rref_span_matrices(F, r, n, key=key, torus=torus)
                     unions = [reduce(or_, mat, 0) for mat in plain]
                     pairs = list(
-                        rref_span_matrices(F, r, n, key, sigma, fold=or_)
+                        rref_span_matrices(F, r, n, key, torus, fold=or_)
                     )
                     assert all(len(pair) == 2 for pair in pairs)
-                    assert [a | b for a, b in pairs] == unions, (q, r, n, sigma)
+                    assert [a | b for a, b in pairs] == unions, (q, r, n, torus)
 
 
 def test_folded_span_of_rank_zero_is_one_empty_pair():
@@ -407,25 +508,25 @@ def test_folded_span_never_folds_a_single_row():
 
 
 def test_rref_span_count_matches_the_draws():
-    # the count is the number of matrices yielded, with and without a
-    # Frobenius table, on every field up to 16
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+    # the count is the number of matrices yielded on every field up to
+    # 16, with no torus, the torus of G(1, n), and that of G(2, 4)
+    for q in ORDERS:
         F = field_from_order(q)
-        tables = (None, F.frobenius) if F.e > 1 else (None,)
-        for n in range(6):
+        for n in range(7):
+            tori = (None, line_torus(n)) if n < 6 else (None, G24_TORUS)
             for r in range(n + 1):
                 if gaussian_binom(n, r, q) > 2 * 10**4:
                     continue
-                for sigma in tables:
-                    drawn = sum(1 for _ in rref_span_matrices(F, r, n, frobenius=sigma))
-                    assert rref_span_count(F, r, n, sigma) == drawn, (q, r, n, sigma)
+                for torus in tori:
+                    drawn = sum(1 for _ in rref_span_matrices(F, r, n, torus=torus))
+                    assert rref_span_count(F, r, n, torus) == drawn, (q, r, n, torus)
                 assert rref_span_count(F, r, n) == gaussian_binom(n, r, q)
-    # a prime field's table fixes every element, and GF(8) meets each of
-    # its orbits once: ([6, 2]_8 + 2 [6, 2]_2) / 3
-    assert rref_span_count(F3, 3, 6, F3.frobenius) == gaussian_binom(6, 3, 3)
-    F8 = field_from_order(8)
-    assert rref_span_count(F8, 2, 6, F8.frobenius) == 6492981
-    assert 3 * 6492981 == gaussian_binom(6, 2, 8) + 2 * gaussian_binom(6, 2, 2)
+    # GF(2) has the trivial torus; G(2, 4)'s rank-3 subcodes draw 10,389
+    # of [6, 3]_3 = 33,880 bases over GF(3), 48,871 of 376,805 over GF(4)
+    assert rref_span_count(F2, 3, 6, G24_TORUS) == gaussian_binom(6, 3, 2)
+    assert rref_span_count(F3, 3, 6, G24_TORUS) == 10389
+    assert rref_span_count(F4, 3, 6, G24_TORUS) == 48871
+    assert [rref_span_count(F, 0, 6, G24_TORUS) for F in (F3, F16)] == [1, 1]
     with pytest.raises(ValueError, match=r"^need 0 <= r <= n, got r=4, n=3$"):
         rref_span_count(F2, 4, 3)
 
