@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial, reduce
-from itertools import chain, combinations, compress, repeat, starmap
+from itertools import combinations, compress, repeat, starmap, tee
 from operator import itemgetter, or_
 
 from .combinat import Record, colex_masks, gaussian_binom, set_of
@@ -88,24 +88,17 @@ def _times(F: FieldTable, c: int) -> bytes:
     return bytes(F.mul[c]).ljust(256, b"\0")
 
 
-def _projective_points(F: FieldTable, rows) -> list[bytes]:
-    """The columns of some generator rows, as the points they are up to
-    scalars: each divided by its first nonzero entry, sorted.  The points
-    are taken in one pass per first entry x, those whose stripped bytes
-    start with x, so no point is read one coordinate at a time; a code's
-    points never vanish on every row, so each has one."""
-    points = list(map(bytes, zip(*rows)))
-    stripped = list(map(bytes.lstrip, points, repeat(b"\0")))
-    return sorted(
-        chain.from_iterable(
-            map(
-                bytes.translate,
-                compress(points, map(bytes.startswith, stripped, repeat(bytes([x])))),
-                repeat(_times(F, F.inv[x])),
-            )
-            for x in range(1, F.q)
-        )
-    )
+def _projective_points(F: FieldTable, rows):
+    """The columns of some generator rows, in order, each as the least of
+    its nonzero multiples, which names the point it spans: a stream, one
+    translate per column and multiple, so no point is read one coordinate
+    at a time and none is held."""
+    columns = tee(map(bytes, zip(*rows)), F.q - 1)
+    multiples = [
+        map(bytes.translate, copy, repeat(_times(F, x)))
+        for x, copy in enumerate(columns, 1)
+    ]
+    return map(min, zip(*multiples))
 
 
 def enumerate_grassmannian(
@@ -326,37 +319,43 @@ class CodeSystem(Record):
 
     @cached_property
     def torus(self) -> tuple[tuple[int, ...], ...] | None:
-        """The diagonal torus (F^*)^m on the message coordinates, when it
-        permutes the points as a multiset, and None otherwise or over
-        GF(2), where it is trivial; higher_weight then searches at least
-        one subcode basis per torus orbit, not every one.
+        """The diagonal torus (F^*)^m on the message coordinates, when the
+        points are distinct up to scalars and it permutes them, and None
+        otherwise or over GF(2), where it is trivial; higher_weight then
+        searches at least one subcode basis per torus orbit, not every one.
 
         Generator i, g at coordinate i of F^m and 1 elsewhere, scales the
         Pluecker coordinate p_S by g exactly when i is in S.  So it is
         given by its exponent vector on the generator rows, 1 where the
         row's column set holds i and 0 elsewhere; the torus is the tuple
-        of those m vectors, the group they generate taken mod q - 1 (a
-        common shift of the exponents scales every message alike and so
-        moves no subcode).  Each generator is checked on the points: its
-        images, each divided by its first nonzero entry, must be the
-        points so divided, as a multiset.  It must be the multiset: a
+        of those vectors that are not constant, the group they generate
+        taken mod q - 1 (a common shift of the exponents, such as a
+        constant vector, scales every message alike and so moves no
+        subcode, nor any point).  It must permute the points as a multiset: a
         repeated point whose image comes only once keeps the point set,
-        but not the support sizes, which the orbit search relies on.
+        but not the support sizes, which the orbit search relies on.  So
+        the points, each named by the least of its multiples, must be
+        distinct, as those of a Grassmannian are, and each generator must
+        carry every one into their set, which it then permutes; a code
+        with a repeated point gets None.
         """
         F = self.F
         if F.q == 2:
             return None
+        points = set(_projective_points(F, self.generator))
+        if len(points) < self.n:
+            return None
         masks = colex_masks(self.ell, self.m)
         labels = [masks[pos] for pos in self.row_positions]
-        torus = tuple(tuple(mask >> i & 1 for mask in labels) for i in range(self.m))
+        vectors = (tuple(mask >> i & 1 for mask in labels) for i in range(self.m))
+        torus = tuple(t for t in vectors if len(set(t)) > 1)
         times_g = _times(F, F.powers[1])
-        points = _projective_points(F, self.generator)
         for exponents in torus:
             rows = [
                 row.translate(times_g) if e else row
                 for row, e in zip(self.generator, exponents)
             ]
-            if _projective_points(F, rows) != points:
+            if not all(map(points.__contains__, _projective_points(F, rows))):
                 return None
         return torus
 
@@ -502,13 +501,9 @@ def schubert_code(
 
 def _check_subcode_budget(code: CodeSystem, ranks, what: str, budget: int) -> None:
     """Refuse, past budget, the subcode bases that the searches at the
-    given ranks draw, exactly as linalg.rref_span_count counts them.  The
-    search at rank r draws at most [k, r]_q bases, so the count is taken
-    only when those bounds are past the budget."""
-    k, q = code.kdim, code.F.q
-    if sum(gaussian_binom(k, r, q) for r in ranks) > budget:
-        drawn = sum(rref_span_count(code.F, r, k, code.torus) for r in ranks)
-        check_budget(drawn, what, budget)
+    given ranks draw, exactly as linalg.rref_span_count counts them."""
+    drawn = sum(rref_span_count(code.F, r, code.kdim, code.torus) for r in ranks)
+    check_budget(drawn, what, budget)
 
 
 def higher_weight(
@@ -524,7 +519,7 @@ def higher_weight(
        Schubert condition dim(W cap E_alpha_i) >= i (Ghorpade and
        Tsfasman 2005), and it scales the minor p_S of W by
        chi_S(t) = prod_{i in S} t_i, so it permutes the points up to
-       scalars, which code.torus checks as a multiset.
+       scalars, which code.torus checks, and needs no repeated point.
     2. T acts on messages by (t.c)_S = chi_S(t) c_S, and the codeword of
        t.c at a point P is that of c at t.P, so t.D has the support of D
        carried over by that permutation: |supp t.D| = |supp D|.
@@ -539,8 +534,7 @@ def higher_weight(
        visits every such basis.
     Over GF(2) T is trivial and the search visits all [k, r]_2 bases.
     The subcode budget charges exactly the bases drawn, as
-    linalg.rref_span_count counts them without drawing them, whenever
-    their bound [k, r]_q is past it.
+    linalg.rref_span_count counts them without drawing them.
 
     Each basis comes from rref_span_matrices, folded by OR, as a pair: the
     union of the support masks of its first rows and that of the rest.

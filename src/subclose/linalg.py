@@ -337,7 +337,8 @@ def rref_span_matrices(
     """
     _check_rank(r, n)
     steps = _Steps(F.q - 1)
-    starts = [_stabilizer(F, n, p, torus) for p in range(n)]
+    # a first pivot leaves r - 1 columns past it for the later pivots
+    starts = [_stabilizer(F, n, p, torus) for p in range(min(n, n - r + 1))]
     factors = (
         _pivot_product(F, n, key, mask, starts, steps) for mask in colex_masks(r, n)
     )

@@ -825,22 +825,14 @@ def test_subcode_gate_charges_the_bases_drawn(monkeypatch):
         higher_weight(code, 2)
 
 
-def test_subcode_gate_counts_only_past_the_bound(monkeypatch):
-    # the search at rank r draws at most [k, r]_q bases, so the gate
-    # counts the torus's draws only when that bound is past the budget,
-    # and then refuses exactly the count: 48,871 at r = 3 on G(2, 4)/F4
+def test_subcode_gate_refuses_exactly_past_the_draws():
+    # the gate charges the torus's draws, 48,871 at r = 3 on G(2, 4)/F4,
+    # and refuses them one budget unit below that
     code = grassmann_code(F4, 2, 4)
     what = "rank-3 subcode bases of a dimension-6 code"
     codes._check_subcode_budget(code, (3,), what, 48871)
     with pytest.raises(BudgetError, match=rf"^48871 {what} exceed budget 48870$"):
         codes._check_subcode_budget(code, (3,), what, 48870)
-
-    def refuse(*args):
-        raise AssertionError("counted below the bound")
-
-    monkeypatch.setattr(codes, "rref_span_count", refuse)
-    codes._check_subcode_budget(code, (3,), what, gaussian_binom(6, 3, 4))
-    assert weight_hierarchy(code)[:3] == (256, 320, 336)
 
 
 def test_orbit_search_holds_no_row_tuples():
@@ -953,6 +945,11 @@ def test_torus_stability_compares_multisets(monkeypatch):
     code = CodeSystem(F3, 1, 2, None, ((1, 1), (1, 1), (1, 2)), (0, 1))
     assert code.torus is None
     assert higher_weight(code, 1) == 1
+    # a repeated point gets no torus even where the torus keeps the
+    # multiset: the check takes distinct points alone
+    twice = CodeSystem(F3, 1, 2, None, ((1, 1), (1, 2)) * 2, (0, 1))
+    assert twice.torus is None
+    assert higher_weight(twice, 1) == 2
     stable = CodeSystem(F3, 1, 2, None, ((1, 1), (1, 2)), (0, 1))
     assert stable.torus == ((1, 0), (0, 1))
     assert list(rref_span_matrices(F3, 1, 2, torus=stable.torus)) == [
@@ -962,6 +959,10 @@ def test_torus_stability_compares_multisets(monkeypatch):
     ]
     # points scaled by a unit are the same points
     assert CodeSystem(F3, 1, 2, None, ((2, 2), (1, 2)), (0, 1)).torus
+    # columns 1 and 2 lie in every row of alpha = (1, 2, 6), so their
+    # generators scale every message alike and are left out
+    unit = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert schubert_code(F3, (1, 2, 6), 3, 6).torus == unit
     assert grassmann_code(F2, 2, 4).torus is None
     # a code that the torus does not keep draws every subcode
     rng = random.Random(41)
